@@ -30,6 +30,12 @@ BLACK_LEVEL_FLAG_THRESHOLD = 0.2
 
 MODES = ("out_of_frustum", "in_frustum", "post")
 
+# Pixels per transform_content tile: a tile's input and output (1.5 MiB each)
+# stay in cache while the offset, both clamps and the gamut count run. Twice
+# this size was slower, as OpenBLAS then splits each tile's product across
+# threads.
+_TILE_PIXELS = 1 << 16
+
 
 class CalibrationError(ValueError):
     """Base class for calibration solve failures."""
@@ -330,23 +336,47 @@ def transform_content(pixels, mode: str, bundle: CalibrationBundle, counter: Gam
     in_frustum:     clamp_0(N_eff . p - black_offset), then clamped to [0, 1]
                     with pixels clamped at the top counted as out-of-gamut
     post:           Q . p
+
+    Returns a new float64 array of the input's shape and leaves the input
+    unchanged. The pixels are processed in fixed-size tiles, so a contiguous
+    float64 frame needs only the output plus one tile's scratch, and the
+    result is the same bit for bit whatever the tile size.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     if pixels.shape[-1] != 3:
         raise ValueError(f"pixels must have a trailing RGB axis, got shape {pixels.shape}")
-    if mode == "out_of_frustum":
-        return pixels @ bundle.m.T
-    if mode == "post":
-        return pixels @ bundle.q.T
-    if mode != "in_frustum":
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    out = pixels @ bundle.n_effective.T - bundle.black_offset
-    out = np.maximum(out, 0.0)
-    over = (out > 1.0).any(axis=-1)
-    if counter is not None:
-        counter.total += int(np.size(over))
-        counter.out_of_gamut += int(np.count_nonzero(over))
-    return np.minimum(out, 1.0)
+    mat = {"out_of_frustum": bundle.m, "in_frustum": bundle.n_effective, "post": bundle.q}[mode]
+    # Match pixels @ mat.T bit for bit. numpy multiplies a lone row (a (3,)
+    # vector, or each pixel of a (..., 1, 3) stack) with gemv, which rounds
+    # differently from gemm, so such input keeps one pixel per product and
+    # the transposed view of mat. Everything else goes through gemm, where a
+    # C-ordered copy of mat.T rounds the same and runs about twice as fast.
+    lone_rows = pixels.ndim == 1 or pixels.shape[-2] == 1
+    rows = pixels.reshape((-1, 1, 3) if lone_rows else (-1, 3))
+    mat_t = mat.T if lone_rows else np.ascontiguousarray(mat.T)
+    out = np.empty(rows.shape)
+    clamp = mode == "in_frustum"
+    if clamp:
+        offset = np.tile(bundle.black_offset, min(len(rows), _TILE_PIXELS))
+    over = 0
+    # array_split makes the tiles equal to within a pixel, so no tile is a
+    # lone row unless the whole input is
+    n_tiles = max(1, -(-len(rows) // _TILE_PIXELS))
+    for src, dst in zip(np.array_split(rows, n_tiles), np.array_split(out, n_tiles)):
+        np.matmul(src, mat_t, out=dst)
+        if clamp:
+            flat = dst.reshape(-1)
+            np.subtract(flat, offset[: flat.size], out=flat)
+            np.maximum(flat, 0.0, out=flat)
+            high = flat > 1.0
+            over += np.count_nonzero(high[0::3] | high[1::3] | high[2::3])
+            np.minimum(flat, 1.0, out=flat)
+    if clamp and counter is not None:
+        counter.total += len(rows)
+        counter.out_of_gamut += int(over)
+    return out.reshape(pixels.shape)
 
 
 def chart_error(target: ChartSamples, measured: ChartSamples) -> np.ndarray:

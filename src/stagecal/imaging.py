@@ -340,11 +340,15 @@ def read_chart_csv(path, white_index: int = DEFAULT_WHITE_INDEX) -> ChartSamples
         header = f.readline().strip()
         if header != "patch_index,r,g,b":
             raise ValueError(f"{path}: unexpected chart CSV header {header!r}")
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
             idx_s, r, g, b = line.split(",")
             idx = int(idx_s)
+            if not 0 <= idx < CHART_PATCHES:
+                raise ValueError(f"{path}, line {lineno}: patch index {idx} outside [0, {CHART_PATCHES})")
+            if idx in seen:
+                raise ValueError(f"{path}, line {lineno}: duplicate patch index {idx}")
             patches[idx] = (float(r), float(g), float(b))
             seen.add(idx)
     if len(seen) != CHART_PATCHES:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from stagecal.calibration import (
+    _TILE_PIXELS,
     CalibrationBundle,
     DegenerateLightingError,
     GamutCounter,
@@ -339,6 +342,91 @@ class TestTransformContent:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             transform_content(np.zeros(3), "sideways", simple_bundle())
+
+
+def reference_transform(pixels, mode, bundle, counter=None):
+    """transform_content as first written: whole-array numpy, no tiles."""
+    pixels = np.asarray(pixels, dtype=np.float64)
+    if mode == "out_of_frustum":
+        return pixels @ bundle.m.T
+    if mode == "post":
+        return pixels @ bundle.q.T
+    out = pixels @ bundle.n_effective.T - bundle.black_offset
+    out = np.maximum(out, 0.0)
+    over = (out > 1.0).any(axis=-1)
+    if counter is not None:
+        counter.total += int(np.size(over))
+        counter.out_of_gamut += int(np.count_nonzero(over))
+    return np.minimum(out, 1.0)
+
+
+# the empty input, a lone pixel, small inputs, and both sides of one and two
+# tile boundaries
+PIXEL_COUNTS = (0, 1, 2, 5, _TILE_PIXELS - 1, _TILE_PIXELS, _TILE_PIXELS + 1, 2 * _TILE_PIXELS + 1)
+
+
+def lay_out(values, layout):
+    """The (P, 3) pixels of ``values``, in order, in one of several array layouts."""
+    count = len(values)
+    if layout == "vector":
+        return values.reshape(3)
+    if layout == "image":
+        rows = next(k for k in (3, 2, 1) if count % k == 0)
+        return values.reshape(rows, count // rows, 3)
+    if layout == "stack":  # (P, 1, 3): numpy multiplies each pixel on its own
+        return values.reshape(count, 1, 3)
+    if layout == "transposed":
+        return np.ascontiguousarray(values.T).T
+    if layout == "strided":
+        return np.repeat(values, 2, axis=0)[::2]
+    if layout == "channel_strided":
+        return np.repeat(values, 2, axis=1)[:, ::2]
+    return values
+
+
+@st.composite
+def content_pixels(draw, count):
+    layouts = ["rows", "image", "stack", "transposed", "strided", "channel_strided"]
+    layout = draw(st.sampled_from(layouts + ["vector"] * (count == 1)))
+    dtype = np.dtype(draw(st.sampled_from(["float64", "float32", "int64", "int8", "uint16"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if dtype.kind == "f":
+        values = rng.uniform(-0.25, 1.5, (count, 3)).astype(dtype)
+    else:
+        values = rng.integers(0 if dtype.kind == "u" else -2, 3, (count, 3)).astype(dtype)
+    return lay_out(values, layout)
+
+
+matrix3 = st.lists(st.floats(-0.4, 0.4), min_size=9, max_size=9).map(
+    lambda v: np.eye(3) + np.reshape(v, (3, 3))
+)
+bundles = st.builds(
+    simple_bundle,
+    m=matrix3,
+    q=matrix3,
+    n=st.none() | matrix3,
+    offset=st.lists(st.floats(0.0, 0.3), min_size=3, max_size=3),
+)
+
+
+# no shrink phase: the failing draw (layout, dtype, seed, bundle) is already
+# small, and re-running inputs of up to 2 tiles to shrink it takes minutes
+@pytest.mark.parametrize("count", PIXEL_COUNTS)
+@settings(derandomize=True, max_examples=12, deadline=None, phases=(Phase.explicit, Phase.generate))
+@given(data=st.data(), bundle=bundles)
+def test_transform_content_matches_whole_array_reference(count, data, bundle):
+    pixels = data.draw(content_pixels(count))
+    before = pixels.copy()
+    for mode in ("out_of_frustum", "in_frustum", "post"):
+        counter, ref_counter = GamutCounter(), GamutCounter()
+        out = transform_content(pixels, mode, bundle, counter)
+        ref = reference_transform(pixels, mode, bundle, ref_counter)
+        assert out.dtype == np.float64 and out.shape == pixels.shape
+        assert out.tobytes() == ref.tobytes()
+        assert (counter.total, counter.out_of_gamut) == (ref_counter.total, ref_counter.out_of_gamut)
+        assert type(counter.total) is int and type(counter.out_of_gamut) is int
+        assert not np.shares_memory(out, pixels)
+    assert pixels.dtype == before.dtype and np.array_equal(pixels, before)
 
 
 class TestChartError:

@@ -263,6 +263,28 @@ class TestFileFormats:
         back = read_chart_csv(path)
         assert np.array_equal(back.patches, chart.patches)
 
+    @staticmethod
+    def _chart_csv(path, indices):
+        rows = "".join(f"{i},0.5,0.5,0.5\n" for i in indices)
+        path.write_text("patch_index,r,g,b\n" + rows)
+        return path
+
+    def test_chart_csv_rejects_negative_index(self, tmp_path):
+        # -1 must not wrap around to patch 23
+        path = self._chart_csv(tmp_path / "chart.csv", [-1, *range(23)])
+        with pytest.raises(ValueError, match=r"chart\.csv, line 2: patch index -1 outside \[0, 24\)"):
+            read_chart_csv(path)
+
+    def test_chart_csv_rejects_index_past_chart(self, tmp_path):
+        path = self._chart_csv(tmp_path / "chart.csv", [*range(24), 24])
+        with pytest.raises(ValueError, match=r"chart\.csv, line 26: patch index 24 outside \[0, 24\)"):
+            read_chart_csv(path)
+
+    def test_chart_csv_rejects_duplicate_index(self, tmp_path):
+        path = self._chart_csv(tmp_path / "chart.csv", [*range(24), 5])
+        with pytest.raises(ValueError, match=r"chart\.csv, line 26: duplicate patch index 5"):
+            read_chart_csv(path)
+
     def test_png16_payload(self, tmp_path):
         # decode the PNG by hand and compare against the expected encoding
         import struct
