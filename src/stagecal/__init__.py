@@ -41,7 +41,6 @@ from .imaging import (
     ChartGridSpec,
     ChartSamples,
     LinearImage,
-    decode_transfer,
     encode_transfer,
     extract_chart,
     normalize_green_white,

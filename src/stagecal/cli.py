@@ -13,14 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import (
     CalibrationBundle,
-    CalibrationError,
     GamutCounter,
     build_sl,
     build_srl,
@@ -82,6 +82,15 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+@contextmanager
+def _stage(name: str):
+    """Run a block as one named stage: any ValueError becomes StageError."""
+    try:
+        yield
+    except ValueError as exc:  # CalibrationError is a ValueError
+        raise StageError(name, exc) from exc
+
+
 @dataclass
 class ChartSource:
     image: Path
@@ -118,10 +127,27 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _scalar(doc: dict, key: str, kind: type, default, where: str = "config"):
+    value = doc.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: {key} must be {noun}, got {value!r}") from exc
+
+
+def _object(doc: dict, key: str, default=None):
+    """An optional JSON-object section; null counts as absent."""
+    value = doc.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError(f"config: {key} must be a JSON object, got {value!r}")
+    return default if value is None else value
+
+
 def _chart_source(doc: dict, base: Path, where: str) -> ChartSource:
     image = base / _require(doc, "image", where)
     corners = np.asarray(_require(doc, "corners", where), dtype=np.float64)
-    return ChartSource(image=image, corners=corners, inset=float(doc.get("inset", DEFAULT_INSET)))
+    return ChartSource(image=image, corners=corners, inset=_scalar(doc, "inset", float, DEFAULT_INSET, where))
 
 
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
@@ -159,7 +185,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     else:
         raise ConfigError("targets: need either 'csv' or 'image'")
 
-    w_doc = doc.get("w_avg", {"mode": "white_patch"})
+    w_doc = _object(doc, "w_avg", {"mode": "white_patch"})
     mode = w_doc.get("mode")
     env_map = env_facing = w_rgb = None
     if mode == "env_map":
@@ -175,7 +201,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
 
-    black_doc = doc.get("black_level")
+    black_doc = _object(doc, "black_level")
     black_image = black_roi = None
     if black_doc is not None:
         black_image = base / _require(black_doc, "image", "black_level")
@@ -196,15 +222,15 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         w_avg_rgb=w_rgb,
         env_map=env_map,
         env_facing=env_facing,
-        white_reflectance=float(doc.get("white_reflectance", 0.9)),
-        half_extent=float(doc.get("half_extent", DEFAULT_HALF_EXTENT)),
-        beta_resolution=int(doc.get("beta_resolution", DEFAULT_BETA_RESOLUTION)),
-        cond_limit_sl=float(doc.get("cond_limit_sl", 1e6)),
-        cond_limit_q=float(doc.get("cond_limit_q", 1e4)),
+        white_reflectance=_scalar(doc, "white_reflectance", float, 0.9),
+        half_extent=_scalar(doc, "half_extent", float, DEFAULT_HALF_EXTENT),
+        beta_resolution=_scalar(doc, "beta_resolution", int, DEFAULT_BETA_RESOLUTION),
+        cond_limit_sl=_scalar(doc, "cond_limit_sl", float, 1e6),
+        cond_limit_q=_scalar(doc, "cond_limit_q", float, 1e4),
         weights=weights,
         black_level_image=black_image,
         black_level_roi=black_roi,
-        white_index=int(doc.get("white_index", DEFAULT_WHITE_INDEX)),
+        white_index=_scalar(doc, "white_index", int, DEFAULT_WHITE_INDEX),
         output_dir=output_dir,
     )
     _check_inputs_exist(config)
@@ -233,8 +259,7 @@ def _read_image(path) -> LinearImage:
 
 def _extract(source: ChartSource, white_index: int) -> ChartSamples:
     grid = ChartGridSpec(source.corners, inset=source.inset)
-    # scene-linear PFM has no encoding maximum, so no saturation check
-    return extract_chart(_read_image(source.image), grid, white_index=white_index, saturation_level=None)
+    return extract_chart(_read_image(source.image), grid, white_index=white_index)
 
 
 def _chart_from_array(values: np.ndarray, white_index: int) -> tuple[ChartSamples, int]:
@@ -254,61 +279,63 @@ def lit_chart_variants(srl, m, q, w_avg, beta, white_index) -> tuple[dict, int]:
     return charts, clamped
 
 
+def load_inputs(config: PipelineConfig):
+    """Read the per-channel charts, the targets and w_avg; returns (srl, targets, w_avg)."""
+    with _stage("channel_charts"):
+        charts = [_extract(config.channel_charts[c], config.white_index) for c in CHANNELS]
+    with _stage("build_srl"):
+        srl = build_srl(*charts)
+    with _stage("targets"):
+        if config.targets_csv is not None:
+            targets = read_chart_csv(config.targets_csv, config.white_index)
+        else:
+            targets = _extract(config.targets_chart, config.white_index)
+    with _stage("w_avg"):
+        if config.w_avg_mode == "env_map":
+            w_avg = w_avg_from_env(read_env_pfm(config.env_map), config.env_facing)
+        else:
+            white = config.w_avg_rgb if config.w_avg_rgb is not None else targets.white
+            w_avg = w_avg_from_white(white, config.white_reflectance)
+    return srl, targets, w_avg
+
+
 def run_solve(config: PipelineConfig):
     """Execute every pipeline stage; returns (bundle, report, exit_code)."""
+    with _stage("primaries"):
+        primaries_image = _read_image(config.primaries_image)
+        primary_rgb = [sample_roi(primaries_image, config.primary_rois[c]) for c in CHANNELS]
+    with _stage("build_sl"):
+        sl = build_sl(*primary_rgb)
+    with _stage("solve_m"):
+        m = solve_m(sl, config.cond_limit_sl)
 
-    def stage(name, fn):
-        try:
-            return fn()
-        except (CalibrationError, ValueError) as exc:
-            raise StageError(name, exc) from exc
+    srl, targets, w_avg = load_inputs(config)
 
-    primaries_image = stage("primaries", lambda: _read_image(config.primaries_image))
-    primary_rgb = {
-        c: stage("primaries", lambda c=c: sample_roi(primaries_image, config.primary_rois[c]))
-        for c in CHANNELS
-    }
-    sl = stage("build_sl", lambda: build_sl(*(primary_rgb[c] for c in CHANNELS)))
-    m = stage("solve_m", lambda: solve_m(sl, config.cond_limit_sl))
-
-    charts = {
-        c: stage("channel_charts", lambda c=c: _extract(config.channel_charts[c], config.white_index))
-        for c in CHANNELS
-    }
-    srl = stage("build_srl", lambda: build_srl(*(charts[c] for c in CHANNELS)))
-
-    if config.targets_csv is not None:
-        targets = stage("targets", lambda: read_chart_csv(config.targets_csv, config.white_index))
-    else:
-        targets = stage("targets", lambda: _extract(config.targets_chart, config.white_index))
-
-    if config.w_avg_mode == "env_map":
-        env = stage("w_avg", lambda: read_env_pfm(config.env_map))
-        w_avg = stage("w_avg", lambda: w_avg_from_env(env, config.env_facing))
-    else:
-        white = config.w_avg_rgb if config.w_avg_rgb is not None else targets.white
-        w_avg = stage("w_avg", lambda: w_avg_from_white(white, config.white_reflectance))
-
-    beta = stage("beta", lambda: compute_beta(config.half_extent, config.beta_resolution))
-
-    q = stage("solve_q", lambda: solve_q(srl, m, w_avg, targets, beta, config.weights))
+    with _stage("beta"):
+        beta = compute_beta(config.half_extent, config.beta_resolution)
+    with _stage("solve_q"):
+        q = solve_q(srl, m, w_avg, targets, beta, config.weights)
     residual = q_objective(q, srl, m, w_avg, targets, beta, config.weights)
-    n = stage("solve_n", lambda: solve_n(m, q, config.cond_limit_q))
+    with _stage("solve_n"):
+        n = solve_n(m, q, config.cond_limit_q)
 
     if config.black_level_image is not None:
-        black_image = stage("black_level", lambda: _read_image(config.black_level_image))
-        b_camera = stage("black_level", lambda: sample_roi(black_image, config.black_level_roi))
-        w_camera = sl @ np.ones(3)  # camera's view of full white: sum of the primaries
-        black_offset = stage("black_level", lambda: compute_black_level(b_camera, w_camera))
+        with _stage("black_level"):
+            black_image = _read_image(config.black_level_image)
+            b_camera = sample_roi(black_image, config.black_level_roi)
+            w_camera = sl @ np.ones(3)  # camera's view of full white: sum of the primaries
+            black_offset = compute_black_level(b_camera, w_camera)
     else:
         b_camera = np.zeros(3)
         black_offset = np.zeros(3)
 
+    with _stage("bundle"):
+        pipeline = CalibrationBundle(m=m, q=q, n=n, beta=beta, black_offset=black_offset)
+        no_black = CalibrationBundle(m=m, q=q, n=n, beta=beta, black_offset=np.zeros(3))
+
     # Simulated charts for the report.
     lit_charts, clamped = lit_chart_variants(srl, m, q, w_avg, beta, config.white_index)
     counter = GamutCounter()
-    pipeline = CalibrationBundle(m=m, q=q, n=n, beta=beta, black_offset=black_offset)
-    no_black = CalibrationBundle(m=m, q=q, n=n, beta=beta, black_offset=np.zeros(3))
     displayed = {}
     for name, bundle_variant, use_counter in (
         ("displayed_no_black_level", no_black, None),
@@ -327,9 +354,7 @@ def run_solve(config: PipelineConfig):
         "negative_clamped_components": clamped,
         "n_available": n is not None,
     }
-    bundle = CalibrationBundle(
-        m=m, q=q, n=n, beta=beta, black_offset=black_offset, diagnostics=diagnostics
-    )
+    bundle = replace(pipeline, diagnostics=diagnostics)
 
     all_charts = {**lit_charts, **displayed}
     errors = {
@@ -365,6 +390,20 @@ def run_solve(config: PipelineConfig):
     return bundle, report, 0 if n is not None else 1
 
 
+def _write_chart(out: Path, name: str, targets: ChartSamples, chart: ChartSamples):
+    """Write `<name>.csv` and `comparison_<name>.png`; returns both paths."""
+    csv_path = out / f"{name}.csv"
+    png_path = out / f"comparison_{name}.png"
+    write_chart_csv(csv_path, chart)
+    try:
+        png = render_comparison_chart(targets, chart, normalize=True)
+    except ValueError:
+        # zero-green white patch (fully degenerate lighting): draw unscaled
+        png = render_comparison_chart(targets, chart, normalize=False)
+    write_png16(png_path, png)
+    return csv_path, png_path
+
+
 def _write_outputs(config, bundle, report, targets, charts) -> None:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -372,13 +411,7 @@ def _write_outputs(config, bundle, report, targets, charts) -> None:
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     write_chart_csv(out / "targets.csv", targets)
     for name, chart in charts.items():
-        write_chart_csv(out / f"{name}.csv", chart)
-        try:
-            png = render_comparison_chart(targets, chart, normalize=True)
-        except ValueError:
-            # zero-green white patch (fully degenerate lighting): draw unscaled
-            png = render_comparison_chart(targets, chart, normalize=False)
-        write_png16(out / f"comparison_{name}.png", png)
+        _write_chart(out, name, targets, chart)
 
 
 def run_oracle(seed: int, scenario: str, outdir) -> Path:
@@ -468,32 +501,14 @@ def run_simulate(config: PipelineConfig, bundle_path, variant: str, outdir=None)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"invalid bundle {bundle_path}: {exc}") from exc
 
-    charts = {c: _extract(config.channel_charts[c], config.white_index) for c in CHANNELS}
-    srl = build_srl(*(charts[c] for c in CHANNELS))
-    if config.targets_csv is not None:
-        targets = read_chart_csv(config.targets_csv, config.white_index)
-    else:
-        targets = _extract(config.targets_chart, config.white_index)
-    if config.w_avg_mode == "env_map":
-        w_avg = w_avg_from_env(read_env_pfm(config.env_map), config.env_facing)
-    else:
-        white = config.w_avg_rgb if config.w_avg_rgb is not None else targets.white
-        w_avg = w_avg_from_white(white, config.white_reflectance)
-
+    srl, targets, w_avg = load_inputs(config)
     name = {"m-only": "lit_m_only", "m-q": "lit_m_q"}[variant]
     lit, _ = lit_chart_variants(srl, bundle.m, bundle.q, w_avg, bundle.beta, config.white_index)
     chart = lit[name]
 
     outdir = Path(outdir) if outdir is not None else config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / f"simulated_{name}.csv"
-    png_path = outdir / f"comparison_simulated_{name}.png"
-    write_chart_csv(csv_path, chart)
-    try:
-        png = render_comparison_chart(targets, chart, normalize=True)
-    except ValueError:
-        png = render_comparison_chart(targets, chart, normalize=False)
-    write_png16(png_path, png)
+    csv_path, png_path = _write_chart(outdir, f"simulated_{name}", targets, chart)
     return chart, csv_path, png_path
 
 
@@ -501,8 +516,10 @@ def run_chart_error(target_csv, measured_csv, white_index: int = DEFAULT_WHITE_I
     for p in (target_csv, measured_csv):
         if not Path(p).is_file():
             raise ConfigError(f"chart CSV not found: {p}")
-    target = read_chart_csv(target_csv, white_index)
-    measured = read_chart_csv(measured_csv, white_index)
+    with _stage("target"):
+        target = read_chart_csv(target_csv, white_index)
+    with _stage("measured"):
+        measured = read_chart_csv(measured_csv, white_index)
     return dict(zip("rgb", chart_error(target, measured).tolist()))
 
 
@@ -547,15 +564,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            overrides = {
-                "output_dir": args.output_dir,
-                "half_extent": args.half_extent,
-                "beta_resolution": args.beta_resolution,
-                "cond_limit_sl": args.cond_limit_sl,
-                "cond_limit_q": args.cond_limit_q,
-                "white_reflectance": args.white_reflectance,
-                "white_index": args.white_index,
-            }
+            # every solve flag besides --config is a config key of the same name
+            overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
             config = load_config(args.config, overrides)
             bundle, report, code = run_solve(config)
             if code != 0:
@@ -578,15 +588,12 @@ def main(argv=None) -> int:
             metrics = run_chart_error(args.target, args.measured, args.white_index)
             print(json.dumps(metrics, indent=2, sort_keys=True))
             return 0
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -1,14 +1,13 @@
 """Linear image I/O, transfer-function handling, and chart patch sampling.
 
 Everything here works in scene-linear RGB. Encoded (display-referred) values
-only exist at the edges: decode_transfer on the way in, encode_transfer /
-write_png16 on the way out. Float images travel as PFM; charts as CSV.
+exist only on the way out (encode_transfer / write_png16). Float images
+travel as PFM; charts as CSV.
 """
 
 from __future__ import annotations
 
 import struct
-import warnings
 import zlib
 from dataclasses import dataclass
 
@@ -114,22 +113,8 @@ def _is_convex(corners: np.ndarray) -> bool:
     return bool((crosses > 0).all() or (crosses < 0).all())
 
 
-def decode_transfer(encoded: np.ndarray, gamma: float = 2.4) -> LinearImage:
-    """Decode a display-referred image (components in [0, 1]) to scene-linear."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    encoded = np.asarray(encoded, dtype=np.float64)
-    if not np.isfinite(encoded).all():
-        bad = np.argwhere(~np.isfinite(encoded).all(axis=-1))[0]
-        raise ValueError(f"non-finite encoded component at (x={bad[1]}, y={bad[0]})")
-    if (encoded < 0).any() or (encoded > 1).any():
-        bad = np.argwhere(((encoded < 0) | (encoded > 1)).any(axis=-1))[0]
-        raise ValueError(f"encoded component outside [0, 1] at (x={bad[1]}, y={bad[0]})")
-    return LinearImage(encoded ** gamma)
-
-
 def encode_transfer(image: LinearImage, gamma: float = 2.4) -> np.ndarray:
-    """Inverse of decode_transfer: scene-linear to display-referred."""
+    """Scene-linear to display-referred: each component to the power 1/gamma."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     return image.data ** (1.0 / gamma)
@@ -182,7 +167,6 @@ def extract_chart(
     image: LinearImage,
     grid: ChartGridSpec,
     white_index: int = DEFAULT_WHITE_INDEX,
-    saturation_level: float | None = 1.0,
 ) -> ChartSamples:
     """Sample the 24 chart patches as trimmed means of their inset regions.
 
@@ -215,8 +199,6 @@ def extract_chart(
                 raise ChartExtractionError(
                     f"patch {idx} region has {values.shape[0]} pixels (< 4)"
                 )
-            if saturation_level is not None and (values.min(axis=0) >= saturation_level).any():
-                warnings.warn(f"patch {idx} fully saturated", stacklevel=2)
             patches[idx] = trimmed_mean(values)
     return ChartSamples(patches, white_index=white_index)
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def rebuild_srl(config):
         src = config.channel_charts[channel]
         grid = ChartGridSpec(src.corners, inset=src.inset)
         img = LinearImage(read_pfm(src.image))
-        charts.append(extract_chart(img, grid, white_index=config.white_index, saturation_level=None))
+        charts.append(extract_chart(img, grid, white_index=config.white_index))
     return build_srl(*charts)
 
 
@@ -261,6 +262,71 @@ class TestErrorsAndUtilities:
         assert abs(beta_block["value"] - beta_block["analytic_form_factor"]) < 1e-3
         assert beta_block["exact_1m_panel_half_extent"] == 0.5
         assert abs(beta_block["exact_1m_panel_form_factor"] - 0.2394564704607735) < 1e-12
+
+
+def _copy_fixture(fx, tmp_path, **changes):
+    """A private copy of a fixture directory with top-level config keys replaced."""
+    fixture_dir = shutil.copytree(fx["dir"], tmp_path / "fixture")
+    doc = json.loads((fixture_dir / "config.json").read_text())
+    doc.update(changes)
+    (fixture_dir / "config.json").write_text(json.dumps(doc))
+    return fixture_dir
+
+
+def _bad_targets_csv(fx, tmp_path):
+    """The fixture's targets with the last row's patch index out of range."""
+    lines = (fx["dir"] / "targets.csv").read_text().splitlines()
+    lines[-1] = "24," + lines[-1].split(",", 1)[1]
+    path = tmp_path / "bad_targets.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+class TestErrorPaths:
+    def test_beta_above_one_fails_its_stage(self, fixtures, tmp_path, capsys):
+        # a 1e6 half extent integrates to beta = 1 + 4e-7, which the bundle rejects
+        out = tmp_path / "out"
+        argv = ["solve", "--config", str(fixtures["broad"]["dir"] / "config.json"),
+                "--output-dir", str(out), "--half-extent", "1e6"]
+        assert main(argv) == 1
+        assert _one_error_line(capsys).startswith("error: stage bundle: beta must be in (0, 1]")
+        assert not out.exists()
+
+    def test_simulate_malformed_targets_csv(self, fixtures, tmp_path, capsys):
+        fx = fixtures["broad"]
+        fixture_dir = _copy_fixture(fx, tmp_path, targets={"csv": str(_bad_targets_csv(fx, tmp_path))})
+        argv = ["simulate", "--config", str(fixture_dir / "config.json"),
+                "--bundle", str(fx["config"].output_dir / "bundle.json"),
+                "--output-dir", str(tmp_path / "sim")]
+        assert main(argv) == 1
+        assert "stage targets:" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("flag", ["--target", "--measured"])
+    def test_chart_error_malformed_csv(self, fixtures, tmp_path, capsys, flag):
+        good = fixtures["broad"]["dir"] / "targets.csv"
+        bad = _bad_targets_csv(fixtures["broad"], tmp_path)
+        target, measured = (bad, good) if flag == "--target" else (good, bad)
+        argv = ["chart-error", "--target", str(target), "--measured", str(measured)]
+        assert main(argv) == 1
+        assert "patch index 24 outside" in _one_error_line(capsys)
+
+    def test_non_numeric_config_value(self, fixtures, tmp_path, capsys):
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, half_extent="x")
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 2
+        assert "half_extent" in _one_error_line(capsys)
+
+    def test_w_avg_must_be_an_object(self, fixtures, tmp_path, capsys):
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, w_avg="white_patch")
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 2
+        assert "w_avg must be a JSON object" in _one_error_line(capsys)
 
 
 class TestAlternateConfigRoutes:

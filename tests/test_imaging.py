@@ -6,7 +6,6 @@ from stagecal.imaging import (
     ChartGridSpec,
     ChartSamples,
     LinearImage,
-    decode_transfer,
     encode_transfer,
     extract_chart,
     normalize_green_white,
@@ -19,9 +18,6 @@ from stagecal.imaging import (
     write_pfm,
     write_png16,
 )
-
-# direct power evaluation, frozen
-HALF_TO_GAMMA_24 = 0.18946457081379978
 
 
 def flat_chart_image(colors, patch=12):
@@ -37,39 +33,13 @@ def flat_chart_image(colors, patch=12):
 
 
 class TestTransfer:
-    def test_half_gray(self):
-        out = decode_transfer(np.full((1, 1, 3), 0.5))
-        assert np.allclose(out.data, HALF_TO_GAMMA_24, atol=1e-12)
-
-    @pytest.mark.parametrize("gamma", [1.0, 1.8, 2.4])
-    def test_fixed_points(self, gamma):
-        img = np.array([[[0.0, 1.0, 0.0]]])
-        out = decode_transfer(img, gamma)
-        assert np.array_equal(out.data, img)
-
     def test_round_trip(self):
-        values = np.array([0.0, 0.25, 0.5, 1.0])
-        img = np.stack([values] * 3, axis=-1)[None, :, :]
-        linear = decode_transfer(img)
-        assert np.abs(encode_transfer(linear) - img).max() < 1e-6
-
-    def test_round_trip_dense_grid(self):
-        img = np.linspace(0.0, 1.0, 64).reshape(4, -1)[..., None].repeat(3, axis=-1)
-        assert np.abs(encode_transfer(decode_transfer(img)) - img).max() < 1e-6
-
-    def test_non_finite_rejected_with_location(self):
-        img = np.zeros((2, 3, 3))
-        img[1, 2, 0] = np.nan
-        with pytest.raises(ValueError, match=r"x=2, y=1"):
-            decode_transfer(img)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            decode_transfer(np.full((1, 1, 3), 1.5))
+        v = np.linspace(0.0, 1.0, 64).reshape(4, -1)[..., None].repeat(3, axis=-1)
+        assert np.abs(encode_transfer(LinearImage(v**2.4)) - v).max() < 1e-12
 
     def test_bad_gamma(self):
         with pytest.raises(ValueError):
-            decode_transfer(np.zeros((1, 1, 3)), gamma=0.0)
+            encode_transfer(LinearImage(np.zeros((1, 1, 3))), gamma=0.0)
 
 
 class TestLinearImage:
@@ -87,7 +57,7 @@ class TestExtractChart:
         rng = np.random.default_rng(0)
         colors = rng.uniform(0.0, 2.0, (24, 3))
         img, grid = flat_chart_image(colors)
-        chart = extract_chart(img, grid, saturation_level=None)
+        chart = extract_chart(img, grid)
         assert np.array_equal(chart.patches, colors)
 
     def test_outlier_robustness(self):
@@ -101,7 +71,7 @@ class TestExtractChart:
             ys = rng.integers(r * 20, (r + 1) * 20, 20)
             xs = rng.integers(c * 20, (c + 1) * 20, 20)
             data[ys, xs] = 10.0
-        chart = extract_chart(LinearImage(data), grid, saturation_level=None)
+        chart = extract_chart(LinearImage(data), grid)
 
         # independent recomputation: sort each inset region, drop 10% tails
         for j in range(24):
@@ -119,13 +89,13 @@ class TestExtractChart:
         rng = np.random.default_rng(2)
         img, grid = flat_chart_image(rng.uniform(0.1, 0.9, (24, 3)), patch=16)
         data = img.data + rng.uniform(0, 0.05, img.data.shape)
-        before = extract_chart(LinearImage(data), grid, saturation_level=None)
+        before = extract_chart(LinearImage(data), grid)
         # shuffle pixels inside patch 7's inset region
         shuffled = data.copy()
         y0, y1, x0, x1 = 20, 28, 20, 28
         block = shuffled[y0:y1, x0:x1].reshape(-1, 3)
         shuffled[y0:y1, x0:x1] = rng.permutation(block, axis=0).reshape(8, 8, 3)
-        after = extract_chart(LinearImage(shuffled), grid, saturation_level=None)
+        after = extract_chart(LinearImage(shuffled), grid)
         assert np.allclose(before.patches, after.patches, atol=1e-12)
 
     def test_corner_outside_rejected(self):
@@ -139,13 +109,6 @@ class TestExtractChart:
         grid = ChartGridSpec(np.array([[0, 0], [8, 0], [8, 6], [0, 6]], dtype=float))
         with pytest.raises(ChartExtractionError, match="< 4"):
             extract_chart(img, grid)
-
-    def test_saturated_patch_warns(self):
-        colors = np.full((24, 3), 0.5)
-        colors[3] = 1.0
-        img, grid = flat_chart_image(colors)
-        with pytest.warns(UserWarning, match="patch 3"):
-            extract_chart(img, grid, saturation_level=1.0)
 
     def test_non_convex_grid_rejected(self):
         with pytest.raises(ValueError, match="convex"):
