@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imaging import CHART_PATCHES, ChartSamples
+from .imaging import CHART_PATCHES, ChartSamples, as_array
 
 DEFAULT_COND_LIMIT_SL = 1e6
 DEFAULT_COND_LIMIT_Q = 1e4
@@ -49,27 +49,9 @@ class DegenerateLightingError(CalibrationError):
     """The predicted chart responses do not span three dimensions."""
 
 
-def _as_mat3(m, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (3, 3):
-        raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return m
-
-
-def _as_rgb(v, name: str = "value") -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be an RGB triple, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} has non-finite components")
-    return v
-
-
 def condition_number(m) -> float:
     """Ratio of largest to smallest singular value (inf if singular)."""
-    s = np.linalg.svd(_as_mat3(m), compute_uv=False)
+    s = np.linalg.svd(as_array(m, (3, 3), "matrix"), compute_uv=False)
     if s[-1] == 0.0:
         return float("inf")
     return float(s[0] / s[-1])
@@ -88,13 +70,7 @@ class SRLSet:
     white_index: int = 18
 
     def __post_init__(self):
-        matrices = np.asarray(self.matrices, dtype=np.float64)
-        if matrices.shape != (CHART_PATCHES, 3, 3):
-            raise ValueError(f"expected ({CHART_PATCHES}, 3, 3), got {matrices.shape}")
-        if not np.isfinite(matrices).all():
-            raise ValueError("non-finite patch response")
-        if (matrices < 0).any():
-            raise ValueError("negative patch response")
+        matrices = as_array(self.matrices, (CHART_PATCHES, 3, 3), "matrices", nonneg=True)
         object.__setattr__(self, "matrices", matrices)
 
 
@@ -110,15 +86,13 @@ class CalibrationBundle:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _as_mat3(self.m, "M"))
-        object.__setattr__(self, "q", _as_mat3(self.q, "Q"))
+        object.__setattr__(self, "m", as_array(self.m, (3, 3), "M"))
+        object.__setattr__(self, "q", as_array(self.q, (3, 3), "Q"))
         if self.n is not None:
-            object.__setattr__(self, "n", _as_mat3(self.n, "N"))
+            object.__setattr__(self, "n", as_array(self.n, (3, 3), "N"))
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        offset = _as_rgb(self.black_offset, "black_offset")
-        if (offset < 0).any():
-            raise ValueError("black_offset components must be >= 0")
+        offset = as_array(self.black_offset, (3,), "black_offset", nonneg=True)
         object.__setattr__(self, "black_offset", offset)
 
     @property
@@ -141,11 +115,11 @@ class CalibrationBundle:
     def from_json(cls, text: str) -> "CalibrationBundle":
         doc = json.loads(text)
         return cls(
-            m=np.array(doc["M"], dtype=np.float64),
-            q=np.array(doc["Q"], dtype=np.float64),
-            n=None if doc["N"] is None else np.array(doc["N"], dtype=np.float64),
+            m=doc["M"],
+            q=doc["Q"],
+            n=doc["N"],
             beta=float(doc["beta"]),
-            black_offset=np.array(doc["black_offset"], dtype=np.float64),
+            black_offset=doc["black_offset"],
             diagnostics=doc.get("diagnostics", {}),
         )
 
@@ -164,16 +138,13 @@ class GamutCounter:
 
 def build_sl(red, green, blue) -> np.ndarray:
     """Stack the camera's view of the three stage primaries as columns."""
-    cols = [_as_rgb(v, name) for v, name in ((red, "red"), (green, "green"), (blue, "blue"))]
-    sl = np.stack(cols, axis=1)
-    if (sl < 0).any():
-        raise ValueError("primary responses must be non-negative")
-    return sl
+    named = {"red": red, "green": green, "blue": blue}
+    return np.stack([as_array(v, (3,), name, nonneg=True) for name, v in named.items()], axis=1)
 
 
 def solve_m(sl, cond_limit: float = DEFAULT_COND_LIMIT_SL) -> np.ndarray:
     """Invert the primary-response matrix; the out-of-frustum pre-correction."""
-    sl = _as_mat3(sl, "SL")
+    sl = as_array(sl, (3, 3), "SL")
     cond = condition_number(sl)
     if cond > cond_limit:
         raise IllConditionedError(
@@ -195,8 +166,8 @@ def predict_lit_chart(srl: SRLSet, m, w_avg, beta: float) -> np.ndarray:
     """Unclamped per-patch prediction (1/beta) * SRL_j * M * w_avg."""
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    m = _as_mat3(m, "M")
-    w_avg = _as_rgb(w_avg, "w_avg")
+    m = as_array(m, (3, 3), "M")
+    w_avg = as_array(w_avg, (3,), "w_avg")
     return srl.matrices @ (m @ w_avg) / beta
 
 
@@ -219,11 +190,7 @@ def simulate_lit_chart(srl: SRLSet, m, w_avg, beta: float) -> ChartSamples:
 def _check_weights(weights) -> np.ndarray:
     if weights is None:
         return np.ones(CHART_PATCHES)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (CHART_PATCHES,):
-        raise ValueError(f"weights must have {CHART_PATCHES} entries, got {weights.shape}")
-    if (weights < 0).any() or not np.isfinite(weights).all():
-        raise ValueError("weights must be finite and >= 0")
+    weights = as_array(weights, (CHART_PATCHES,), "weights", nonneg=True)
     if int((weights > 0).sum()) < 3:
         raise ValueError("need at least 3 patches with positive weight")
     return weights
@@ -286,7 +253,7 @@ def solve_q(
 def q_objective(q, srl: SRLSet, m, w_avg, targets: ChartSamples, beta: float, weights=None) -> float:
     """Weighted squared-error objective that solve_q minimizes."""
     weights = _check_weights(weights)
-    q = _as_mat3(q, "Q")
+    q = as_array(q, (3, 3), "Q")
     predicted = predict_lit_chart(srl, m, w_avg, beta)
     residual = predicted @ q.T - targets.patches
     return float((weights[:, None] * residual**2).sum())
@@ -299,8 +266,8 @@ def solve_n(m, q, cond_limit: float = DEFAULT_COND_LIMIT_Q) -> np.ndarray | None
     color spread) makes Q^-1 meaningless; the pipeline then falls back to
     N := M. Unavailability is a value, not an error.
     """
-    m = _as_mat3(m, "M")
-    q = _as_mat3(q, "Q")
+    m = as_array(m, (3, 3), "M")
+    q = as_array(q, (3, 3), "Q")
     if condition_number(q) > cond_limit:
         return None
     return m @ np.linalg.inv(q)
@@ -313,10 +280,8 @@ def compute_black_level(b_camera, w_camera) -> np.ndarray:
     by the rest of the stage; w_camera is its view of full white (the sum of
     the three primary captures).
     """
-    b = _as_rgb(b_camera, "b_camera")
-    w = _as_rgb(w_camera, "w_camera")
-    if (b < 0).any():
-        raise ValueError("b_camera components must be >= 0")
+    b = as_array(b_camera, (3,), "b_camera", nonneg=True)
+    w = as_array(w_camera, (3,), "w_camera")
     if (w <= 0).any():
         raise ValueError("w_camera components must be > 0")
     offset = b / w

@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import (
+    DEFAULT_COND_LIMIT_Q,
+    DEFAULT_COND_LIMIT_SL,
     CalibrationBundle,
     GamutCounter,
     build_sl,
@@ -44,12 +46,15 @@ from .geometry import (
     w_avg_from_white,
 )
 from .imaging import (
+    CHART_PATCHES,
     DEFAULT_INSET,
     DEFAULT_WHITE_INDEX,
     TRIM_FRACTION,
+    WHITE_REFLECTANCE,
     ChartGridSpec,
     ChartSamples,
     LinearImage,
+    as_array,
     extract_chart,
     read_chart_csv,
     read_pfm,
@@ -62,9 +67,6 @@ from .imaging import (
 from .spectral import SCENARIOS, make_scene, oracle_calibration, write_scene
 
 CHANNELS = ("red", "green", "blue")
-
-LIT_VARIANTS = ("lit_m_only", "lit_m_q")
-DISPLAYED_VARIANTS = ("displayed_no_black_level", "displayed_with_black_level")
 
 ORACLE_PATCH_PIXELS = 16
 ORACLE_PRIMARY_BLOCK = 32
@@ -136,17 +138,30 @@ def _scalar(doc: dict, key: str, kind: type, default, where: str = "config"):
         raise ConfigError(f"{where}: {key} must be {noun}, got {value!r}") from exc
 
 
+def _array(doc: dict, key: str, shape: tuple, where: str, nonneg: bool = False) -> np.ndarray:
+    value = _require(doc, key, where)
+    try:
+        return as_array(value, shape, key, nonneg)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _section(doc: dict, key: str, where: str) -> dict:
+    """A required JSON-object section."""
+    value = _require(doc, key, where)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: {key} must be a JSON object, got {value!r}")
+    return value
+
+
 def _object(doc: dict, key: str, default=None):
     """An optional JSON-object section; null counts as absent."""
-    value = doc.get(key)
-    if value is not None and not isinstance(value, dict):
-        raise ConfigError(f"config: {key} must be a JSON object, got {value!r}")
-    return default if value is None else value
+    return default if doc.get(key) is None else _section(doc, key, "config")
 
 
 def _chart_source(doc: dict, base: Path, where: str) -> ChartSource:
     image = base / _require(doc, "image", where)
-    corners = np.asarray(_require(doc, "corners", where), dtype=np.float64)
+    corners = _array(doc, "corners", (4, 2), where)
     return ChartSource(image=image, corners=corners, inset=_scalar(doc, "inset", float, DEFAULT_INSET, where))
 
 
@@ -163,20 +178,19 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         doc.update({k: v for k, v in overrides.items() if v is not None})
     base = path.parent
 
-    primaries = _require(doc, "primaries", "config")
-    rois = _require(primaries, "rois", "primaries")
+    primaries = _section(doc, "primaries", "config")
+    rois = _section(primaries, "rois", "primaries")
     for channel in CHANNELS:
-        if channel not in rois:
-            raise ConfigError(f"primaries.rois: missing channel {channel!r}")
+        # checked only: each ROI keeps the config's own numbers, which its bounds error quotes
+        _array(rois, channel, (4,), "primaries.rois")
 
-    charts_doc = _require(doc, "channel_charts", "config")
-    channel_charts = {}
-    for channel in CHANNELS:
-        if channel not in charts_doc:
-            raise ConfigError(f"channel_charts: missing channel {channel!r}")
-        channel_charts[channel] = _chart_source(charts_doc[channel], base, f"channel_charts.{channel}")
+    charts_doc = _section(doc, "channel_charts", "config")
+    channel_charts = {
+        c: _chart_source(_section(charts_doc, c, "channel_charts"), base, f"channel_charts.{c}")
+        for c in CHANNELS
+    }
 
-    targets_doc = _require(doc, "targets", "config")
+    targets_doc = _section(doc, "targets", "config")
     targets_csv = targets_chart = None
     if "csv" in targets_doc:
         targets_csv = base / targets_doc["csv"]
@@ -190,27 +204,25 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     env_map = env_facing = w_rgb = None
     if mode == "env_map":
         env_map = base / _require(w_doc, "path", "w_avg")
-        env_facing = np.asarray(_require(w_doc, "facing", "w_avg"), dtype=np.float64)
+        env_facing = _array(w_doc, "facing", (3,), "w_avg")
     elif mode == "white_patch":
         if "rgb" in w_doc:
-            w_rgb = np.asarray(w_doc["rgb"], dtype=np.float64)
+            w_rgb = _array(w_doc, "rgb", (3,), "w_avg")
     else:
         raise ConfigError(f"w_avg.mode must be 'white_patch' or 'env_map', got {mode!r}")
 
     weights = doc.get("weights")
     if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = _array(doc, "weights", (CHART_PATCHES,), "config", nonneg=True)
 
     black_doc = _object(doc, "black_level")
     black_image = black_roi = None
     if black_doc is not None:
         black_image = base / _require(black_doc, "image", "black_level")
-        black_roi = tuple(_require(black_doc, "roi", "black_level"))
+        _array(black_doc, "roi", (4,), "black_level")
+        black_roi = tuple(black_doc["roi"])
 
-    output_dir = doc.get("output_dir", "out")
-    output_dir = Path(output_dir)
-    if not output_dir.is_absolute():
-        output_dir = base / output_dir
+    output_dir = base / doc.get("output_dir", "out")  # an absolute path replaces base
 
     config = PipelineConfig(
         primaries_image=base / _require(primaries, "image", "primaries"),
@@ -222,11 +234,11 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         w_avg_rgb=w_rgb,
         env_map=env_map,
         env_facing=env_facing,
-        white_reflectance=_scalar(doc, "white_reflectance", float, 0.9),
+        white_reflectance=_scalar(doc, "white_reflectance", float, WHITE_REFLECTANCE),
         half_extent=_scalar(doc, "half_extent", float, DEFAULT_HALF_EXTENT),
         beta_resolution=_scalar(doc, "beta_resolution", int, DEFAULT_BETA_RESOLUTION),
-        cond_limit_sl=_scalar(doc, "cond_limit_sl", float, 1e6),
-        cond_limit_q=_scalar(doc, "cond_limit_q", float, 1e4),
+        cond_limit_sl=_scalar(doc, "cond_limit_sl", float, DEFAULT_COND_LIMIT_SL),
+        cond_limit_q=_scalar(doc, "cond_limit_q", float, DEFAULT_COND_LIMIT_Q),
         weights=weights,
         black_level_image=black_image,
         black_level_roi=black_roi,
@@ -478,11 +490,11 @@ def run_oracle(seed: int, scenario: str, outdir) -> Path:
         },
         "targets": {"csv": "targets.csv"},
         "w_avg": {"mode": "white_patch"},
-        "white_reflectance": 0.9,
+        "white_reflectance": WHITE_REFLECTANCE,
         "half_extent": DEFAULT_HALF_EXTENT,
         "beta_resolution": DEFAULT_BETA_RESOLUTION,
-        "cond_limit_sl": 1e6,
-        "cond_limit_q": 1e4,
+        "cond_limit_sl": DEFAULT_COND_LIMIT_SL,
+        "cond_limit_q": DEFAULT_COND_LIMIT_Q,
         "black_level": {"image": "black.pfm", "roi": [0, 0, ps, ps]},
         "white_index": DEFAULT_WHITE_INDEX,
         "output_dir": "out",

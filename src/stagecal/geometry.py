@@ -11,11 +11,9 @@ average frontal illumination w_avg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .imaging import read_pfm, write_pfm
+from .imaging import WHITE_REFLECTANCE, LinearImage, as_array, read_pfm
 
 FRONTAL = np.array([0.0, 0.0, 1.0])
 
@@ -23,40 +21,18 @@ DEFAULT_HALF_EXTENT = 0.6
 DEFAULT_BETA_RESOLUTION = 1024
 
 
-@dataclass(frozen=True)
-class EnvMap:
+class EnvMap(LinearImage):
     """Latitude-longitude radiance map; width must be twice the height."""
 
-    data: np.ndarray  # (height, 2 * height, 3) float64
-
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 3 or data.shape[2] != 3:
-            raise ValueError(f"expected (h, w, 3) radiance data, got {data.shape}")
-        if data.shape[1] != 2 * data.shape[0]:
-            raise ValueError(
-                f"lat-long map must have width = 2 * height, got {data.shape[1]}x{data.shape[0]}"
-            )
-        if not np.isfinite(data).all():
-            raise ValueError("non-finite radiance value")
-        if (data < 0).any():
-            raise ValueError("negative radiance value")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
+        super().__post_init__()
+        if self.width != 2 * self.height:
+            raise ValueError(f"lat-long map must have width = 2 * height, got {self.width}x{self.height}")
 
 
 def as_direction(v) -> np.ndarray:
     """Validate a unit 3-vector (|v| = 1 within 1e-9)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (3,):
-        raise ValueError(f"direction must be a 3-vector, got shape {v.shape}")
+    v = as_array(v, (3,), "direction")
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"direction must be unit length, |v| = {norm}")
@@ -64,15 +40,19 @@ def as_direction(v) -> np.ndarray:
 
 
 def _texel_directions(height: int):
-    """Texel-center directions (dx, dy, dz) and sin(theta), each (h, w)."""
+    """Texel-center directions (dx, dy, dz) and sin(theta).
+
+    dx and dz are (h, w); dy and sin(theta) depend only on the row and are
+    (h, 1), broadcasting against the others.
+    """
     width = 2 * height
     theta = np.pi * (np.arange(height) + 0.5) / height
     azimuth = 2.0 * np.pi * (np.arange(width) + 0.5) / width - np.pi
     sin_t = np.sin(theta)[:, None]
     dx = sin_t * np.sin(azimuth)[None, :]
-    dy = np.cos(theta)[:, None] * np.ones((1, width))
+    dy = np.cos(theta)[:, None]
     dz = sin_t * np.cos(azimuth)[None, :]
-    return dx, dy, dz, sin_t * np.ones((1, width))
+    return dx, dy, dz, sin_t
 
 
 def diffuse_convolve(env: EnvMap, n) -> np.ndarray:
@@ -166,7 +146,7 @@ def w_avg_from_env(env: EnvMap, facing) -> np.ndarray:
     return diffuse_convolve(env, facing)
 
 
-def w_avg_from_white(white_patch, white_reflectance: float = 0.9) -> np.ndarray:
+def w_avg_from_white(white_patch, white_reflectance: float = WHITE_REFLECTANCE) -> np.ndarray:
     """Recover the frontal diffuse integral from a chart's white patch value.
 
     The white square of a typical chart reflects ~90% of incident light, so
@@ -174,15 +154,8 @@ def w_avg_from_white(white_patch, white_reflectance: float = 0.9) -> np.ndarray:
     """
     if not 0.0 < white_reflectance <= 1.0:
         raise ValueError(f"white_reflectance must be in (0, 1], got {white_reflectance}")
-    white_patch = np.asarray(white_patch, dtype=np.float64)
-    if white_patch.shape != (3,):
-        raise ValueError(f"white_patch must be an RGB triple, got shape {white_patch.shape}")
-    return white_patch / white_reflectance
+    return as_array(white_patch, (3,), "white_patch") / white_reflectance
 
 
 def read_env_pfm(path) -> EnvMap:
     return EnvMap(read_pfm(path))
-
-
-def write_env_pfm(path, env: EnvMap) -> None:
-    write_pfm(path, env.data)

@@ -7,6 +7,7 @@ travel as PFM; charts as CSV.
 
 from __future__ import annotations
 
+import reprlib
 import struct
 import zlib
 from dataclasses import dataclass
@@ -20,12 +21,42 @@ CHART_PATCHES = CHART_ROWS * CHART_COLS
 # First patch of the neutral (bottom) row in row-major chart order.
 DEFAULT_WHITE_INDEX = 18
 
+# Fraction of the incident light the chart's white patch reflects.
+WHITE_REFLECTANCE = 0.9
+
 DEFAULT_INSET = 0.25
 TRIM_FRACTION = 0.1
 
 
 class ChartExtractionError(ValueError):
     """Raised when a chart grid cannot be sampled from an image."""
+
+
+def as_array(value, shape: tuple, name: str, nonneg: bool = False) -> np.ndarray:
+    """`value` as a finite float64 array of `shape`, and >= 0 with `nonneg`.
+
+    A None in `shape` matches any length. Anything else raises ValueError
+    naming `name`: non-numeric input, the wrong shape, or the index of the
+    first non-finite (or, with `nonneg`, negative) component.
+    """
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be numeric, got {reprlib.repr(value)}") from exc
+    if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
+        want = str(shape).replace("None", "n")
+        raise ValueError(f"{name} must have shape {want}, got {a.shape}")
+    # the masks are rebuilt on failure so that no full-size mask outlives its test
+    if not np.isfinite(a).all():
+        _raise_at(a, ~np.isfinite(a), name, "non-finite")
+    if nonneg and (a < 0).any():
+        _raise_at(a, a < 0, name, "negative")
+    return a
+
+
+def _raise_at(a: np.ndarray, bad: np.ndarray, name: str, what: str):
+    index = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), a.shape))
+    raise ValueError(f"{name} has a {what} component at index {index}: {float(a[index])}")
 
 
 @dataclass(frozen=True)
@@ -35,16 +66,7 @@ class LinearImage:
     data: np.ndarray  # (height, width, 3) float64
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 3 or data.shape[2] != 3:
-            raise ValueError(f"expected (h, w, 3) image data, got shape {data.shape}")
-        if not np.isfinite(data).all():
-            bad = np.argwhere(~np.isfinite(data).all(axis=2))[0]
-            raise ValueError(f"non-finite pixel at (x={bad[1]}, y={bad[0]})")
-        if (data < 0).any():
-            bad = np.argwhere((data < 0).any(axis=2))[0]
-            raise ValueError(f"negative pixel at (x={bad[1]}, y={bad[0]})")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", as_array(self.data, (None, None, 3), "image", nonneg=True))
 
     @property
     def width(self) -> int:
@@ -63,13 +85,7 @@ class ChartSamples:
     white_index: int = DEFAULT_WHITE_INDEX
 
     def __post_init__(self):
-        patches = np.asarray(self.patches, dtype=np.float64)
-        if patches.shape != (CHART_PATCHES, 3):
-            raise ValueError(f"expected ({CHART_PATCHES}, 3) patches, got {patches.shape}")
-        if not np.isfinite(patches).all():
-            raise ValueError("non-finite patch component")
-        if (patches < 0).any():
-            raise ValueError("negative patch component")
+        patches = as_array(self.patches, (CHART_PATCHES, 3), "patches", nonneg=True)
         if not 0 <= self.white_index < CHART_PATCHES:
             raise ValueError(f"white_index {self.white_index} out of range")
         object.__setattr__(self, "patches", patches)
@@ -88,14 +104,10 @@ class ChartGridSpec:
     """
 
     corners: np.ndarray  # (4, 2) float64
-    rows: int = CHART_ROWS
-    cols: int = CHART_COLS
     inset: float = DEFAULT_INSET
 
     def __post_init__(self):
-        corners = np.asarray(self.corners, dtype=np.float64)
-        if corners.shape != (4, 2):
-            raise ValueError(f"expected 4 corner points, got shape {corners.shape}")
+        corners = as_array(self.corners, (4, 2), "corners")
         if not (0.0 < self.inset < 0.5):
             raise ValueError(f"inset {self.inset} not in (0, 0.5)")
         if not _is_convex(corners):
@@ -120,11 +132,11 @@ def encode_transfer(image: LinearImage, gamma: float = 2.4) -> np.ndarray:
     return image.data ** (1.0 / gamma)
 
 
-def trimmed_mean(values: np.ndarray, trim: float = TRIM_FRACTION) -> np.ndarray:
-    """Per-channel mean after dropping the top and bottom `trim` fraction."""
+def trimmed_mean(values: np.ndarray) -> np.ndarray:
+    """Per-channel mean after dropping the top and bottom TRIM_FRACTION."""
     values = np.asarray(values, dtype=np.float64).reshape(-1, 3)
     n = values.shape[0]
-    k = int(n * trim)
+    k = int(n * TRIM_FRACTION)
     kept = np.sort(values, axis=0)[k : n - k]
     # constant channels pass through exactly instead of accruing summation ulps
     return np.where(kept[0] == kept[-1], kept[0], kept.mean(axis=0))
@@ -175,20 +187,15 @@ def extract_chart(
     defined by the grid corners.
     """
     corners = grid.corners
-    if (
-        (corners[:, 0] < 0).any()
-        or (corners[:, 0] > image.width).any()
-        or (corners[:, 1] < 0).any()
-        or (corners[:, 1] > image.height).any()
-    ):
+    if (corners < 0).any() or (corners > (image.width, image.height)).any():
         raise ChartExtractionError("chart grid corner outside image bounds")
 
-    patches = np.zeros((grid.rows * grid.cols, 3))
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            idx = r * grid.cols + c
-            u = np.array([c + grid.inset, c + 1 - grid.inset]) / grid.cols
-            v = np.array([r + grid.inset, r + 1 - grid.inset]) / grid.rows
+    patches = np.zeros((CHART_PATCHES, 3))
+    for r in range(CHART_ROWS):
+        for c in range(CHART_COLS):
+            idx = r * CHART_COLS + c
+            u = np.array([c + grid.inset, c + 1 - grid.inset]) / CHART_COLS
+            v = np.array([r + grid.inset, r + 1 - grid.inset]) / CHART_ROWS
             quad = _bilinear_point(
                 corners,
                 np.array([u[0], u[1], u[1], u[0]]),
@@ -228,11 +235,11 @@ def render_comparison_chart(
     target: ChartSamples,
     measured: ChartSamples,
     normalize: bool = False,
-    patch_size: int = 48,
 ) -> LinearImage:
-    """Draw target values as squares with measured values as inset circles."""
+    """Draw target values as 48-pixel squares with measured values as inset circles."""
     if normalize:
         measured = normalize_green_white(target, measured)
+    patch_size = 48
     h = CHART_ROWS * patch_size
     w = CHART_COLS * patch_size
     img = np.zeros((h, w, 3))
@@ -291,9 +298,9 @@ def _png_chunk(tag: bytes, payload: bytes) -> bytes:
     )
 
 
-def write_png16(path, image: LinearImage, gamma: float = 2.4) -> None:
-    """Write a 16-bit RGB PNG, encoding scene-linear data with 1/gamma."""
-    encoded = np.clip(encode_transfer(image, gamma=gamma), 0.0, 1.0)
+def write_png16(path, image: LinearImage) -> None:
+    """Write a 16-bit RGB PNG, encoding scene-linear data with 1/2.4."""
+    encoded = np.clip(encode_transfer(image), 0.0, 1.0)
     pixels = np.round(encoded * 65535.0).astype(">u2")
     h, w = pixels.shape[:2]
     rows = pixels.tobytes()

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import SRLSet
-from .imaging import CHART_PATCHES, DEFAULT_WHITE_INDEX, ChartSamples
+from .imaging import CHART_PATCHES, DEFAULT_WHITE_INDEX, WHITE_REFLECTANCE, ChartSamples, as_array
 
 WAVELENGTHS = np.arange(380.0, 781.0, 5.0)  # 81 samples
 N_SAMPLES = len(WAVELENGTHS)
@@ -28,23 +28,11 @@ LED_BANDS = ((630.0, 20.0), (525.0, 20.0), (465.0, 20.0))
 CAMERA_BANDS = ((600.0, 70.0), (540.0, 70.0), (460.0, 70.0))
 
 # Neutral (bottom) chart row reflectances, white first.
-NEUTRAL_REFLECTANCES = (0.9, 0.59, 0.36, 0.2, 0.09, 0.03)
-WHITE_REFLECTANCE = 0.9
+NEUTRAL_REFLECTANCES = (WHITE_REFLECTANCE, 0.59, 0.36, 0.2, 0.09, 0.03)
 
 SCENARIOS = ("broad", "rgb-led", "monochromatic", "identity")
 
 SODIUM_LINE_NM = 589.0
-
-
-def _as_curve(values, name: str = "curve") -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (N_SAMPLES,):
-        raise ValueError(f"{name} must have {N_SAMPLES} samples, got shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} has non-finite values")
-    if (values < 0).any():
-        raise ValueError(f"{name} has negative values")
-    return values
 
 
 def make_gaussian_band(center: float, fwhm: float, peak: float = 1.0) -> np.ndarray:
@@ -63,13 +51,11 @@ def make_gaussian_band(center: float, fwhm: float, peak: float = 1.0) -> np.ndar
 
 def integrate_response(sensitivities, emission, reflectance=None) -> np.ndarray:
     """Camera RGB response: sum_lambda S_c * L * R * delta_lambda."""
-    s = np.asarray(sensitivities, dtype=np.float64)
-    if s.shape != (3, N_SAMPLES):
-        raise ValueError(f"sensitivities must be (3, {N_SAMPLES}), got {s.shape}")
-    emission = _as_curve(emission, "emission")
+    s = as_array(sensitivities, (3, N_SAMPLES), "sensitivities")
+    emission = as_array(emission, (N_SAMPLES,), "emission", nonneg=True)
     if reflectance is None:
         reflectance = np.ones(N_SAMPLES)
-    reflectance = _as_curve(reflectance, "reflectance")
+    reflectance = as_array(reflectance, (N_SAMPLES,), "reflectance", nonneg=True)
     return (s * (emission * reflectance)[None, :]).sum(axis=1) * DELTA_LAMBDA
 
 
@@ -83,22 +69,18 @@ class OracleScene:
     reflectances: np.ndarray  # (24, 81) chart patches, white at DEFAULT_WHITE_INDEX
 
     def __post_init__(self):
-        camera = np.asarray(self.camera, dtype=np.float64)
-        leds = np.asarray(self.leds, dtype=np.float64)
-        refl = np.asarray(self.reflectances, dtype=np.float64)
-        if camera.shape != (3, N_SAMPLES) or leds.shape != (3, N_SAMPLES):
-            raise ValueError("camera and leds must be (3, 81) curves")
-        if refl.shape != (CHART_PATCHES, N_SAMPLES):
-            raise ValueError(f"reflectances must be ({CHART_PATCHES}, {N_SAMPLES})")
-        _as_curve(self.illuminant, "illuminant")
+        camera = as_array(self.camera, (3, N_SAMPLES), "camera", nonneg=True)
+        leds = as_array(self.leds, (3, N_SAMPLES), "leds", nonneg=True)
+        illuminant = as_array(self.illuminant, (N_SAMPLES,), "illuminant", nonneg=True)
+        refl = as_array(self.reflectances, (CHART_PATCHES, N_SAMPLES), "reflectances", nonneg=True)
         for name, curves in (("camera", camera), ("led", leds)):
             if (curves.sum(axis=1) == 0).any():
                 raise ValueError(f"{name} curve is identically zero")
-        if (refl < 0).any() or (refl > 1).any():
+        if (refl > 1).any():
             raise ValueError("reflectances must lie in [0, 1]")
         object.__setattr__(self, "camera", camera)
         object.__setattr__(self, "leds", leds)
-        object.__setattr__(self, "illuminant", np.asarray(self.illuminant, dtype=np.float64))
+        object.__setattr__(self, "illuminant", illuminant)
         object.__setattr__(self, "reflectances", refl)
 
 
@@ -284,7 +266,7 @@ def _read_curve(path: Path) -> np.ndarray:
             if line.strip():
                 wl, v = line.split(",")
                 values.append(float(v))
-    return _as_curve(np.array(values), str(path))
+    return as_array(values, (N_SAMPLES,), str(path), nonneg=True)
 
 
 def write_scene(directory, scene: OracleScene, extra_manifest: dict | None = None) -> None:

@@ -328,6 +328,40 @@ class TestErrorPaths:
         assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 2
         assert "w_avg must be a JSON object" in _one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (["weights"], "x", "config: weights"),
+            (["weights"], [1.0] * 5, "config: weights"),
+            (["weights"], [-1.0] + [1.0] * 23, "config: weights"),
+            (["channel_charts", "red", "corners"], "x", "channel_charts.red: corners"),
+            (["channel_charts", "red", "corners"], [[0, 0], [96, 0], [96, 64]], "channel_charts.red: corners"),
+            (["w_avg"], {"mode": "white_patch", "rgb": "x"}, "w_avg: rgb"),
+            (["w_avg"], {"mode": "env_map", "path": "env.pfm", "facing": "x"}, "w_avg: facing"),
+            (["primaries", "rois", "red"], "x", "primaries.rois: red"),
+            (["primaries", "rois", "green"], [0, 0, 24], "primaries.rois: green"),
+            (["black_level", "roi"], "x", "black_level: roi"),
+            (["primaries"], 5, "config: primaries"),
+            (["primaries", "rois"], 5, "primaries: rois"),
+            (["channel_charts"], 5, "config: channel_charts"),
+            (["channel_charts", "blue"], 5, "channel_charts: blue"),
+            (["targets"], 5, "config: targets"),
+        ],
+        ids=["weights-text", "weights-5", "weights-negative", "corners-text", "corners-3", "rgb-text",
+             "facing-text", "roi-text", "roi-3", "black-roi-text", "primaries-number", "rois-number",
+             "channel-charts-number", "channel-number", "targets-number"],
+    )
+    def test_malformed_config_array_or_section(self, fixtures, tmp_path, capsys, path, value, named):
+        fx = fixtures["broad"]
+        doc = json.loads((fx["dir"] / "config.json").read_text())
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        fixture_dir = _copy_fixture(fx, tmp_path, **{path[0]: doc[path[0]]})
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 2
+        assert _one_error_line(capsys).startswith(f"error: {named} ")
+
 
 class TestAlternateConfigRoutes:
     def test_env_map_w_avg_source(self, fixtures, tmp_path):

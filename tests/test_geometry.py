@@ -11,8 +11,8 @@ from stagecal.geometry import (
     read_env_pfm,
     w_avg_from_env,
     w_avg_from_white,
-    write_env_pfm,
 )
+from stagecal.imaging import LinearImage, write_pfm
 
 # differential-element-to-rectangle form factor, summed over the four corner
 # rectangles (independent closed form, frozen)
@@ -113,6 +113,22 @@ class TestComputeBeta:
     def test_convergence(self):
         assert abs(compute_beta(0.6, 512) - compute_beta(0.6, 1024)) < 1e-3
 
+    @pytest.mark.parametrize("resolution", [64, 256])
+    def test_matches_full_array_directions_bit_for_bit(self, resolution):
+        # reference: every texel term as a full (h, w) array, no broadcasting
+        h, w = resolution, 2 * resolution
+        theta = np.pi * (np.arange(h) + 0.5) / h
+        azimuth = 2.0 * np.pi * (np.arange(w) + 0.5) / w - np.pi
+        ones = np.ones((1, w))
+        sin_t = np.sin(theta)[:, None]
+        dirs = (sin_t * np.sin(azimuth), np.cos(theta)[:, None] * ones, sin_t * np.cos(azimuth))
+        env = EnvMap(np.random.default_rng(resolution).uniform(0.0, 2.0, (h, w, 3)))
+        for n in (FRONTAL, [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], np.array([1.0, 2.0, 2.0]) / 3.0):
+            cos_w = np.maximum(0.0, dirs[0] * n[0] + dirs[1] * n[1] + dirs[2] * n[2])
+            weight = cos_w * (sin_t * ones) * ((2.0 * np.pi / w) * (np.pi / h) / np.pi)
+            expected = np.einsum("yx,yxc->c", weight, env.data)
+            assert diffuse_convolve(env, n).tobytes() == expected.tobytes()
+
     def test_full_sphere_normalization(self):
         out = diffuse_convolve(uniform_env(1024, [1, 1, 1]), FRONTAL)
         assert abs(out[1] - 1.0) < 0.002
@@ -153,6 +169,11 @@ class TestEnvMap:
         with pytest.raises(ValueError, match="width"):
             EnvMap(np.zeros((64, 64, 3)))
 
+    def test_is_a_linear_image(self):
+        env = uniform_env(4, [1.0, 2.0, 3.0])
+        assert isinstance(env, LinearImage)
+        assert (env.height, env.width) == (4, 8)
+
     def test_negative_radiance_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             EnvMap(np.full((4, 8, 3), -1.0))
@@ -161,12 +182,10 @@ class TestEnvMap:
         rng = np.random.default_rng(1)
         env = EnvMap(rng.uniform(0, 4, (16, 32, 3)).astype(np.float32).astype(np.float64))
         path = tmp_path / "env.pfm"
-        write_env_pfm(path, env)
+        write_pfm(path, env.data)
         assert np.array_equal(read_env_pfm(path).data, env.data)
 
     def test_pfm_read_enforces_aspect(self, tmp_path):
-        from stagecal.imaging import write_pfm
-
         path = tmp_path / "bad.pfm"
         write_pfm(path, np.zeros((16, 16, 3)))
         with pytest.raises(ValueError, match="width"):

@@ -1,11 +1,27 @@
+import re
+
 import numpy as np
 import pytest
 
+from stagecal.calibration import (
+    CalibrationBundle,
+    SRLSet,
+    build_sl,
+    compute_black_level,
+    condition_number,
+    predict_lit_chart,
+    q_objective,
+    solve_m,
+    solve_n,
+    solve_q,
+)
+from stagecal.geometry import EnvMap, as_direction, w_avg_from_white
 from stagecal.imaging import (
     ChartExtractionError,
     ChartGridSpec,
     ChartSamples,
     LinearImage,
+    as_array,
     encode_transfer,
     extract_chart,
     normalize_green_white,
@@ -18,6 +34,7 @@ from stagecal.imaging import (
     write_pfm,
     write_png16,
 )
+from stagecal.spectral import N_SAMPLES, OracleScene, default_camera, default_leds, integrate_response
 
 
 def flat_chart_image(colors, patch=12):
@@ -40,6 +57,113 @@ class TestTransfer:
     def test_bad_gamma(self):
         with pytest.raises(ValueError):
             encode_transfer(LinearImage(np.zeros((1, 1, 3))), gamma=0.0)
+
+
+class TestAsArray:
+    def test_converts_and_matches_any_length_for_none(self):
+        a = as_array([[1, 2, 3]], (None, 3), "v")
+        assert a.dtype == np.float64 and a.shape == (1, 3)
+        with pytest.raises(ValueError, match=re.escape("v must have shape (n, 3), got (1, 2)")):
+            as_array([[1, 2]], (None, 3), "v")
+
+    def test_type_error_becomes_value_error(self):
+        with pytest.raises(ValueError, match="v must be numeric"):
+            as_array({"a": 1}, (3,), "v")
+
+    def test_first_bad_index_in_plain_ints(self):
+        values = np.zeros((2, 3, 3))
+        values[1, 2, 0] = values[1, 2, 2] = -np.inf
+        with pytest.raises(ValueError, match=re.escape("v has a non-finite component at index (1, 2, 0): -inf")):
+            as_array(values, (2, 3, 3), "v")
+        values[1, 2] = [0.0, -0.5, -1.0]
+        with pytest.raises(ValueError, match=re.escape("v has a negative component at index (1, 2, 1): -0.5")):
+            as_array(values, (2, 3, 3), "v", nonneg=True)
+        assert as_array(values, (2, 3, 3), "v") is values
+
+
+EYE = np.eye(3)
+RGB = np.array([0.5, 0.4, 0.3])
+SRL = SRLSet(np.full((24, 3, 3), 0.1))
+TARGETS = ChartSamples(np.full((24, 3), 0.5))
+CURVE = np.full(N_SAMPLES, 0.5)
+
+
+def _bundle(**changes):
+    args = {"m": EYE, "q": EYE, "n": EYE, "beta": 0.5, "black_offset": np.zeros(3), **changes}
+    return CalibrationBundle(**args)
+
+
+def _scene(**changes):
+    args = {
+        "camera": default_camera(),
+        "leds": default_leds(),
+        "illuminant": CURVE,
+        "reflectances": np.full((24, N_SAMPLES), 0.5),
+        **changes,
+    }
+    return OracleScene(**args)
+
+
+# (call with the checked value, a valid value, the name its errors carry, checked for sign)
+CHECKED_INPUTS = {
+    "LinearImage": (LinearImage, np.full((2, 3, 3), 0.5), "image", True),
+    "EnvMap": (EnvMap, np.full((2, 4, 3), 0.5), "image", True),
+    "ChartSamples": (ChartSamples, np.full((24, 3), 0.5), "patches", True),
+    "ChartGridSpec": (ChartGridSpec, np.array([[0, 0], [6, 0], [6, 4], [0, 4]], float), "corners", False),
+    "SRLSet": (SRLSet, np.full((24, 3, 3), 0.1), "matrices", True),
+    "bundle.m": (lambda v: _bundle(m=v), EYE, "M", False),
+    "bundle.q": (lambda v: _bundle(q=v), EYE, "Q", False),
+    "bundle.n": (lambda v: _bundle(n=v), EYE, "N", False),
+    "bundle.black_offset": (lambda v: _bundle(black_offset=v), np.zeros(3), "black_offset", True),
+    "build_sl": (lambda v: build_sl(RGB, v, RGB), RGB, "green", True),
+    "condition_number": (condition_number, EYE, "matrix", False),
+    "solve_m": (solve_m, EYE, "SL", False),
+    "solve_n": (lambda v: solve_n(EYE, v), EYE, "Q", False),
+    "predict_lit_chart": (lambda v: predict_lit_chart(SRL, EYE, v, 0.5), RGB, "w_avg", False),
+    "solve_q.weights": (lambda v: solve_q(SRL, EYE, RGB, TARGETS, 0.5, v), np.ones(24), "weights", True),
+    "q_objective": (lambda v: q_objective(v, SRL, EYE, RGB, TARGETS, 0.5), EYE, "Q", False),
+    "compute_black_level.b_camera": (lambda v: compute_black_level(v, np.ones(3)), RGB / 10, "b_camera", True),
+    "compute_black_level.w_camera": (lambda v: compute_black_level(RGB / 10, v), np.ones(3), "w_camera", False),
+    "as_direction": (as_direction, np.array([0.0, 0.0, 1.0]), "direction", False),
+    "w_avg_from_white": (w_avg_from_white, np.ones(3), "white_patch", False),
+    "integrate_response.sensitivities": (
+        lambda v: integrate_response(v, CURVE), default_camera(), "sensitivities", False
+    ),
+    "integrate_response.emission": (lambda v: integrate_response(default_camera(), v), CURVE, "emission", True),
+    "integrate_response.reflectance": (
+        lambda v: integrate_response(default_camera(), CURVE, v), CURVE, "reflectance", True
+    ),
+    "OracleScene.camera": (lambda v: _scene(camera=v), default_camera(), "camera", True),
+    "OracleScene.leds": (lambda v: _scene(leds=v), default_leds(), "leds", True),
+    "OracleScene.illuminant": (lambda v: _scene(illuminant=v), CURVE, "illuminant", True),
+    "OracleScene.reflectances": (
+        lambda v: _scene(reflectances=v), np.full((24, N_SAMPLES), 0.5), "reflectances", True
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CHECKED_INPUTS, ids=str)
+def test_checked_inputs_reject_malformed_values(case):
+    call, good, name, nonneg = CHECKED_INPUTS[case]
+    call(good.copy())
+
+    def rejects(value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} {message}"):
+            call(value)
+
+    longer = good.shape[:-1] + (good.shape[-1] + 1,)
+    rejects(np.ones(longer), "must have shape")
+    rejects(good[..., None], "must have shape")
+    rejects("x", "must be numeric")
+    # as_direction([nan, 0, 1]) and w_avg_from_white([nan, 1, 1]) among them
+    bad = good.copy()
+    bad.flat[0] = np.nan
+    rejects(bad, re.escape(f"has a non-finite component at index {(0,) * good.ndim}: nan"))
+    if nonneg:
+        bad = good.copy()
+        bad.flat[-1] = -1.0
+        last = tuple(n - 1 for n in good.shape)
+        rejects(bad, re.escape(f"has a negative component at index {last}: -1.0"))
 
 
 class TestLinearImage:
