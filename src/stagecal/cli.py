@@ -159,8 +159,16 @@ def _object(doc: dict, key: str, default=None):
     return default if doc.get(key) is None else _section(doc, key, "config")
 
 
+def _path(doc: dict, key: str, base: Path, where: str, default: str | None = None) -> Path:
+    """A path-valued key, relative to the config's directory; an absolute path replaces it."""
+    value = _require(doc, key, where) if default is None else doc.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: {key} must be a path string, got {value!r}")
+    return base / value
+
+
 def _chart_source(doc: dict, base: Path, where: str) -> ChartSource:
-    image = base / _require(doc, "image", where)
+    image = _path(doc, "image", base, where)
     corners = _array(doc, "corners", (4, 2), where)
     return ChartSource(image=image, corners=corners, inset=_scalar(doc, "inset", float, DEFAULT_INSET, where))
 
@@ -193,7 +201,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     targets_doc = _section(doc, "targets", "config")
     targets_csv = targets_chart = None
     if "csv" in targets_doc:
-        targets_csv = base / targets_doc["csv"]
+        targets_csv = _path(targets_doc, "csv", base, "targets")
     elif "image" in targets_doc:
         targets_chart = _chart_source(targets_doc, base, "targets")
     else:
@@ -203,7 +211,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     mode = w_doc.get("mode")
     env_map = env_facing = w_rgb = None
     if mode == "env_map":
-        env_map = base / _require(w_doc, "path", "w_avg")
+        env_map = _path(w_doc, "path", base, "w_avg")
         env_facing = _array(w_doc, "facing", (3,), "w_avg")
     elif mode == "white_patch":
         if "rgb" in w_doc:
@@ -218,14 +226,12 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     black_doc = _object(doc, "black_level")
     black_image = black_roi = None
     if black_doc is not None:
-        black_image = base / _require(black_doc, "image", "black_level")
+        black_image = _path(black_doc, "image", base, "black_level")
         _array(black_doc, "roi", (4,), "black_level")
         black_roi = tuple(black_doc["roi"])
 
-    output_dir = base / doc.get("output_dir", "out")  # an absolute path replaces base
-
     config = PipelineConfig(
-        primaries_image=base / _require(primaries, "image", "primaries"),
+        primaries_image=_path(primaries, "image", base, "primaries"),
         primary_rois={c: tuple(rois[c]) for c in CHANNELS},
         channel_charts=channel_charts,
         targets_csv=targets_csv,
@@ -243,7 +249,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         black_level_image=black_image,
         black_level_roi=black_roi,
         white_index=_scalar(doc, "white_index", int, DEFAULT_WHITE_INDEX),
-        output_dir=output_dir,
+        output_dir=_path(doc, "output_dir", base, "config", default="out"),
     )
     _check_inputs_exist(config)
     return config
@@ -267,6 +273,12 @@ def _check_inputs_exist(config: PipelineConfig) -> None:
 
 def _read_image(path) -> LinearImage:
     return LinearImage(read_pfm(path))
+
+
+def _sample_rois(path, rois) -> list:
+    """Trimmed-mean RGB of each ROI of one image, read here and dropped on return."""
+    image = _read_image(path)
+    return [sample_roi(image, roi) for roi in rois]
 
 
 def _extract(source: ChartSource, white_index: int) -> ChartSamples:
@@ -314,8 +326,7 @@ def load_inputs(config: PipelineConfig):
 def run_solve(config: PipelineConfig):
     """Execute every pipeline stage; returns (bundle, report, exit_code)."""
     with _stage("primaries"):
-        primaries_image = _read_image(config.primaries_image)
-        primary_rgb = [sample_roi(primaries_image, config.primary_rois[c]) for c in CHANNELS]
+        primary_rgb = _sample_rois(config.primaries_image, [config.primary_rois[c] for c in CHANNELS])
     with _stage("build_sl"):
         sl = build_sl(*primary_rgb)
     with _stage("solve_m"):
@@ -333,8 +344,7 @@ def run_solve(config: PipelineConfig):
 
     if config.black_level_image is not None:
         with _stage("black_level"):
-            black_image = _read_image(config.black_level_image)
-            b_camera = sample_roi(black_image, config.black_level_roi)
+            (b_camera,) = _sample_rois(config.black_level_image, [config.black_level_roi])
             w_camera = sl @ np.ones(3)  # camera's view of full white: sum of the primaries
             black_offset = compute_black_level(b_camera, w_camera)
     else:
@@ -594,7 +604,9 @@ def main(argv=None) -> int:
             print(f"wrote {outdir}")
             return 0
         if args.command == "beta":
-            print(repr(compute_beta(args.half_extent, args.resolution)))
+            with _stage("beta"):
+                beta = compute_beta(args.half_extent, args.resolution)
+            print(repr(beta))
             return 0
         if args.command == "chart-error":
             metrics = run_chart_error(args.target, args.measured, args.white_index)

@@ -27,6 +27,10 @@ WHITE_REFLECTANCE = 0.9
 DEFAULT_INSET = 0.25
 TRIM_FRACTION = 0.1
 
+# Items per pass over a large array: pixels per read_pfm block, elements per
+# as_array tile. Keeps every temporary small however large the image.
+_TILE = 1 << 16
+
 
 class ChartExtractionError(ValueError):
     """Raised when a chart grid cannot be sampled from an image."""
@@ -46,11 +50,16 @@ def as_array(value, shape: tuple, name: str, nonneg: bool = False) -> np.ndarray
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
         want = str(shape).replace("None", "n")
         raise ValueError(f"{name} must have shape {want}, got {a.shape}")
-    # the masks are rebuilt on failure so that no full-size mask outlives its test
-    if not np.isfinite(a).all():
-        _raise_at(a, ~np.isfinite(a), name, "non-finite")
-    if nonneg and (a < 0).any():
-        _raise_at(a, a < 0, name, "negative")
+    # one pass of tile min/max (NaN fails every comparison); only a failing
+    # tile pays for the full-size masks that locate the first bad component
+    flat = a.ravel(order="K")
+    for start in range(0, flat.size, _TILE):
+        tile = flat[start : start + _TILE]
+        lo, hi = tile.min(), tile.max()
+        if not (hi < np.inf and (lo >= 0 if nonneg else lo > -np.inf)):
+            if not np.isfinite(a).all():
+                _raise_at(a, ~np.isfinite(a), name, "non-finite")
+            _raise_at(a, a < 0, name, "negative")
     return a
 
 
@@ -259,21 +268,29 @@ def render_comparison_chart(
 
 
 def read_pfm(path) -> np.ndarray:
-    """Read a 3-channel PFM file; returns (h, w, 3) float64, rows top-to-bottom."""
+    """Read a 3-channel PFM file; returns (h, w, 3) float64, rows top-to-bottom.
+
+    The payload is decoded in blocks of about 64 Ki pixels, so a read holds
+    the float64 image plus one small float32 block.
+    """
     with open(path, "rb") as f:
         magic = f.readline().strip()
         if magic != b"PF":
             raise ValueError(f"{path}: not a color PFM file (magic {magic!r})")
         width, height = (int(t) for t in f.readline().split())
         scale = float(f.readline())
-        count = width * height * 3
-        raw = f.read(count * 4)
-    if len(raw) != count * 4:
-        raise ValueError(f"{path}: truncated PFM payload")
-    dtype = "<f4" if scale < 0 else ">f4"
-    data = np.frombuffer(raw, dtype=dtype).reshape(height, width, 3)
-    # PFM stores rows bottom-to-top
-    return np.flipud(data).astype(np.float64)
+        if width < 0 or height < 0:
+            raise ValueError(f"{path}: negative PFM dimensions {width} x {height}")
+        rows = max(1, _TILE // max(width, 1))
+        block = np.empty((rows, width, 3), dtype="<f4" if scale < 0 else ">f4")
+        data = np.empty((height, width, 3))
+        # PFM stores rows bottom-to-top: each block fills the next band up
+        for end in range(height, 0, -rows):
+            chunk = block[: min(rows, end)]
+            if f.readinto(chunk) != chunk.nbytes:
+                raise ValueError(f"{path}: truncated PFM payload")
+            data[end - len(chunk) : end] = chunk[::-1]
+    return data
 
 
 def write_pfm(path, data: np.ndarray) -> None:

@@ -318,6 +318,11 @@ class TestErrorPaths:
         assert main(argv) == 1
         assert "patch index 24 outside" in _one_error_line(capsys)
 
+    @pytest.mark.parametrize("flag, value", [("--resolution", "10"), ("--half-extent", "-1")])
+    def test_beta_out_of_range_fails_its_stage(self, capsys, flag, value):
+        assert main(["beta", flag, value]) == 1
+        assert _one_error_line(capsys).startswith("error: stage beta: ")
+
     def test_non_numeric_config_value(self, fixtures, tmp_path, capsys):
         fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, half_extent="x")
         assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 2
@@ -346,10 +351,20 @@ class TestErrorPaths:
             (["channel_charts"], 5, "config: channel_charts"),
             (["channel_charts", "blue"], 5, "channel_charts: blue"),
             (["targets"], 5, "config: targets"),
+            (["targets"], {"csv": 5}, "targets: csv"),
+            (["targets"], {"image": 5, "corners": [[0, 0], [96, 0], [96, 64], [0, 64]]}, "targets: image"),
+            (["channel_charts", "red", "image"], 5, "channel_charts.red: image"),
+            (["primaries", "image"], 5, "primaries: image"),
+            (["w_avg"], {"mode": "env_map", "path": 5, "facing": [0, 0, 1]}, "w_avg: path"),
+            (["black_level", "image"], 5, "black_level: image"),
+            (["output_dir"], 5, "config: output_dir"),
+            (["output_dir"], None, "config: output_dir"),
         ],
         ids=["weights-text", "weights-5", "weights-negative", "corners-text", "corners-3", "rgb-text",
              "facing-text", "roi-text", "roi-3", "black-roi-text", "primaries-number", "rois-number",
-             "channel-charts-number", "channel-number", "targets-number"],
+             "channel-charts-number", "channel-number", "targets-number", "targets-csv-number",
+             "targets-image-number", "chart-image-number", "primaries-image-number", "env-path-number",
+             "black-image-number", "output-dir-number", "output-dir-null"],
     )
     def test_malformed_config_array_or_section(self, fixtures, tmp_path, capsys, path, value, named):
         fx = fixtures["broad"]

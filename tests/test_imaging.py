@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from stagecal.calibration import (
     CalibrationBundle,
@@ -17,6 +19,7 @@ from stagecal.calibration import (
 )
 from stagecal.geometry import EnvMap, as_direction, w_avg_from_white
 from stagecal.imaging import (
+    _TILE,
     ChartExtractionError,
     ChartGridSpec,
     ChartSamples,
@@ -79,6 +82,65 @@ class TestAsArray:
         with pytest.raises(ValueError, match=re.escape("v has a negative component at index (1, 2, 1): -0.5")):
             as_array(values, (2, 3, 3), "v", nonneg=True)
         assert as_array(values, (2, 3, 3), "v") is values
+
+
+def reference_check_message(a, name, nonneg):
+    """The error of a whole-array check: full-size masks, non-finite first."""
+    if not np.isfinite(a).all():
+        bad, what = ~np.isfinite(a), "non-finite"
+    elif nonneg and (a < 0).any():
+        bad, what = a < 0, "negative"
+    else:
+        return None
+    index = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), a.shape))
+    return f"{name} has a {what} component at index {index}: {float(a[index])}"
+
+
+class TestTiledCheck:
+    """as_array tests tiles of _TILE elements; a (_TILE + 1)-element array spans two."""
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    @pytest.mark.parametrize("at", [0, _TILE - 1, _TILE])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_first_bad_component_matches_whole_array_check(self, bad, at, nonneg):
+        values = np.linspace(0.0, 1.0, _TILE + 1)
+        values[at] = bad
+        expected = reference_check_message(values, "v", nonneg)
+        if expected is None:  # -1 without nonneg
+            assert as_array(values, (None,), "v", nonneg) is values
+            return
+        with pytest.raises(ValueError) as info:
+            as_array(values, (None,), "v", nonneg)
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize(
+        "marks",
+        [{0: -1.0, _TILE: np.nan}, {_TILE - 1: -2.0, _TILE: -1.0}, {5: np.inf, _TILE - 1: np.nan}],
+        ids=["negative-then-nan", "two-negatives", "inf-then-nan"],
+    )
+    def test_non_finite_reported_before_negative_anywhere(self, marks):
+        values = np.zeros(_TILE + 1)
+        for i, v in marks.items():
+            values[i] = v
+        with pytest.raises(ValueError) as info:
+            as_array(values, (None,), "v", nonneg=True)
+        assert str(info.value) == reference_check_message(values, "v", True)
+
+    def test_index_is_in_row_major_order_for_any_memory_layout(self):
+        values = np.zeros((3, _TILE)).T  # column-major memory: flat order differs from index order
+        values[_TILE - 1, 0] = np.nan
+        values[1, 2] = np.nan
+        with pytest.raises(ValueError, match=re.escape("at index (1, 2): nan")):
+            as_array(values, (None, 3), "v")
+
+    def test_negative_zero_empty_and_identity(self):
+        zeros = np.full((_TILE + 1, 3), -0.0)
+        assert as_array(zeros, (None, 3), "v", nonneg=True) is zeros
+        empty = np.zeros((0, 3))
+        assert as_array(empty, (None, 3), "v", nonneg=True) is empty
+        values = np.random.default_rng(18).uniform(0.0, 1.0, (2 * _TILE + 1, 3))
+        assert as_array(values, (None, 3), "v", nonneg=True) is values
+        assert as_array(values, (None, 3), "v") is values
 
 
 EYE = np.eye(3)
@@ -337,6 +399,12 @@ class TestFileFormats:
         write_pfm(path, data)
         assert np.array_equal(read_pfm(path), data)
 
+    def test_pfm_rejects_negative_dimensions(self, tmp_path):
+        path = tmp_path / "bad.pfm"
+        path.write_bytes(b"PF\n-2 3\n-1.0\n" + b"\x00" * 72)
+        with pytest.raises(ValueError, match="negative PFM dimensions -2 x 3"):
+            read_pfm(path)
+
     def test_pfm_rejects_non_color(self, tmp_path):
         path = tmp_path / "bad.pfm"
         path.write_bytes(b"Pf\n2 2\n-1.0\n" + b"\x00" * 16)
@@ -393,3 +461,63 @@ class TestFileFormats:
         pixels = np.frombuffer(rows[:, 1:].tobytes(), dtype=">u2").reshape(5, 4, 3)
         expect = np.round(np.clip(encode_transfer(img), 0, 1) * 65535).astype(np.uint16)
         assert np.array_equal(pixels.astype(np.uint16), expect)
+
+
+def pfm_bytes(width, height, dtype, payload=b""):
+    scale = b"-1.0" if dtype == "<f4" else b"1.0"
+    return b"PF\n%d %d\n%s\n" % (width, height, scale) + payload
+
+
+def reference_read_pfm(path):
+    """read_pfm as one whole-payload decode: frombuffer, flipud, astype."""
+    with open(path, "rb") as f:
+        f.readline()
+        width, height = (int(t) for t in f.readline().split())
+        scale = float(f.readline())
+        raw = f.read(width * height * 12)
+    data = np.frombuffer(raw, dtype="<f4" if scale < 0 else ">f4").reshape(height, width, 3)
+    return np.flipud(data).astype(np.float64)
+
+
+def block_rows(width):
+    return max(1, _TILE // width)
+
+
+# heights around one and two read blocks, for a one-pixel and a 4K-wide image
+PFM_SHAPES = [
+    (width, height)
+    for width in (1, 3840)
+    for b in [block_rows(width)]
+    for height in (1, b - 1, b, b + 1, 2 * b + 1)
+]
+
+
+# no shrink phase: the failing draw (shape, byte order, seed) is already small
+@pytest.mark.parametrize("width, height", PFM_SHAPES)
+@settings(derandomize=True, max_examples=4, deadline=None, phases=(Phase.explicit, Phase.generate))
+@given(dtype=st.sampled_from(["<f4", ">f4"]), seed=st.integers(0, 2**32 - 1))
+def test_streamed_read_pfm_matches_whole_payload_decode(tmp_path_factory, width, height, dtype, seed):
+    # arbitrary bit patterns: NaN payloads, infinities, subnormals and -0.0 included
+    bits = np.random.default_rng(seed).integers(0, 2**32, width * height * 3, dtype=np.uint32)
+    path = tmp_path_factory.mktemp("pfm") / "img.pfm"
+    path.write_bytes(pfm_bytes(width, height, dtype, bits.astype(dtype[0] + "u4").tobytes()))
+    with np.errstate(invalid="ignore"):  # signalling NaNs become quiet in both casts
+        data, ref = read_pfm(path), reference_read_pfm(path)
+    assert data.dtype == np.float64 and data.shape == (height, width, 3)
+    assert data.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 3840])
+@pytest.mark.parametrize(
+    "cut_rows, cut_bytes",
+    [(0, 0), (0, 6), ("block", 0), ("block", 6), ("block", -6)],
+    ids=["empty", "inside-first-block", "block-boundary", "inside-second-block", "end-of-first-block"],
+)
+def test_pfm_truncated_at_any_point(tmp_path, width, cut_rows, cut_bytes):
+    height = 2 * block_rows(width) + 1
+    rows = block_rows(width) if cut_rows == "block" else cut_rows
+    payload = np.ones(width * height * 3, dtype="<f4").tobytes()
+    path = tmp_path / "cut.pfm"
+    path.write_bytes(pfm_bytes(width, height, "<f4", payload[: rows * width * 12 + cut_bytes]))
+    with pytest.raises(ValueError, match="truncated PFM payload"):
+        read_pfm(path)
