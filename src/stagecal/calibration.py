@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imaging import CHART_PATCHES, ChartSamples, as_array
+from .imaging import CHART_PATCHES, DEFAULT_WHITE_INDEX, ChartSamples, as_array
 
 DEFAULT_COND_LIMIT_SL = 1e6
 DEFAULT_COND_LIMIT_Q = 1e4
@@ -67,7 +67,7 @@ class SRLSet:
     """
 
     matrices: np.ndarray  # (24, 3, 3) float64
-    white_index: int = 18
+    white_index: int = DEFAULT_WHITE_INDEX
 
     def __post_init__(self):
         matrices = as_array(self.matrices, (CHART_PATCHES, 3, 3), "matrices", nonneg=True)
@@ -179,12 +179,16 @@ def simulate_lit_chart(srl: SRLSet, m, w_avg, beta: float) -> ChartSamples:
     geometry to the full sphere by 1/beta. Negative predictions are clamped
     to zero with a warning.
     """
-    predicted = predict_lit_chart(srl, m, w_avg, beta)
-    negatives = int((predicted < 0).sum())
+    chart, negatives = clamp_chart(predict_lit_chart(srl, m, w_avg, beta), srl.white_index)
     if negatives:
         warnings.warn(f"{negatives} negative simulated components clamped to 0", stacklevel=2)
-        predicted = np.maximum(predicted, 0.0)
-    return ChartSamples(predicted, white_index=srl.white_index)
+    return chart
+
+
+def clamp_chart(values: np.ndarray, white_index: int) -> tuple[ChartSamples, int]:
+    """A (24, 3) prediction with negatives clamped to 0, and how many were clamped."""
+    clamped = int((values < 0).sum())
+    return ChartSamples(np.maximum(values, 0.0), white_index=white_index), clamped
 
 
 def _check_weights(weights) -> np.ndarray:

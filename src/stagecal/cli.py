@@ -27,6 +27,7 @@ from .calibration import (
     build_sl,
     build_srl,
     chart_error,
+    clamp_chart,
     compute_black_level,
     condition_number,
     predict_lit_chart,
@@ -159,18 +160,21 @@ def _object(doc: dict, key: str, default=None):
     return default if doc.get(key) is None else _section(doc, key, "config")
 
 
-def _path(doc: dict, key: str, base: Path, where: str, default: str | None = None) -> Path:
-    """A path-valued key, relative to the config's directory; an absolute path replaces it."""
-    value = _require(doc, key, where) if default is None else doc.get(key, default)
+def _path(doc: dict, key: str, base: Path, where: str) -> Path:
+    """An input file's path, relative to the config's directory; an absolute path replaces it."""
+    value = _require(doc, key, where)
     if not isinstance(value, str):
         raise ConfigError(f"{where}: {key} must be a path string, got {value!r}")
-    return base / value
+    path = base / value
+    if not path.is_file():
+        raise ConfigError(f"stage {where}: input file not found: {path}")
+    return path
 
 
 def _chart_source(doc: dict, base: Path, where: str) -> ChartSource:
-    image = _path(doc, "image", base, where)
     corners = _array(doc, "corners", (4, 2), where)
-    return ChartSource(image=image, corners=corners, inset=_scalar(doc, "inset", float, DEFAULT_INSET, where))
+    inset = _scalar(doc, "inset", float, DEFAULT_INSET, where)
+    return ChartSource(image=_path(doc, "image", base, where), corners=corners, inset=inset)
 
 
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
@@ -191,6 +195,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     for channel in CHANNELS:
         # checked only: each ROI keeps the config's own numbers, which its bounds error quotes
         _array(rois, channel, (4,), "primaries.rois")
+    primaries_image = _path(primaries, "image", base, "primaries")
 
     charts_doc = _section(doc, "channel_charts", "config")
     channel_charts = {
@@ -211,8 +216,8 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     mode = w_doc.get("mode")
     env_map = env_facing = w_rgb = None
     if mode == "env_map":
-        env_map = _path(w_doc, "path", base, "w_avg")
         env_facing = _array(w_doc, "facing", (3,), "w_avg")
+        env_map = _path(w_doc, "path", base, "w_avg")
     elif mode == "white_patch":
         if "rgb" in w_doc:
             w_rgb = _array(w_doc, "rgb", (3,), "w_avg")
@@ -226,12 +231,16 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     black_doc = _object(doc, "black_level")
     black_image = black_roi = None
     if black_doc is not None:
-        black_image = _path(black_doc, "image", base, "black_level")
         _array(black_doc, "roi", (4,), "black_level")
         black_roi = tuple(black_doc["roi"])
+        black_image = _path(black_doc, "image", base, "black_level")
 
-    config = PipelineConfig(
-        primaries_image=_path(primaries, "image", base, "primaries"),
+    output_dir = doc.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"config: output_dir must be a path string, got {output_dir!r}")
+
+    return PipelineConfig(
+        primaries_image=primaries_image,
         primary_rois={c: tuple(rois[c]) for c in CHANNELS},
         channel_charts=channel_charts,
         targets_csv=targets_csv,
@@ -249,26 +258,8 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         black_level_image=black_image,
         black_level_roi=black_roi,
         white_index=_scalar(doc, "white_index", int, DEFAULT_WHITE_INDEX),
-        output_dir=_path(doc, "output_dir", base, "config", default="out"),
+        output_dir=base / output_dir,
     )
-    _check_inputs_exist(config)
-    return config
-
-
-def _check_inputs_exist(config: PipelineConfig) -> None:
-    paths = [("primaries", config.primaries_image)]
-    paths += [(f"channel_charts.{c}", src.image) for c, src in config.channel_charts.items()]
-    if config.targets_csv is not None:
-        paths.append(("targets", config.targets_csv))
-    if config.targets_chart is not None:
-        paths.append(("targets", config.targets_chart.image))
-    if config.env_map is not None:
-        paths.append(("w_avg", config.env_map))
-    if config.black_level_image is not None:
-        paths.append(("black_level", config.black_level_image))
-    for stage, p in paths:
-        if not Path(p).is_file():
-            raise ConfigError(f"stage {stage}: input file not found: {p}")
 
 
 def _read_image(path) -> LinearImage:
@@ -286,19 +277,13 @@ def _extract(source: ChartSource, white_index: int) -> ChartSamples:
     return extract_chart(_read_image(source.image), grid, white_index=white_index)
 
 
-def _chart_from_array(values: np.ndarray, white_index: int) -> tuple[ChartSamples, int]:
-    """Clamp negatives for emission; returns the chart and the clamp count."""
-    clamped = int((values < 0).sum())
-    return ChartSamples(np.maximum(values, 0.0), white_index=white_index), clamped
-
-
 def lit_chart_variants(srl, m, q, w_avg, beta, white_index) -> tuple[dict, int]:
     """Simulated lit chart for both correction variants, negatives clamped."""
     predicted = predict_lit_chart(srl, m, w_avg, beta)
     charts = {}
     clamped = 0
     for name, values in (("lit_m_only", predicted), ("lit_m_q", predicted @ np.asarray(q).T)):
-        charts[name], n = _chart_from_array(values, white_index)
+        charts[name], n = clamp_chart(values, white_index)
         clamped += n
     return charts, clamped
 
@@ -365,7 +350,7 @@ def run_solve(config: PipelineConfig):
     ):
         panel = transform_content(targets.patches, "in_frustum", bundle_variant, use_counter)
         recorded = panel @ sl.T + b_camera
-        displayed[name], extra = _chart_from_array(recorded @ q.T, config.white_index)
+        displayed[name], extra = clamp_chart(recorded @ q.T, config.white_index)
         clamped += extra
 
     diagnostics = {
@@ -417,12 +402,7 @@ def _write_chart(out: Path, name: str, targets: ChartSamples, chart: ChartSample
     csv_path = out / f"{name}.csv"
     png_path = out / f"comparison_{name}.png"
     write_chart_csv(csv_path, chart)
-    try:
-        png = render_comparison_chart(targets, chart, normalize=True)
-    except ValueError:
-        # zero-green white patch (fully degenerate lighting): draw unscaled
-        png = render_comparison_chart(targets, chart, normalize=False)
-    write_png16(png_path, png)
+    write_png16(png_path, render_comparison_chart(targets, chart))
     return csv_path, png_path
 
 

@@ -1,12 +1,13 @@
 """Linear image I/O, transfer-function handling, and chart patch sampling.
 
 Everything here works in scene-linear RGB. Encoded (display-referred) values
-exist only on the way out (encode_transfer / write_png16). Float images
-travel as PFM; charts as CSV.
+exist only on the way out, inside write_png16. Float images travel as PFM;
+charts as CSV.
 """
 
 from __future__ import annotations
 
+import os
 import reprlib
 import struct
 import zlib
@@ -30,10 +31,6 @@ TRIM_FRACTION = 0.1
 # Items per pass over a large array: pixels per read_pfm block, elements per
 # as_array tile. Keeps every temporary small however large the image.
 _TILE = 1 << 16
-
-
-class ChartExtractionError(ValueError):
-    """Raised when a chart grid cannot be sampled from an image."""
 
 
 def as_array(value, shape: tuple, name: str, nonneg: bool = False) -> np.ndarray:
@@ -134,13 +131,6 @@ def _is_convex(corners: np.ndarray) -> bool:
     return bool((crosses > 0).all() or (crosses < 0).all())
 
 
-def encode_transfer(image: LinearImage, gamma: float = 2.4) -> np.ndarray:
-    """Scene-linear to display-referred: each component to the power 1/gamma."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return image.data ** (1.0 / gamma)
-
-
 def trimmed_mean(values: np.ndarray) -> np.ndarray:
     """Per-channel mean after dropping the top and bottom TRIM_FRACTION."""
     values = np.asarray(values, dtype=np.float64).reshape(-1, 3)
@@ -197,7 +187,7 @@ def extract_chart(
     """
     corners = grid.corners
     if (corners < 0).any() or (corners > (image.width, image.height)).any():
-        raise ChartExtractionError("chart grid corner outside image bounds")
+        raise ValueError("chart grid corner outside image bounds")
 
     patches = np.zeros((CHART_PATCHES, 3))
     for r in range(CHART_ROWS):
@@ -212,9 +202,7 @@ def extract_chart(
             )
             values = _pixels_in_quad(image, quad)
             if values.shape[0] < 4:
-                raise ChartExtractionError(
-                    f"patch {idx} region has {values.shape[0]} pixels (< 4)"
-                )
+                raise ValueError(f"patch {idx} region has {values.shape[0]} pixels (< 4)")
             patches[idx] = trimmed_mean(values)
     return ChartSamples(patches, white_index=white_index)
 
@@ -240,14 +228,17 @@ def normalize_green_white(reference: ChartSamples, subject: ChartSamples) -> Cha
     return ChartSamples(subject.patches * (ref_g / sub_g), white_index=subject.white_index)
 
 
-def render_comparison_chart(
-    target: ChartSamples,
-    measured: ChartSamples,
-    normalize: bool = False,
-) -> LinearImage:
-    """Draw target values as 48-pixel squares with measured values as inset circles."""
-    if normalize:
+def render_comparison_chart(target: ChartSamples, measured: ChartSamples) -> LinearImage:
+    """Draw target values as 48-pixel squares with measured values as inset circles.
+
+    The measured chart is exposure-matched to the target on the white patch's
+    green channel; where that green is zero (fully degenerate lighting) it is
+    drawn unscaled.
+    """
+    try:
         measured = normalize_green_white(target, measured)
+    except ValueError:
+        pass
     patch_size = 48
     h = CHART_ROWS * patch_size
     w = CHART_COLS * patch_size
@@ -281,8 +272,12 @@ def read_pfm(path) -> np.ndarray:
         scale = float(f.readline())
         if width < 0 or height < 0:
             raise ValueError(f"{path}: negative PFM dimensions {width} x {height}")
+        # checked before allocating, so a forged header cannot ask for more
+        # memory than the file could fill
+        if os.fstat(f.fileno()).st_size - f.tell() < width * height * 12:
+            raise ValueError(f"{path}: truncated PFM payload")
         rows = max(1, _TILE // max(width, 1))
-        block = np.empty((rows, width, 3), dtype="<f4" if scale < 0 else ">f4")
+        block = np.empty((min(rows, height), width, 3), dtype="<f4" if scale < 0 else ">f4")
         data = np.empty((height, width, 3))
         # PFM stores rows bottom-to-top: each block fills the next band up
         for end in range(height, 0, -rows):
@@ -317,7 +312,7 @@ def _png_chunk(tag: bytes, payload: bytes) -> bytes:
 
 def write_png16(path, image: LinearImage) -> None:
     """Write a 16-bit RGB PNG, encoding scene-linear data with 1/2.4."""
-    encoded = np.clip(encode_transfer(image), 0.0, 1.0)
+    encoded = np.clip(image.data ** (1 / 2.4), 0.0, 1.0)
     pixels = np.round(encoded * 65535.0).astype(">u2")
     h, w = pixels.shape[:2]
     rows = pixels.tobytes()

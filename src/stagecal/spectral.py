@@ -208,24 +208,14 @@ def oracle_calibration(scene: OracleScene, beta: float) -> OracleCalibration:
     )
 
 
-def _chart_values(chart) -> np.ndarray:
-    if isinstance(chart, ChartSamples):
-        return chart.patches
-    values = np.asarray(chart, dtype=np.float64)
-    if values.shape != (CHART_PATCHES, 3):
-        raise ValueError(f"expected ({CHART_PATCHES}, 3) chart values, got {values.shape}")
-    return values
-
-
 def brute_force_q(predicted, targets, weights=None) -> np.ndarray:
     """Reference solver: pseudo-inverse of the full stacked 72x9 system.
 
     Independent of the production per-row solve; used to cross-check it.
-    Accepts ChartSamples or raw (24, 3) arrays (unclamped predictions may
-    carry negative components).
+    Takes (24, 3) arrays; unclamped predictions may carry negative components.
     """
-    predicted = _chart_values(predicted)
-    targets = _chart_values(targets)
+    predicted = as_array(predicted, (CHART_PATCHES, 3), "predicted")
+    targets = as_array(targets, (CHART_PATCHES, 3), "targets")
     if weights is None:
         weights = np.ones(CHART_PATCHES)
     weights = np.asarray(weights, dtype=np.float64)

@@ -176,9 +176,10 @@ def test_criterion_6_improvement_property():
 
 def test_criterion_7_degenerate_handling(tmp_path):
     fixture_dir = run_oracle(0, "monochromatic", tmp_path / "mono")
-    code = main(
-        ["solve", "--config", str(fixture_dir / "config.json"), "--output-dir", str(tmp_path / "out")]
-    )
+    with pytest.warns(UserWarning, match="black level"):
+        code = main(
+            ["solve", "--config", str(fixture_dir / "config.json"), "--output-dir", str(tmp_path / "out")]
+        )
     bundle_doc = json.loads((tmp_path / "out" / "bundle.json").read_text())
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     ok = (

@@ -1,9 +1,15 @@
+import ast
+import contextlib
+import inspect
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stagecal
 from stagecal.calibration import CalibrationBundle, predict_lit_chart
 from stagecal.cli import load_config, main, run_oracle, run_solve
 from stagecal.imaging import ChartGridSpec, ChartSamples, LinearImage, extract_chart, read_chart_csv, read_pfm
@@ -20,7 +26,10 @@ def fixtures(tmp_path_factory):
     for scenario, seed in SCENARIO_SEEDS.items():
         fixture_dir = run_oracle(seed, scenario, root / scenario)
         config = load_config(fixture_dir / "config.json")
-        bundle, report, code = run_solve(config)
+        # the monochromatic oracle's bounce light exceeds the black-level flag
+        flagged = scenario == "monochromatic"
+        with pytest.warns(UserWarning, match="black level") if flagged else contextlib.nullcontext():
+            bundle, report, code = run_solve(config)
         out[scenario] = {
             "dir": fixture_dir,
             "config": config,
@@ -215,14 +224,15 @@ class TestErrorsAndUtilities:
         # raising the Q condition limit turns the monochromatic soft failure
         # into a (numerically dubious but permitted) full solve
         fx = fixtures["monochromatic"]
-        code = main(
-            [
-                "solve",
-                "--config", str(fx["dir"] / "config.json"),
-                "--output-dir", str(tmp_path / "forced"),
-                "--cond-limit-q", "1e30",
-            ]
-        )
+        with pytest.warns(UserWarning, match="black level"):
+            code = main(
+                [
+                    "solve",
+                    "--config", str(fx["dir"] / "config.json"),
+                    "--output-dir", str(tmp_path / "forced"),
+                    "--cond-limit-q", "1e30",
+                ]
+            )
         assert code == 0
         doc = json.loads((tmp_path / "forced" / "bundle.json").read_text())
         assert doc["N"] is not None
@@ -318,10 +328,26 @@ class TestErrorPaths:
         assert main(argv) == 1
         assert "patch index 24 outside" in _one_error_line(capsys)
 
-    @pytest.mark.parametrize("flag, value", [("--resolution", "10"), ("--half-extent", "-1")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--resolution", "10"), ("--resolution", "100000"), ("--half-extent", "-1")]
+    )
     def test_beta_out_of_range_fails_its_stage(self, capsys, flag, value):
         assert main(["beta", flag, value]) == 1
         assert _one_error_line(capsys).startswith("error: stage beta: ")
+
+    def test_solve_beta_resolution_above_bound_fails_its_stage(self, fixtures, tmp_path, capsys):
+        argv = ["solve", "--config", str(fixtures["broad"]["dir"] / "config.json"),
+                "--output-dir", str(tmp_path / "out"), "--beta-resolution", "100000"]
+        assert main(argv) == 1
+        assert _one_error_line(capsys) == "error: stage beta: resolution must be <= 4096, got 100000"
+
+    def test_pfm_header_larger_than_file_fails_its_stage(self, fixtures, tmp_path, capsys):
+        # the header asks for 100000 x 100000 pixels, which must not be allocated
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path)
+        (fixture_dir / "primaries.pfm").write_bytes(b"PF\n100000 100000\n-1\n" + b"\x00" * 4)
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 1
+        line = _one_error_line(capsys)
+        assert line.startswith("error: stage primaries: ") and line.endswith("truncated PFM payload")
 
     def test_non_numeric_config_value(self, fixtures, tmp_path, capsys):
         fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, half_extent="x")
@@ -459,3 +485,17 @@ class TestAlternateConfigRoutes:
         bundle, report, code = run_solve(load_config(cfg_path))
         assert code == 0
         assert np.isfinite(bundle.q).all()
+
+
+def test_root_exports_exactly_the_readme_library_imports():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented = set()
+    for block in re.findall(r"```python\n(.*?)```", readme, flags=re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "stagecal":
+                documented.update(alias.name for alias in node.names)
+    public = {
+        name for name, value in vars(stagecal).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert documented and public == documented

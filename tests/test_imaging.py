@@ -1,4 +1,6 @@
 import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -20,12 +22,10 @@ from stagecal.calibration import (
 from stagecal.geometry import EnvMap, as_direction, w_avg_from_white
 from stagecal.imaging import (
     _TILE,
-    ChartExtractionError,
     ChartGridSpec,
     ChartSamples,
     LinearImage,
     as_array,
-    encode_transfer,
     extract_chart,
     normalize_green_white,
     read_chart_csv,
@@ -50,16 +50,6 @@ def flat_chart_image(colors, patch=12):
     h, w = img.shape[:2]
     grid = ChartGridSpec(np.array([[0, 0], [w, 0], [w, h], [0, h]], dtype=float))
     return LinearImage(img), grid
-
-
-class TestTransfer:
-    def test_round_trip(self):
-        v = np.linspace(0.0, 1.0, 64).reshape(4, -1)[..., None].repeat(3, axis=-1)
-        assert np.abs(encode_transfer(LinearImage(v**2.4)) - v).max() < 1e-12
-
-    def test_bad_gamma(self):
-        with pytest.raises(ValueError):
-            encode_transfer(LinearImage(np.zeros((1, 1, 3))), gamma=0.0)
 
 
 class TestAsArray:
@@ -287,13 +277,13 @@ class TestExtractChart:
     def test_corner_outside_rejected(self):
         img, _ = flat_chart_image(np.full((24, 3), 0.5))
         grid = ChartGridSpec(np.array([[-1, 0], [72, 0], [72, 48], [0, 48]], dtype=float))
-        with pytest.raises(ChartExtractionError, match="outside"):
+        with pytest.raises(ValueError, match="outside"):
             extract_chart(img, grid)
 
     def test_too_few_pixels_rejected(self):
         img, _ = flat_chart_image(np.full((24, 3), 0.5))
         grid = ChartGridSpec(np.array([[0, 0], [8, 0], [8, 6], [0, 6]], dtype=float))
-        with pytest.raises(ChartExtractionError, match="< 4"):
+        with pytest.raises(ValueError, match="< 4"):
             extract_chart(img, grid)
 
     def test_non_convex_grid_rejected(self):
@@ -374,7 +364,7 @@ class TestComparisonChart:
         patches[18] = 0.5  # gray white patch
         target = ChartSamples(patches)
         measured = ChartSamples(2.0 * patches)
-        img = render_comparison_chart(target, measured, normalize=True)
+        img = render_comparison_chart(target, measured)
         for j in range(24):
             r, c = divmod(j, 6)
             cell = img.data[r * 48 : (r + 1) * 48, c * 48 : (c + 1) * 48]
@@ -383,12 +373,23 @@ class TestComparisonChart:
     def test_circle_centers_carry_measured(self):
         rng = np.random.default_rng(10)
         target = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
-        measured = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
-        img = render_comparison_chart(target, measured, normalize=False)
+        patches = rng.uniform(0.1, 1.0, (24, 3))
+        patches[18, 1] = target.white[1]  # same exposure: the match scales by exactly 1
+        measured = ChartSamples(patches)
+        img = render_comparison_chart(target, measured)
         for j in range(24):
             r, c = divmod(j, 6)
             center = img.data[r * 48 + 24, c * 48 + 24]
             assert np.array_equal(center, measured.patches[j])
+
+    def test_zero_green_white_drawn_unscaled(self):
+        rng = np.random.default_rng(14)
+        target = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
+        patches = rng.uniform(0.1, 1.0, (24, 3))
+        patches[18, 1] = 0.0  # no exposure to match against
+        img = render_comparison_chart(target, ChartSamples(patches))
+        centers = img.data[24::48, 24::48].reshape(24, 3)
+        assert np.array_equal(centers, patches)
 
 
 class TestFileFormats:
@@ -404,6 +405,27 @@ class TestFileFormats:
         path.write_bytes(b"PF\n-2 3\n-1.0\n" + b"\x00" * 72)
         with pytest.raises(ValueError, match="negative PFM dimensions -2 x 3"):
             read_pfm(path)
+
+    def test_pfm_header_larger_than_file_rejected_before_allocating(self, tmp_path):
+        # 100000 x 100000 pixels would be a 224 GiB float64 image
+        path = tmp_path / "huge.pfm"
+        path.write_bytes(b"PF\n100000 100000\n-1\n" + b"\x00" * 4)
+        with pytest.raises(ValueError, match="truncated PFM payload"):
+            read_pfm(path)
+
+    def test_pfm_zero_height_allocates_no_row(self, tmp_path):
+        # a 10**12-pixel-wide empty image needs no payload, and no 12 TB read block
+        path = tmp_path / "wide.pfm"
+        path.write_bytes(b"PF\n1000000000000 0\n-1\n")
+        assert read_pfm(path).shape == (0, 10**12, 3)
+
+    def test_pfm_accepts_trailing_bytes(self, tmp_path):
+        data = np.arange(6.0).reshape(1, 2, 3)
+        path = tmp_path / "img.pfm"
+        write_pfm(path, data)
+        with open(path, "ab") as f:
+            f.write(b"\x00" * 5)
+        assert np.array_equal(read_pfm(path), data)
 
     def test_pfm_rejects_non_color(self, tmp_path):
         path = tmp_path / "bad.pfm"
@@ -441,10 +463,6 @@ class TestFileFormats:
             read_chart_csv(path)
 
     def test_png16_payload(self, tmp_path):
-        # decode the PNG by hand and compare against the expected encoding
-        import struct
-        import zlib
-
         rng = np.random.default_rng(13)
         img = LinearImage(rng.uniform(0.0, 1.2, (5, 4, 3)))
         path = tmp_path / "out.png"
@@ -453,14 +471,25 @@ class TestFileFormats:
         assert blob[:8] == b"\x89PNG\r\n\x1a\n"
         w, h, depth, color = struct.unpack(">IIBB", blob[16:26])
         assert (w, h, depth, color) == (4, 5, 16, 2)
-        idat_start = blob.index(b"IDAT") + 4
-        idat_len = struct.unpack(">I", blob[idat_start - 8 : idat_start - 4])[0]
-        raw = zlib.decompress(blob[idat_start : idat_start + idat_len])
-        rows = np.frombuffer(raw, dtype=np.uint8).reshape(5, -1)
-        assert (rows[:, 0] == 0).all()  # filter byte
-        pixels = np.frombuffer(rows[:, 1:].tobytes(), dtype=">u2").reshape(5, 4, 3)
-        expect = np.round(np.clip(encode_transfer(img), 0, 1) * 65535).astype(np.uint16)
-        assert np.array_equal(pixels.astype(np.uint16), expect)
+        expect = np.round(np.clip(img.data ** (1 / 2.4), 0, 1) * 65535).astype(np.uint16)
+        assert np.array_equal(png16_pixels(path, 5, 4), expect)
+
+    def test_png16_encodes_with_gamma_2_4(self, tmp_path):
+        # scene-linear v**2.4 encodes back to v on a dense grid of 16-bit codes
+        v = np.linspace(0.0, 1.0, 64).reshape(4, -1)[..., None].repeat(3, axis=-1)
+        path = tmp_path / "ramp.png"
+        write_png16(path, LinearImage(v**2.4))
+        assert np.array_equal(png16_pixels(path, 4, 16), np.round(v * 65535))
+
+
+def png16_pixels(path, height, width):
+    """Decode a 16-bit RGB PNG by hand: one IDAT chunk, filter byte 0 on every row."""
+    blob = path.read_bytes()
+    start = blob.index(b"IDAT") + 4
+    (length,) = struct.unpack(">I", blob[start - 8 : start - 4])
+    rows = np.frombuffer(zlib.decompress(blob[start : start + length]), np.uint8).reshape(height, -1)
+    assert (rows[:, 0] == 0).all()
+    return np.frombuffer(rows[:, 1:].tobytes(), ">u2").reshape(height, width, 3).astype(np.uint16)
 
 
 def pfm_bytes(width, height, dtype, payload=b""):

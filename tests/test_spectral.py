@@ -234,7 +234,7 @@ class TestOracleCalibration:
 class TestBruteForceQ:
     def test_identity_when_equal(self):
         chart = ChartSamples(np.random.default_rng(8).uniform(0.1, 1.0, (24, 3)))
-        q = brute_force_q(chart, chart)
+        q = brute_force_q(chart.patches, chart.patches)
         assert np.abs(q - np.eye(3)).max() < 1e-12
 
     def test_three_patch_diagonal(self):
