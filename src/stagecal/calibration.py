@@ -37,18 +37,6 @@ MODES = ("out_of_frustum", "in_frustum", "post")
 _TILE_PIXELS = 1 << 16
 
 
-class CalibrationError(ValueError):
-    """Base class for calibration solve failures."""
-
-
-class IllConditionedError(CalibrationError):
-    """A matrix is too ill-conditioned to invert reliably."""
-
-
-class DegenerateLightingError(CalibrationError):
-    """The predicted chart responses do not span three dimensions."""
-
-
 def condition_number(m) -> float:
     """Ratio of largest to smallest singular value (inf if singular)."""
     s = np.linalg.svd(as_array(m, (3, 3), "matrix"), compute_uv=False)
@@ -147,7 +135,7 @@ def solve_m(sl, cond_limit: float = DEFAULT_COND_LIMIT_SL) -> np.ndarray:
     sl = as_array(sl, (3, 3), "SL")
     cond = condition_number(sl)
     if cond > cond_limit:
-        raise IllConditionedError(
+        raise ValueError(
             f"primary matrix condition number {cond:.3e} exceeds limit {cond_limit:.3e}"
         )
     return np.linalg.inv(sl)
@@ -228,7 +216,7 @@ def solve_q(
     value are left at the identity. A spectrally flat chart (all responses
     collinear) therefore returns Q = I exactly when the identity already
     fits; if a rank-deficient system cannot be fit, the capture does not
-    constrain Q and DegenerateLightingError is raised.
+    constrain Q and ValueError is raised.
     """
     weights = _check_weights(weights)
     predicted = predict_lit_chart(srl, m, w_avg, beta)
@@ -247,7 +235,7 @@ def solve_q(
         fit = float(((wx @ q.T - wt) ** 2).sum())
         scale = float((wt**2).sum())
         if fit > Q_DEGENERATE_RTOL * max(scale, np.finfo(float).tiny):
-            raise DegenerateLightingError(
+            raise ValueError(
                 f"predicted chart responses span rank {rank} < 3 "
                 "and do not explain the targets"
             )

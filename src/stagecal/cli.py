@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -47,7 +48,9 @@ from .geometry import (
     w_avg_from_white,
 )
 from .imaging import (
+    CHART_COLS,
     CHART_PATCHES,
+    CHART_ROWS,
     DEFAULT_INSET,
     DEFAULT_WHITE_INDEX,
     TRIM_FRACTION,
@@ -56,6 +59,7 @@ from .imaging import (
     ChartSamples,
     LinearImage,
     as_array,
+    chart_image,
     extract_chart,
     read_chart_csv,
     read_pfm,
@@ -90,7 +94,7 @@ def _stage(name: str):
     """Run a block as one named stage: any ValueError becomes StageError."""
     try:
         yield
-    except ValueError as exc:  # CalibrationError is a ValueError
+    except ValueError as exc:
         raise StageError(name, exc) from exc
 
 
@@ -131,12 +135,14 @@ def _require(doc: dict, key: str, where: str):
 
 
 def _scalar(doc: dict, key: str, kind: type, default, where: str = "config"):
+    """A finite JSON number; an integer setting takes no fractional part."""
     value = doc.get(key, default)
-    try:
+    # type(), not isinstance(): JSON true parses to a bool, which is an int
+    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if finite and (kind is float or value == int(value)):
         return kind(value)
-    except (TypeError, ValueError) as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{where}: {key} must be {noun}, got {value!r}") from exc
+    noun = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"{where}: {key} must be {noun}, got {value!r}")
 
 
 def _array(doc: dict, key: str, shape: tuple, where: str, nonneg: bool = False) -> np.ndarray:
@@ -167,7 +173,7 @@ def _path(doc: dict, key: str, base: Path, where: str) -> Path:
         raise ConfigError(f"{where}: {key} must be a path string, got {value!r}")
     path = base / value
     if not path.is_file():
-        raise ConfigError(f"stage {where}: input file not found: {path}")
+        raise ConfigError(f"{where}: input file not found: {path}")
     return path
 
 
@@ -184,7 +190,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal over 4300 digits
         raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
@@ -431,13 +437,8 @@ def run_oracle(seed: int, scenario: str, outdir) -> Path:
         primaries[:, c * block : (c + 1) * block] = calib.sl[:, c]
     write_pfm(outdir / "primaries.pfm", primaries)
 
-    chart_h, chart_w = 4 * ps, 6 * ps
     for c, name in enumerate(CHANNELS):
-        chart = np.zeros((chart_h, chart_w, 3))
-        for j in range(24):
-            r, col = divmod(j, 6)
-            chart[r * ps : (r + 1) * ps, col * ps : (col + 1) * ps] = calib.srl.matrices[j][:, c]
-        write_pfm(outdir / f"chart_{name}.pfm", chart)
+        write_pfm(outdir / f"chart_{name}.pfm", chart_image(calib.srl.matrices[:, :, c], ps))
 
     write_chart_csv(outdir / "targets.csv", calib.targets)
 
@@ -463,6 +464,7 @@ def run_oracle(seed: int, scenario: str, outdir) -> Path:
     )
 
     margin = (block - 24) // 2
+    chart_h, chart_w = CHART_ROWS * ps, CHART_COLS * ps
     config = {
         "primaries": {
             "image": "primaries.pfm",
@@ -562,43 +564,55 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "solve":
-            # every solve flag besides --config is a config key of the same name
-            overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-            config = load_config(args.config, overrides)
-            bundle, report, code = run_solve(config)
-            if code != 0:
-                print("warning: N unavailable, in-frustum fallback N := M", file=sys.stderr)
-            print(f"wrote {config.output_dir}")
-            return code
-        if args.command == "simulate":
-            config = load_config(args.config)
-            _, csv_path, png_path = run_simulate(config, args.bundle, args.variant, args.output_dir)
-            print(f"wrote {csv_path} and {png_path}")
-            return 0
-        if args.command == "oracle":
-            outdir = run_oracle(args.seed, args.scenario, args.outdir)
-            print(f"wrote {outdir}")
-            return 0
-        if args.command == "beta":
-            with _stage("beta"):
-                beta = compute_beta(args.half_extent, args.resolution)
-            print(repr(beta))
-            return 0
-        if args.command == "chart-error":
-            metrics = run_chart_error(args.target, args.measured, args.white_index)
-            print(json.dumps(metrics, indent=2, sort_keys=True))
-            return 0
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _run(args) -> int:
+    """Run one parsed command; returns its exit code."""
+    if args.command == "solve":
+        # every solve flag besides --config is a config key of the same name
+        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+        config = load_config(args.config, overrides)
+        _, _, code = run_solve(config)
+        if code != 0:
+            warnings.warn("N unavailable, in-frustum fallback N := M")
+        print(f"wrote {config.output_dir}")
+        return code
+    if args.command == "simulate":
+        config = load_config(args.config)
+        _, csv_path, png_path = run_simulate(config, args.bundle, args.variant, args.output_dir)
+        print(f"wrote {csv_path} and {png_path}")
+        return 0
+    if args.command == "oracle":
+        outdir = run_oracle(args.seed, args.scenario, args.outdir)
+        print(f"wrote {outdir}")
+        return 0
+    if args.command == "beta":
+        with _stage("beta"):
+            beta = compute_beta(args.half_extent, args.resolution)
+        print(repr(beta))
+        return 0
+    if args.command == "chart-error":
+        metrics = run_chart_error(args.target, args.measured, args.white_index)
+        print(json.dumps(metrics, indent=2, sort_keys=True))
+        return 0
     raise AssertionError(f"unhandled command {args.command}")
+
+
+def main(argv=None) -> int:
+    """Run a command; its warnings, then any error, go to stderr one line each."""
+    args = _build_parser().parse_args(argv)
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = _run(args)
+        except (ConfigError, OSError) as exc:
+            code, error = 2, exc
+        except StageError as exc:
+            code, error = 1, exc
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

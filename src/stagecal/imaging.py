@@ -228,6 +228,12 @@ def normalize_green_white(reference: ChartSamples, subject: ChartSamples) -> Cha
     return ChartSamples(subject.patches * (ref_g / sub_g), white_index=subject.white_index)
 
 
+def chart_image(patches, patch_size: int) -> np.ndarray:
+    """A (24, 3) chart drawn as patch_size squares in row-major order, 6 across and 4 down."""
+    rows = as_array(patches, (CHART_PATCHES, 3), "patches").reshape(CHART_ROWS, CHART_COLS, 3)
+    return rows.repeat(patch_size, axis=0).repeat(patch_size, axis=1)
+
+
 def render_comparison_chart(target: ChartSamples, measured: ChartSamples) -> LinearImage:
     """Draw target values as 48-pixel squares with measured values as inset circles.
 
@@ -240,18 +246,12 @@ def render_comparison_chart(target: ChartSamples, measured: ChartSamples) -> Lin
     except ValueError:
         pass
     patch_size = 48
-    h = CHART_ROWS * patch_size
-    w = CHART_COLS * patch_size
-    img = np.zeros((h, w, 3))
+    img = chart_image(target.patches, patch_size)
     radius = patch_size * 0.33
     yy, xx = np.mgrid[0:patch_size, 0:patch_size]
     circle = (xx + 0.5 - patch_size / 2) ** 2 + (yy + 0.5 - patch_size / 2) ** 2 <= radius**2
-    for r in range(CHART_ROWS):
-        for c in range(CHART_COLS):
-            idx = r * CHART_COLS + c
-            cell = img[r * patch_size : (r + 1) * patch_size, c * patch_size : (c + 1) * patch_size]
-            cell[:] = target.patches[idx]
-            cell[circle] = measured.patches[idx]
+    inside = np.tile(circle, (CHART_ROWS, CHART_COLS))
+    img[inside] = chart_image(measured.patches, patch_size)[inside]
     return LinearImage(img)
 
 

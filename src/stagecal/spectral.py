@@ -6,6 +6,8 @@ module does the same on a fixed 380-780 nm grid to manufacture calibration
 data (primary responses, per-channel chart captures, target chart, frontal
 tint) whose correct pipeline outputs are known, plus an independent
 stacked-system solver to check the production least-squares path against.
+`write_scene` stores a scene's curves as CSV for inspection; nothing in the
+package reads them back.
 """
 
 from __future__ import annotations
@@ -41,12 +43,19 @@ def make_gaussian_band(center: float, fwhm: float, peak: float = 1.0) -> np.ndar
         raise ValueError(f"center {center} nm outside the {WAVELENGTHS[0]}-{WAVELENGTHS[-1]} grid")
     if fwhm <= 0:
         raise ValueError(f"fwhm must be positive, got {fwhm}")
-    if peak == 0.0:
-        return np.zeros(N_SAMPLES)
     sigma = fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     g = np.exp(-0.5 * ((WAVELENGTHS - center) / sigma) ** 2)
     nearest = int(np.argmin(np.abs(WAVELENGTHS - center)))
     return peak * g / g[nearest]
+
+
+def _integrate(camera: np.ndarray, emission, reflectance) -> np.ndarray:
+    """Unchecked camera response, broadcast over leading axes: (..., 81) light -> (..., 3).
+
+    Each response is the 81-sample sum of one contiguous row, so a batch
+    gives every element the same bits as a single call.
+    """
+    return (camera * (emission * reflectance)[..., None, :]).sum(axis=-1) * DELTA_LAMBDA
 
 
 def integrate_response(sensitivities, emission, reflectance=None) -> np.ndarray:
@@ -56,7 +65,7 @@ def integrate_response(sensitivities, emission, reflectance=None) -> np.ndarray:
     if reflectance is None:
         reflectance = np.ones(N_SAMPLES)
     reflectance = as_array(reflectance, (N_SAMPLES,), "reflectance", nonneg=True)
-    return (s * (emission * reflectance)[None, :]).sum(axis=1) * DELTA_LAMBDA
+    return _integrate(s, emission, reflectance)
 
 
 @dataclass(frozen=True)
@@ -133,10 +142,7 @@ def _scenario_illuminant(rng: np.random.Generator, scenario: str) -> np.ndarray:
 
 def _normalize_led_levels(camera: np.ndarray, leds: np.ndarray) -> np.ndarray:
     """Scale each channel's drive so its camera response peaks at 0.9."""
-    scaled = leds.copy()
-    for c in range(3):
-        scaled[c] *= 0.9 / integrate_response(camera, leds[c]).max()
-    return scaled
+    return leds * (0.9 / _integrate(camera, leds, 1.0).max(axis=1))[:, None]
 
 
 def make_scene(seed: int, scenario: str = "broad") -> OracleScene:
@@ -176,33 +182,20 @@ def oracle_calibration(scene: OracleScene, beta: float) -> OracleCalibration:
 
     The per-channel chart captures carry the beta factor because the physical
     calibration panel covers only that fraction of the chart's hemisphere.
+    The scene's curves were checked when it was built, so they are
+    integrated here unchecked, one batch per measurement.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta}")
-    sl = np.stack([integrate_response(scene.camera, scene.leds[c]) for c in range(3)], axis=1)
-    srl = np.stack(
-        [
-            np.stack(
-                [
-                    beta * integrate_response(scene.camera, scene.leds[c], scene.reflectances[j])
-                    for c in range(3)
-                ],
-                axis=1,
-            )
-            for j in range(CHART_PATCHES)
-        ]
-    )
-    targets = np.stack(
-        [
-            integrate_response(scene.camera, scene.illuminant, scene.reflectances[j])
-            for j in range(CHART_PATCHES)
-        ]
-    )
-    flat_white = np.full(N_SAMPLES, WHITE_REFLECTANCE)
-    w_avg = integrate_response(scene.camera, scene.illuminant, flat_white) / WHITE_REFLECTANCE
+    camera, leds, reflectances = scene.camera, scene.leds, scene.reflectances
+    # integrals come out channel-major; SL and each SRL_j hold channels as columns
+    sl = np.ascontiguousarray(_integrate(camera, leds, 1.0).T)
+    srl = beta * _integrate(camera, leds, reflectances[:, None, :])  # (patch, channel, rgb)
+    targets = _integrate(camera, scene.illuminant, reflectances)
+    w_avg = _integrate(camera, scene.illuminant, WHITE_REFLECTANCE) / WHITE_REFLECTANCE
     return OracleCalibration(
         sl=sl,
-        srl=SRLSet(srl, white_index=DEFAULT_WHITE_INDEX),
+        srl=SRLSet(np.ascontiguousarray(srl.transpose(0, 2, 1)), white_index=DEFAULT_WHITE_INDEX),
         targets=ChartSamples(targets, white_index=DEFAULT_WHITE_INDEX),
         w_avg=w_avg,
     )
@@ -246,21 +239,8 @@ def _write_curve(path: Path, values: np.ndarray) -> None:
             f.write(f"{float(wl)!r},{float(v)!r}\n")
 
 
-def _read_curve(path: Path) -> np.ndarray:
-    values = []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "wavelength_nm,value":
-            raise ValueError(f"{path}: unexpected curve CSV header {header!r}")
-        for line in f:
-            if line.strip():
-                wl, v = line.split(",")
-                values.append(float(v))
-    return as_array(values, (N_SAMPLES,), str(path), nonneg=True)
-
-
-def write_scene(directory, scene: OracleScene, extra_manifest: dict | None = None) -> None:
-    """Store a scene as one CSV per curve plus a manifest."""
+def write_scene(directory, scene: OracleScene, extra_manifest: dict) -> None:
+    """Store a scene as one CSV per curve plus a manifest holding `extra_manifest`'s keys."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     files: dict[str, object] = {}
@@ -276,17 +256,5 @@ def write_scene(directory, scene: OracleScene, extra_manifest: dict | None = Non
         _write_curve(directory / name, curve)
     files["reflectances"] = refl_names
     manifest = {"files": files, "wavelength_nm": [WAVELENGTHS[0], WAVELENGTHS[-1], DELTA_LAMBDA]}
-    if extra_manifest:
-        manifest.update(extra_manifest)
+    manifest.update(extra_manifest)
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def read_scene(directory) -> OracleScene:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    files = manifest["files"]
-    camera = np.stack([_read_curve(directory / n) for n in files["camera"]])
-    leds = np.stack([_read_curve(directory / n) for n in files["leds"]])
-    illuminant = _read_curve(directory / files["illuminant"])
-    reflectances = np.stack([_read_curve(directory / n) for n in files["reflectances"]])
-    return OracleScene(camera, leds, illuminant, reflectances)

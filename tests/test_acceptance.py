@@ -3,6 +3,8 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import contextlib
+import io
 import json
 import time
 
@@ -176,14 +178,19 @@ def test_criterion_6_improvement_property():
 
 def test_criterion_7_degenerate_handling(tmp_path):
     fixture_dir = run_oracle(0, "monochromatic", tmp_path / "mono")
-    with pytest.warns(UserWarning, match="black level"):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
         code = main(
             ["solve", "--config", str(fixture_dir / "config.json"), "--output-dir", str(tmp_path / "out")]
         )
+    lines = stderr.getvalue().splitlines()
     bundle_doc = json.loads((tmp_path / "out" / "bundle.json").read_text())
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     ok = (
         code == 1
+        and len(lines) == 2
+        and lines[0].startswith("warning: black level ")
+        and lines[1] == "warning: N unavailable, in-frustum fallback N := M"
         and bundle_doc["N"] is None
         and report["diagnostics"]["n_available"] is False
         and report["diagnostics"]["cond_Q"] > 1e4

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from stagecal.calibration import (
     _TILE_PIXELS,
     CalibrationBundle,
-    DegenerateLightingError,
     GamutCounter,
-    IllConditionedError,
     SRLSet,
     build_sl,
     build_srl,
@@ -66,7 +64,7 @@ class TestSolveM:
 
     def test_ill_conditioned_reports_cond(self):
         sl = np.diag([1.0, 1.0, 1e-9])
-        with pytest.raises(IllConditionedError, match="1e\\+09|e\\+09"):
+        with pytest.raises(ValueError, match="1e\\+09|e\\+09"):
             solve_m(sl)
 
 
@@ -218,7 +216,7 @@ class TestSolveQ:
         sl, srl, w_avg, _ = flat_metamer_fixture(rng)  # rank-1 predictions
         m = solve_m(sl)
         targets = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))  # unexplainable
-        with pytest.raises(DegenerateLightingError, match="rank"):
+        with pytest.raises(ValueError, match="rank"):
             solve_q(srl, m, w_avg, targets, 0.311)
 
     def test_weight_validation(self, random_q_fixture):

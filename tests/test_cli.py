@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import inspect
@@ -11,8 +12,16 @@ import pytest
 
 import stagecal
 from stagecal.calibration import CalibrationBundle, predict_lit_chart
-from stagecal.cli import load_config, main, run_oracle, run_solve
-from stagecal.imaging import ChartGridSpec, ChartSamples, LinearImage, extract_chart, read_chart_csv, read_pfm
+from stagecal.cli import _build_parser, load_config, main, run_oracle, run_solve
+from stagecal.imaging import (
+    ChartGridSpec,
+    ChartSamples,
+    LinearImage,
+    chart_image,
+    extract_chart,
+    read_chart_csv,
+    read_pfm,
+)
 from stagecal.spectral import brute_force_q
 
 SCENARIO_SEEDS = {"broad": 3, "identity": 0, "monochromatic": 0, "rgb-led": 0}
@@ -208,32 +217,36 @@ class TestSimulate:
 
 class TestErrorsAndUtilities:
     def test_missing_input_exit_2(self, fixtures, tmp_path, capsys):
-        fx = fixtures["broad"]
-        doc = json.loads((fx["dir"] / "config.json").read_text())
-        doc["primaries"]["image"] = "nope.pfm"
-        bad = tmp_path / "config.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["solve", "--config", str(bad)]) == 2
-        captured = capsys.readouterr()
-        assert "primaries" in captured.err
+        # a missing file is an input error: exit 2, and no "stage" prefix
+        for path, where in (
+            (["primaries", "image"], "primaries"),
+            (["channel_charts", "green", "image"], "channel_charts.green"),
+            (["targets", "csv"], "targets"),
+            (["black_level", "image"], "black_level"),
+        ):
+            fixture_dir = _copy_fixture_with(fixtures["broad"], tmp_path / where, path, "nope.pfm")
+            assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 2
+            assert _one_error_line(capsys) == f"error: {where}: input file not found: {fixture_dir / 'nope.pfm'}"
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "none.json")]) == 2
 
-    def test_flag_overrides_file(self, fixtures, tmp_path):
+    def test_flag_overrides_file(self, fixtures, tmp_path, capsys):
         # raising the Q condition limit turns the monochromatic soft failure
         # into a (numerically dubious but permitted) full solve
         fx = fixtures["monochromatic"]
-        with pytest.warns(UserWarning, match="black level"):
-            code = main(
-                [
-                    "solve",
-                    "--config", str(fx["dir"] / "config.json"),
-                    "--output-dir", str(tmp_path / "forced"),
-                    "--cond-limit-q", "1e30",
-                ]
-            )
+        code = main(
+            [
+                "solve",
+                "--config", str(fx["dir"] / "config.json"),
+                "--output-dir", str(tmp_path / "forced"),
+                "--cond-limit-q", "1e30",
+            ]
+        )
         assert code == 0
+        # the oracle's bounce light exceeds the black-level flag: one line, no raw warning
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("warning: black level [") and line.endswith("exceeds 0.2; check the capture")
         doc = json.loads((tmp_path / "forced" / "bundle.json").read_text())
         assert doc["N"] is not None
 
@@ -281,6 +294,16 @@ def _copy_fixture(fx, tmp_path, **changes):
     doc.update(changes)
     (fixture_dir / "config.json").write_text(json.dumps(doc))
     return fixture_dir
+
+
+def _copy_fixture_with(fx, tmp_path, path, value):
+    """A private copy of a fixture directory with the config key at `path` (a key list) set."""
+    doc = json.loads((fx["dir"] / "config.json").read_text())
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    return _copy_fixture(fx, tmp_path, **{path[0]: doc[path[0]]})
 
 
 def _bad_targets_csv(fx, tmp_path):
@@ -350,9 +373,41 @@ class TestErrorPaths:
         assert line.startswith("error: stage primaries: ") and line.endswith("truncated PFM payload")
 
     def test_non_numeric_config_value(self, fixtures, tmp_path, capsys):
-        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, half_extent="x")
-        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 2
-        assert "half_extent" in _one_error_line(capsys)
+        # a scalar is a finite JSON number, never a boolean or a string; an
+        # integer setting takes no fractional part
+        cases = [
+            ("half_extent", "x", "a finite number"),
+            ("half_extent", "0.6", "a finite number"),
+            ("half_extent", float("inf"), "a finite number"),
+            ("cond_limit_q", float("nan"), "a finite number"),
+            ("white_index", True, "an integer"),
+            ("white_index", 18.9, "an integer"),
+            ("beta_resolution", "1024", "an integer"),
+        ]
+        for i, (key, value, noun) in enumerate(cases):
+            fixture_dir = _copy_fixture(fixtures["broad"], tmp_path / str(i), **{key: value})
+            assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 2, (key, value)
+            assert _one_error_line(capsys) == f"error: config: {key} must be {noun}, got {value!r}"
+
+    def test_overlong_integer_literal_is_invalid_json(self, fixtures, tmp_path, capsys):
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path)
+        config = fixture_dir / "config.json"
+        config.write_text(config.read_text().replace('"white_index": 18', '"white_index": ' + "1" * 5000))
+        assert main(["solve", "--config", str(config)]) == 2
+        assert _one_error_line(capsys).startswith(f"error: config {config}: invalid JSON (")
+
+    def test_integral_float_is_an_integer_setting(self, fixtures, tmp_path):
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, white_index=18.0)
+        assert load_config(fixture_dir / "config.json").white_index == 18
+
+    def test_warnings_printed_before_a_stage_error(self, fixtures, tmp_path, capsys):
+        # the black level warns, then beta = 1 + 4e-7 fails the bundle stage
+        argv = ["solve", "--config", str(fixtures["monochromatic"]["dir"] / "config.json"),
+                "--output-dir", str(tmp_path / "out"), "--half-extent", "1e6"]
+        assert main(argv) == 1
+        warning, error = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: black level [")
+        assert error.startswith("error: stage bundle: beta must be in (0, 1]")
 
     def test_w_avg_must_be_an_object(self, fixtures, tmp_path, capsys):
         fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, w_avg="white_patch")
@@ -393,13 +448,7 @@ class TestErrorPaths:
              "black-image-number", "output-dir-number", "output-dir-null"],
     )
     def test_malformed_config_array_or_section(self, fixtures, tmp_path, capsys, path, value, named):
-        fx = fixtures["broad"]
-        doc = json.loads((fx["dir"] / "config.json").read_text())
-        section = doc
-        for key in path[:-1]:
-            section = section[key]
-        section[path[-1]] = value
-        fixture_dir = _copy_fixture(fx, tmp_path, **{path[0]: doc[path[0]]})
+        fixture_dir = _copy_fixture_with(fixtures["broad"], tmp_path, path, value)
         assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 2
         assert _one_error_line(capsys).startswith(f"error: {named} ")
 
@@ -441,11 +490,7 @@ class TestAlternateConfigRoutes:
 
         fx = fixtures["broad"]
         targets = read_chart_csv(fx["dir"] / "targets.csv")
-        img = np.zeros((4 * 16, 6 * 16, 3))
-        for j in range(24):
-            r, c = divmod(j, 6)
-            img[r * 16 : (r + 1) * 16, c * 16 : (c + 1) * 16] = targets.patches[j]
-        write_pfm(tmp_path / "targets.pfm", img)
+        write_pfm(tmp_path / "targets.pfm", chart_image(targets.patches, 16))
         doc = json.loads((fx["dir"] / "config.json").read_text())
         doc["primaries"]["image"] = str(fx["dir"] / "primaries.pfm")
         for name in ("red", "green", "blue"):
@@ -499,3 +544,20 @@ def test_root_exports_exactly_the_readme_library_imports():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert documented and public == documented
+
+
+def test_readme_cli_block_lists_exactly_the_parser_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme, flags=re.S).group(1)
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("stagecal "):
+            command = line.split()[1]
+            documented[command] = set()
+        documented[command].update(re.findall(r"--[a-z][a-z-]*", line))
+    commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert documented and documented == parsed

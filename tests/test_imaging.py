@@ -26,6 +26,7 @@ from stagecal.imaging import (
     ChartSamples,
     LinearImage,
     as_array,
+    chart_image,
     extract_chart,
     normalize_green_white,
     read_chart_csv,
@@ -42,11 +43,7 @@ from stagecal.spectral import N_SAMPLES, OracleScene, default_camera, default_le
 
 def flat_chart_image(colors, patch=12):
     """24 flat patches in 6x4 layout plus the full-image grid spec."""
-    colors = np.asarray(colors, dtype=np.float64)
-    img = np.zeros((4 * patch, 6 * patch, 3))
-    for j in range(24):
-        r, c = divmod(j, 6)
-        img[r * patch : (r + 1) * patch, c * patch : (c + 1) * patch] = colors[j]
+    img = chart_image(colors, patch)
     h, w = img.shape[:2]
     grid = ChartGridSpec(np.array([[0, 0], [w, 0], [w, h], [0, h]], dtype=float))
     return LinearImage(img), grid
@@ -351,6 +348,17 @@ class TestNormalizeGreenWhite:
 
 
 class TestComparisonChart:
+    def test_chart_image_draws_row_major_squares(self):
+        patches = np.random.default_rng(15).uniform(0.0, 1.0, (24, 3))
+        img = chart_image(patches, 5)
+        assert img.shape == (20, 30, 3)
+        for j in range(24):
+            r, c = divmod(j, 6)
+            cell = img[r * 5 : (r + 1) * 5, c * 5 : (c + 1) * 5]
+            assert np.array_equal(cell, np.broadcast_to(patches[j], cell.shape))
+        with pytest.raises(ValueError, match="patches must have shape"):
+            chart_image(patches[:23], 5)
+
     def test_equal_inputs_uniform_cells(self):
         chart = ChartSamples(np.random.default_rng(8).uniform(0.1, 1.0, (24, 3)))
         img = render_comparison_chart(chart, chart)

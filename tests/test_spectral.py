@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from stagecal.spectral import (
     DELTA_LAMBDA,
     N_SAMPLES,
     NEUTRAL_REFLECTANCES,
+    SCENARIOS,
     WAVELENGTHS,
     OracleScene,
     brute_force_q,
@@ -25,7 +28,6 @@ from stagecal.spectral import (
     make_gaussian_band,
     make_scene,
     oracle_calibration,
-    read_scene,
     write_scene,
 )
 
@@ -117,22 +119,45 @@ class TestOracleScene:
             assert np.array_equal(row, np.full(N_SAMPLES, value))
 
     def test_round_trip(self, tmp_path):
+        # the manifest names every curve file, and each parses back to the exact curve
         scene = make_scene(3, "rgb-led")
-        write_scene(tmp_path / "scene", scene, extra_manifest={"seed": 3})
-        back = read_scene(tmp_path / "scene")
-        assert np.array_equal(back.camera, scene.camera)
-        assert np.array_equal(back.leds, scene.leds)
-        assert np.array_equal(back.illuminant, scene.illuminant)
-        assert np.array_equal(back.reflectances, scene.reflectances)
+        write_scene(tmp_path, scene, extra_manifest={"seed": 3})
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["seed"] == 3
+        assert manifest["wavelength_nm"] == [380.0, 780.0, DELTA_LAMBDA]
+
+        def curve(name):
+            header, *rows = (tmp_path / name).read_text().splitlines()
+            assert header == "wavelength_nm,value"
+            values = np.array([[float(v) for v in row.split(",")] for row in rows])
+            assert np.array_equal(values[:, 0], WAVELENGTHS)
+            return values[:, 1]
+
+        files = manifest["files"]
+        assert np.array_equal(np.stack([curve(n) for n in files["camera"]]), scene.camera)
+        assert np.array_equal(np.stack([curve(n) for n in files["leds"]]), scene.leds)
+        assert np.array_equal(curve(files["illuminant"]), scene.illuminant)
+        assert np.array_equal(np.stack([curve(n) for n in files["reflectances"]]), scene.reflectances)
 
 
 class TestOracleCalibration:
     def test_sl_matches_construction(self):
-        scene = make_scene(1, "broad")
-        calib = oracle_calibration(scene, BETA)
-        for c in range(3):
-            expect = integrate_response(scene.camera, scene.leds[c])
-            assert np.array_equal(calib.sl[:, c], expect)
+        # every batched measurement equals its own integrate_response call bit for bit
+        for scenario in SCENARIOS:
+            scene = make_scene(1, scenario)
+            calib = oracle_calibration(scene, BETA)
+            for c in range(3):
+                expect = integrate_response(scene.camera, scene.leds[c])
+                assert np.array_equal(calib.sl[:, c], expect)
+            for j, refl in enumerate(scene.reflectances):
+                for c in range(3):
+                    expect = BETA * integrate_response(scene.camera, scene.leds[c], refl)
+                    assert np.array_equal(calib.srl.matrices[j][:, c], expect)
+                expect = integrate_response(scene.camera, scene.illuminant, refl)
+                assert np.array_equal(calib.targets.patches[j], expect)
+            white = np.full(N_SAMPLES, 0.9)
+            expect = integrate_response(scene.camera, scene.illuminant, white) / 0.9
+            assert np.array_equal(calib.w_avg, expect)
         # rebuilding from the per-primary "photograph" values is lossless
         from stagecal.calibration import build_sl
 
