@@ -179,7 +179,8 @@ def clamp_chart(values: np.ndarray, white_index: int) -> tuple[ChartSamples, int
     return ChartSamples(np.maximum(values, 0.0), white_index=white_index), clamped
 
 
-def _check_weights(weights) -> np.ndarray:
+def check_weights(weights) -> np.ndarray:
+    """24 finite, non-negative per-patch weights, at least 3 positive; None means all ones."""
     if weights is None:
         return np.ones(CHART_PATCHES)
     weights = as_array(weights, (CHART_PATCHES,), "weights", nonneg=True)
@@ -218,7 +219,7 @@ def solve_q(
     fits; if a rank-deficient system cannot be fit, the capture does not
     constrain Q and ValueError is raised.
     """
-    weights = _check_weights(weights)
+    weights = check_weights(weights)
     predicted = predict_lit_chart(srl, m, w_avg, beta)
     sw = np.sqrt(weights)[:, None]
     wx = predicted * sw
@@ -244,7 +245,7 @@ def solve_q(
 
 def q_objective(q, srl: SRLSet, m, w_avg, targets: ChartSamples, beta: float, weights=None) -> float:
     """Weighted squared-error objective that solve_q minimizes."""
-    weights = _check_weights(weights)
+    weights = check_weights(weights)
     q = as_array(q, (3, 3), "Q")
     predicted = predict_lit_chart(srl, m, w_avg, beta)
     residual = predicted @ q.T - targets.patches

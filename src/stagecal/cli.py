@@ -28,6 +28,7 @@ from .calibration import (
     build_sl,
     build_srl,
     chart_error,
+    check_weights,
     clamp_chart,
     compute_black_level,
     condition_number,
@@ -41,6 +42,7 @@ from .calibration import (
 from .geometry import (
     DEFAULT_BETA_RESOLUTION,
     DEFAULT_HALF_EXTENT,
+    as_direction,
     compute_beta,
     panel_form_factor_analytic,
     read_env_pfm,
@@ -84,10 +86,6 @@ class ConfigError(ValueError):
 class StageError(RuntimeError):
     """A solver stage failed (exit code 1)."""
 
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage}: {cause}")
-        self.stage = stage
-
 
 @contextmanager
 def _stage(name: str):
@@ -95,35 +93,43 @@ def _stage(name: str):
     try:
         yield
     except ValueError as exc:
-        raise StageError(name, exc) from exc
+        raise StageError(f"stage {name}: {exc}") from exc
+
+
+@contextmanager
+def _checked(where: str):
+    """Run a load-time check: a ValueError becomes ConfigError(f"{where}: {exc}")."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass
 class ChartSource:
     image: Path
-    corners: np.ndarray
-    inset: float = DEFAULT_INSET
+    grid: ChartGridSpec
 
 
 @dataclass
 class PipelineConfig:
+    """A checked config: one field per choice, holding what the stages consume."""
+
     primaries_image: Path
     primary_rois: dict
     channel_charts: dict          # channel -> ChartSource
-    targets_csv: Path | None
-    targets_chart: ChartSource | None
-    w_avg_mode: str               # "white_patch" | "env_map"
+    targets: Path | ChartSource   # a chart CSV, or a photographed chart
     w_avg_rgb: np.ndarray | None  # explicit white patch value, optional
-    env_map: Path | None
-    env_facing: np.ndarray | None
+    env_map: tuple | None         # (path, unit facing); None takes w_avg from white
     white_reflectance: float
     half_extent: float
     beta_resolution: int
     cond_limit_sl: float
     cond_limit_q: float
     weights: np.ndarray | None
-    black_level_image: Path | None
-    black_level_roi: tuple | None
+    black_level: tuple | None     # (path, roi)
     white_index: int
     output_dir: Path
 
@@ -145,12 +151,10 @@ def _scalar(doc: dict, key: str, kind: type, default, where: str = "config"):
     raise ConfigError(f"{where}: {key} must be {noun}, got {value!r}")
 
 
-def _array(doc: dict, key: str, shape: tuple, where: str, nonneg: bool = False) -> np.ndarray:
+def _array(doc: dict, key: str, shape: tuple, where: str) -> np.ndarray:
     value = _require(doc, key, where)
-    try:
-        return as_array(value, shape, key, nonneg)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    with _checked(where):
+        return as_array(value, shape, key)
 
 
 def _section(doc: dict, key: str, where: str) -> dict:
@@ -159,11 +163,6 @@ def _section(doc: dict, key: str, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: {key} must be a JSON object, got {value!r}")
     return value
-
-
-def _object(doc: dict, key: str, default=None):
-    """An optional JSON-object section; null counts as absent."""
-    return default if doc.get(key) is None else _section(doc, key, "config")
 
 
 def _path(doc: dict, key: str, base: Path, where: str) -> Path:
@@ -178,9 +177,10 @@ def _path(doc: dict, key: str, base: Path, where: str) -> Path:
 
 
 def _chart_source(doc: dict, base: Path, where: str) -> ChartSource:
-    corners = _array(doc, "corners", (4, 2), where)
-    inset = _scalar(doc, "inset", float, DEFAULT_INSET, where)
-    return ChartSource(image=_path(doc, "image", base, where), corners=corners, inset=inset)
+    corners = _require(doc, "corners", where)
+    with _checked(where):
+        grid = ChartGridSpec(corners, inset=_scalar(doc, "inset", float, DEFAULT_INSET, where))
+    return ChartSource(image=_path(doc, "image", base, where), grid=grid)
 
 
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
@@ -210,20 +210,20 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     }
 
     targets_doc = _section(doc, "targets", "config")
-    targets_csv = targets_chart = None
     if "csv" in targets_doc:
-        targets_csv = _path(targets_doc, "csv", base, "targets")
+        targets = _path(targets_doc, "csv", base, "targets")
     elif "image" in targets_doc:
-        targets_chart = _chart_source(targets_doc, base, "targets")
+        targets = _chart_source(targets_doc, base, "targets")
     else:
         raise ConfigError("targets: need either 'csv' or 'image'")
 
-    w_doc = _object(doc, "w_avg", {"mode": "white_patch"})
+    w_doc = _section(doc, "w_avg", "config") if doc.get("w_avg") is not None else {"mode": "white_patch"}
     mode = w_doc.get("mode")
-    env_map = env_facing = w_rgb = None
+    env_map = w_rgb = None
     if mode == "env_map":
-        env_facing = _array(w_doc, "facing", (3,), "w_avg")
-        env_map = _path(w_doc, "path", base, "w_avg")
+        with _checked("w_avg.facing"):
+            facing = as_direction(_array(w_doc, "facing", (3,), "w_avg"))
+        env_map = (_path(w_doc, "path", base, "w_avg"), facing)
     elif mode == "white_patch":
         if "rgb" in w_doc:
             w_rgb = _array(w_doc, "rgb", (3,), "w_avg")
@@ -232,14 +232,18 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
 
     weights = doc.get("weights")
     if weights is not None:
-        weights = _array(doc, "weights", (CHART_PATCHES,), "config", nonneg=True)
+        with _checked("config"):
+            weights = check_weights(weights)
 
-    black_doc = _object(doc, "black_level")
-    black_image = black_roi = None
-    if black_doc is not None:
+    black_level = None
+    if doc.get("black_level") is not None:
+        black_doc = _section(doc, "black_level", "config")
         _array(black_doc, "roi", (4,), "black_level")
-        black_roi = tuple(black_doc["roi"])
-        black_image = _path(black_doc, "image", base, "black_level")
+        black_level = (_path(black_doc, "image", base, "black_level"), tuple(black_doc["roi"]))
+
+    white_index = _scalar(doc, "white_index", int, DEFAULT_WHITE_INDEX)
+    if not 0 <= white_index < CHART_PATCHES:
+        raise ConfigError(f"config: white_index must be in [0, {CHART_PATCHES}), got {white_index}")
 
     output_dir = doc.get("output_dir", "out")
     if not isinstance(output_dir, str):
@@ -249,38 +253,29 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         primaries_image=primaries_image,
         primary_rois={c: tuple(rois[c]) for c in CHANNELS},
         channel_charts=channel_charts,
-        targets_csv=targets_csv,
-        targets_chart=targets_chart,
-        w_avg_mode=mode,
+        targets=targets,
         w_avg_rgb=w_rgb,
         env_map=env_map,
-        env_facing=env_facing,
         white_reflectance=_scalar(doc, "white_reflectance", float, WHITE_REFLECTANCE),
         half_extent=_scalar(doc, "half_extent", float, DEFAULT_HALF_EXTENT),
         beta_resolution=_scalar(doc, "beta_resolution", int, DEFAULT_BETA_RESOLUTION),
         cond_limit_sl=_scalar(doc, "cond_limit_sl", float, DEFAULT_COND_LIMIT_SL),
         cond_limit_q=_scalar(doc, "cond_limit_q", float, DEFAULT_COND_LIMIT_Q),
         weights=weights,
-        black_level_image=black_image,
-        black_level_roi=black_roi,
-        white_index=_scalar(doc, "white_index", int, DEFAULT_WHITE_INDEX),
+        black_level=black_level,
+        white_index=white_index,
         output_dir=base / output_dir,
     )
 
 
-def _read_image(path) -> LinearImage:
-    return LinearImage(read_pfm(path))
-
-
-def _sample_rois(path, rois) -> list:
+def _sample_rois(path, *rois) -> list:
     """Trimmed-mean RGB of each ROI of one image, read here and dropped on return."""
-    image = _read_image(path)
+    image = LinearImage(read_pfm(path))
     return [sample_roi(image, roi) for roi in rois]
 
 
 def _extract(source: ChartSource, white_index: int) -> ChartSamples:
-    grid = ChartGridSpec(source.corners, inset=source.inset)
-    return extract_chart(_read_image(source.image), grid, white_index=white_index)
+    return extract_chart(LinearImage(read_pfm(source.image)), source.grid, white_index=white_index)
 
 
 def lit_chart_variants(srl, m, q, w_avg, beta, white_index) -> tuple[dict, int]:
@@ -301,13 +296,14 @@ def load_inputs(config: PipelineConfig):
     with _stage("build_srl"):
         srl = build_srl(*charts)
     with _stage("targets"):
-        if config.targets_csv is not None:
-            targets = read_chart_csv(config.targets_csv, config.white_index)
+        if isinstance(config.targets, ChartSource):
+            targets = _extract(config.targets, config.white_index)
         else:
-            targets = _extract(config.targets_chart, config.white_index)
+            targets = read_chart_csv(config.targets, config.white_index)
     with _stage("w_avg"):
-        if config.w_avg_mode == "env_map":
-            w_avg = w_avg_from_env(read_env_pfm(config.env_map), config.env_facing)
+        if config.env_map is not None:
+            env_path, facing = config.env_map
+            w_avg = w_avg_from_env(read_env_pfm(env_path), facing)
         else:
             white = config.w_avg_rgb if config.w_avg_rgb is not None else targets.white
             w_avg = w_avg_from_white(white, config.white_reflectance)
@@ -317,7 +313,7 @@ def load_inputs(config: PipelineConfig):
 def run_solve(config: PipelineConfig):
     """Execute every pipeline stage; returns (bundle, report, exit_code)."""
     with _stage("primaries"):
-        primary_rgb = _sample_rois(config.primaries_image, [config.primary_rois[c] for c in CHANNELS])
+        primary_rgb = _sample_rois(config.primaries_image, *(config.primary_rois[c] for c in CHANNELS))
     with _stage("build_sl"):
         sl = build_sl(*primary_rgb)
     with _stage("solve_m"):
@@ -333,9 +329,9 @@ def run_solve(config: PipelineConfig):
     with _stage("solve_n"):
         n = solve_n(m, q, config.cond_limit_q)
 
-    if config.black_level_image is not None:
+    if config.black_level is not None:
         with _stage("black_level"):
-            (b_camera,) = _sample_rois(config.black_level_image, [config.black_level_roi])
+            (b_camera,) = _sample_rois(*config.black_level)
             w_camera = sl @ np.ones(3)  # camera's view of full white: sum of the primaries
             black_offset = compute_black_level(b_camera, w_camera)
     else:
@@ -394,8 +390,8 @@ def run_solve(config: PipelineConfig):
             "trim_fraction": TRIM_FRACTION,
             "white_index": config.white_index,
             "white_reflectance": config.white_reflectance,
-            "w_avg_mode": config.w_avg_mode,
-            "black_level_measured": config.black_level_image is not None,
+            "w_avg_mode": "white_patch" if config.env_map is None else "env_map",
+            "black_level_measured": config.black_level is not None,
         },
     }
 

@@ -46,6 +46,8 @@ def make_gaussian_band(center: float, fwhm: float, peak: float = 1.0) -> np.ndar
     sigma = fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     g = np.exp(-0.5 * ((WAVELENGTHS - center) / sigma) ** 2)
     nearest = int(np.argmin(np.abs(WAVELENGTHS - center)))
+    if g[nearest] == 0.0:
+        raise ValueError(f"fwhm {fwhm} nm too narrow: the band underflows at its nearest grid sample")
     return peak * g / g[nearest]
 
 

@@ -12,6 +12,7 @@ from stagecal.calibration import (
     build_srl,
     chart_error,
     compute_black_level,
+    condition_number,
     predict_lit_chart,
     q_objective,
     simulate_lit_chart,
@@ -22,6 +23,25 @@ from stagecal.calibration import (
 )
 from stagecal.imaging import ChartSamples
 from stagecal.spectral import brute_force_q
+
+# non-negative, like a camera's view of three primaries, with cond(SL) < 100
+well_conditioned_sl = (
+    st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9)
+    .map(lambda v: np.reshape(v, (3, 3)) + np.eye(3))
+    .filter(lambda sl: condition_number(sl) < 100)
+)
+
+
+@st.composite
+def q_systems(draw):
+    """A full-rank solve_q system: (srl, m, w_avg, targets, beta, weights)."""
+    m = np.linalg.inv(draw(well_conditioned_sl))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    srl = SRLSet(rng.uniform(0.0, 0.8, (24, 3, 3)))
+    w_avg = rng.uniform(0.2, 1.0, 3)
+    targets = ChartSamples(rng.uniform(0.01, 1.0, (24, 3)))
+    weights = rng.uniform(0.0, 2.0, 24) if draw(st.booleans()) else None
+    return srl, m, w_avg, targets, draw(st.floats(0.05, 1.0)), weights
 
 
 class TestBuildSL:
@@ -61,6 +81,11 @@ class TestSolveM:
             m = solve_m(sl)
             assert np.abs(m @ sl - np.eye(3)).max() < 1e-10
             assert np.abs(sl @ m - np.eye(3)).max() < 1e-10
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(sl=well_conditioned_sl)
+    def test_inverts_any_well_conditioned_sl(self, sl):
+        assert np.abs(sl @ solve_m(sl) - np.eye(3)).max() < 1e-10
 
     def test_ill_conditioned_reports_cond(self):
         sl = np.diag([1.0, 1.0, 1e-9])
@@ -176,6 +201,14 @@ class TestSolveQ:
             q = solve_q(srl, m, w_avg, targets, beta)
             qb = brute_force_q(predicted, targets.patches)
             assert np.linalg.norm(q - qb) / np.linalg.norm(qb) < 1e-9
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(system=q_systems())
+    def test_agrees_with_brute_force_on_any_full_rank_system(self, system):
+        srl, m, w_avg, targets, beta, weights = system
+        q = solve_q(srl, m, w_avg, targets, beta, weights)
+        qb = brute_force_q(predict_lit_chart(srl, m, w_avg, beta), targets.patches, weights)
+        assert np.linalg.norm(q - qb) / np.linalg.norm(qb) < 1e-9
 
     def test_gradient_vanishes_at_solution(self, random_q_fixture):
         rng = np.random.default_rng(9)

@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import inspect
+import io
 import json
 import re
 import shutil
@@ -9,18 +10,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stagecal
 from stagecal.calibration import CalibrationBundle, predict_lit_chart
 from stagecal.cli import _build_parser, load_config, main, run_oracle, run_solve
 from stagecal.imaging import (
-    ChartGridSpec,
     ChartSamples,
     LinearImage,
     chart_image,
     extract_chart,
     read_chart_csv,
     read_pfm,
+    write_pfm,
 )
 from stagecal.spectral import brute_force_q
 
@@ -55,9 +58,8 @@ def rebuild_srl(config):
     charts = []
     for channel in ("red", "green", "blue"):
         src = config.channel_charts[channel]
-        grid = ChartGridSpec(src.corners, inset=src.inset)
         img = LinearImage(read_pfm(src.image))
-        charts.append(extract_chart(img, grid, white_index=config.white_index))
+        charts.append(extract_chart(img, src.grid, white_index=config.white_index))
     return build_srl(*charts)
 
 
@@ -82,7 +84,7 @@ class TestSolve:
         fx = fixtures["broad"]
         srl = rebuild_srl(fx["config"])
         bundle = fx["bundle"]
-        targets = read_chart_csv(fx["config"].targets_csv, fx["config"].white_index)
+        targets = read_chart_csv(fx["config"].targets, fx["config"].white_index)
         predicted = predict_lit_chart(srl, bundle.m, targets.white / 0.9, bundle.beta)
         qb = brute_force_q(predicted, targets.patches)
         assert np.linalg.norm(bundle.q - qb) / np.linalg.norm(qb) < 1e-9
@@ -440,17 +442,130 @@ class TestErrorPaths:
             (["black_level", "image"], 5, "black_level: image"),
             (["output_dir"], 5, "config: output_dir"),
             (["output_dir"], None, "config: output_dir"),
+            # checks that need no image run at load, not in a stage
+            (["channel_charts", "red", "corners"], [[0, 0], [96, 64], [96, 0], [0, 64]],
+             "channel_charts.red: chart corners"),
+            (["channel_charts", "red", "inset"], 0.6, "channel_charts.red: inset 0.6"),
+            (["white_index"], 30, "config: white_index"),
+            (["weights"], [1.0, 1.0] + [0.0] * 22, "config: need at least 3"),
+            (["w_avg"], {"mode": "env_map", "path": "primaries.pfm", "facing": [0, 0, 2]},
+             "w_avg.facing: direction must be"),
         ],
         ids=["weights-text", "weights-5", "weights-negative", "corners-text", "corners-3", "rgb-text",
              "facing-text", "roi-text", "roi-3", "black-roi-text", "primaries-number", "rois-number",
              "channel-charts-number", "channel-number", "targets-number", "targets-csv-number",
              "targets-image-number", "chart-image-number", "primaries-image-number", "env-path-number",
-             "black-image-number", "output-dir-number", "output-dir-null"],
+             "black-image-number", "output-dir-number", "output-dir-null", "corners-not-convex",
+             "inset-0.6", "white-index-30", "weights-2-positive", "facing-not-unit"],
     )
     def test_malformed_config_array_or_section(self, fixtures, tmp_path, capsys, path, value, named):
         fixture_dir = _copy_fixture_with(fixtures["broad"], tmp_path, path, value)
         assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 2
         assert _one_error_line(capsys).startswith(f"error: {named} ")
+
+
+    @pytest.mark.parametrize(
+        "path, value, line",
+        [
+            (["primaries", "rois", "red"], [0, 0, 9999, 5],
+             "error: stage primaries: ROI (0, 0, 9999, 5) outside image bounds"),
+            (["channel_charts", "red", "corners"], [[0, 0], [960, 0], [960, 64], [0, 64]],
+             "error: stage channel_charts: chart grid corner outside image bounds"),
+        ],
+        ids=["roi", "corners"],
+    )
+    def test_outside_the_image_fails_its_stage(self, fixtures, tmp_path, capsys, path, value, line):
+        # a check against the image runs in its stage, not at load
+        fixture_dir = _copy_fixture_with(fixtures["broad"], tmp_path, path, value)
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 1
+        assert _one_error_line(capsys) == line
+
+
+@pytest.fixture(scope="module")
+def mutation_bases(tmp_path_factory):
+    """Two valid configs over one broad fixture: white-patch w_avg and CSV targets,
+    and env-map w_avg with targets photographed; both weighted, at beta_resolution 64."""
+    fixture_dir = run_oracle(2, "broad", tmp_path_factory.mktemp("mutations") / "broad")
+    targets = read_chart_csv(fixture_dir / "targets.csv")
+    write_pfm(fixture_dir / "env.pfm", np.broadcast_to(targets.white / 0.9, (64, 128, 3)).copy())
+    write_pfm(fixture_dir / "targets.pfm", chart_image(targets.patches, 16))
+    white = json.loads((fixture_dir / "config.json").read_text())
+    white.update(beta_resolution=64, output_dir=str(fixture_dir / "out"), weights=[1.0] * 24)
+    white["w_avg"]["rgb"] = targets.white.tolist()
+    env = json.loads(json.dumps(white))
+    env["w_avg"] = {"mode": "env_map", "path": "env.pfm", "facing": [0.0, 0.0, 1.0]}
+    env["targets"] = {"image": "targets.pfm", "corners": [[0, 0], [96, 0], [96, 64], [0, 64]], "inset": 0.25}
+    return fixture_dir, {"white": white, "env": env}
+
+
+def _nodes(doc, path=()):
+    """Every key path in a config document; lists are leaves."""
+    for key, value in doc.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _nodes(value, path + (key,))
+
+
+_DELETE = object()
+_NUMBERS = st.sampled_from([0, -1, 0.5, 3, 1e300, -1e-300, 10**30, float("nan"), float("inf")])
+_SCALES = st.sampled_from([-1, 0, 0.5, 1e6, 1e300])
+_WRONG_TYPES = st.sampled_from([None, True, "x", {}, []])
+
+
+def _mutants(value):
+    """One-field mutations of a config value: type, shape, sign, NaN and bounds."""
+    common = [st.just(_DELETE), _WRONG_TYPES, _NUMBERS]
+    if isinstance(value, list):
+        flat = np.asarray(value, dtype=float)
+
+        def with_element(i, x):
+            out = flat.copy()
+            out.flat[i] = x
+            return out.tolist()
+
+        return st.one_of(
+            *common,
+            st.sampled_from([value[:-1], value + value[-1:], [value]]),
+            st.builds(with_element, st.integers(0, flat.size - 1), _NUMBERS),
+            _SCALES.map(lambda k: (flat * k).tolist()),
+        )
+    if isinstance(value, str):
+        return st.one_of(*common, st.sampled_from(["nope.pfm", "config.json", "targets.csv", "black.pfm",
+                                                   "env.pfm", "env_map", "white_patch"]))
+    if isinstance(value, dict):
+        return st.one_of(*common, st.just({}))
+    return st.one_of(*common, st.just(-value), st.just(value * 1e6))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_mutated_config_field_exits_0_1_or_2(mutation_bases, data):
+    fixture_dir, bases = mutation_bases
+    doc = json.loads(json.dumps(bases[data.draw(st.sampled_from(sorted(bases)), label="base")]))
+    path = data.draw(st.sampled_from(sorted(_nodes(doc))), label="path")
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    value = data.draw(_mutants(section[path[-1]]), label="value")
+    if value is _DELETE:
+        del section[path[-1]]
+    else:
+        section[path[-1]] = value
+    config = fixture_dir / "mutated.json"
+    config.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["solve", "--config", str(config)])
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines if line.startswith("error: ")]
+    assert code in (0, 1, 2)
+    assert all(line.startswith(("warning: ", "error: ")) for line in lines), lines
+    if code == 0:
+        assert errors == []
+    elif code == 1 and not errors:  # the soft failure: every output written, N unavailable
+        assert "warning: N unavailable, in-frustum fallback N := M" in lines
+    else:
+        assert len(errors) == 1 and lines[-1] == errors[0], lines
 
 
 class TestAlternateConfigRoutes:
@@ -561,3 +676,11 @@ def test_readme_cli_block_lists_exactly_the_parser_flags():
         for name, sub in commands.choices.items()
     }
     assert documented and documented == parsed
+
+
+def test_readme_config_schema_lists_exactly_the_oracle_config_keys(fixtures):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"### Config schema\n\n```json\n(.*?)```", readme, flags=re.S).group(1)
+    documented = set(re.findall(r'^  "(\w+)":', block, flags=re.M))
+    written = json.loads((fixtures["broad"]["dir"] / "config.json").read_text())
+    assert documented and documented == set(written)

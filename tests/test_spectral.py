@@ -62,6 +62,11 @@ class TestGaussianBand:
         with pytest.raises(ValueError):
             make_gaussian_band(550, 0.0)
 
+    def test_band_that_underflows_at_its_nearest_sample_raises(self):
+        # 1.2 nm from the nearest sample is 240 sigma at a 0.01 nm FWHM
+        with pytest.raises(ValueError, match="underflows at its nearest grid sample"):
+            make_gaussian_band(551.2, 0.01)
+
 
 class TestIntegrateResponse:
     def test_zero_emission(self):
