@@ -140,15 +140,32 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _scalar(doc: dict, key: str, kind: type, default, where: str = "config"):
-    """A finite JSON number; an integer setting takes no fractional part."""
-    value = doc.get(key, default)
+def _is_number(value, kind: type) -> bool:
+    """A finite JSON number; an integer (kind int) takes no fractional part."""
     # type(), not isinstance(): JSON true parses to a bool, which is an int
     finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
-    if finite and (kind is float or value == int(value)):
+    return finite and (kind is float or value == int(value))
+
+
+def _scalar(doc: dict, key: str, kind: type, default, where: str = "config"):
+    value = doc.get(key, default)
+    if _is_number(value, kind):
         return kind(value)
     noun = "an integer" if kind is int else "a finite number"
     raise ConfigError(f"{where}: {key} must be {noun}, got {value!r}")
+
+
+def _roi(doc: dict, key: str, where: str) -> tuple:
+    """An (x, y, w, h) pixel region: four integers, by _scalar's rule."""
+    value = _require(doc, key, where)
+    if not (isinstance(value, list) and len(value) == 4 and all(_is_number(v, int) for v in value)):
+        raise ConfigError(f"{where}: {key} must be 4 integers (x, y, w, h), got {value!r}")
+    return tuple(int(v) for v in value)
+
+
+def _check_white_index(white_index: int) -> None:
+    if not 0 <= white_index < CHART_PATCHES:
+        raise ConfigError(f"config: white_index must be in [0, {CHART_PATCHES}), got {white_index}")
 
 
 def _array(doc: dict, key: str, shape: tuple, where: str) -> np.ndarray:
@@ -197,10 +214,8 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     base = path.parent
 
     primaries = _section(doc, "primaries", "config")
-    rois = _section(primaries, "rois", "primaries")
-    for channel in CHANNELS:
-        # checked only: each ROI keeps the config's own numbers, which its bounds error quotes
-        _array(rois, channel, (4,), "primaries.rois")
+    rois_doc = _section(primaries, "rois", "primaries")
+    rois = {c: _roi(rois_doc, c, "primaries.rois") for c in CHANNELS}
     primaries_image = _path(primaries, "image", base, "primaries")
 
     charts_doc = _section(doc, "channel_charts", "config")
@@ -238,12 +253,11 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     black_level = None
     if doc.get("black_level") is not None:
         black_doc = _section(doc, "black_level", "config")
-        _array(black_doc, "roi", (4,), "black_level")
-        black_level = (_path(black_doc, "image", base, "black_level"), tuple(black_doc["roi"]))
+        roi = _roi(black_doc, "roi", "black_level")
+        black_level = (_path(black_doc, "image", base, "black_level"), roi)
 
     white_index = _scalar(doc, "white_index", int, DEFAULT_WHITE_INDEX)
-    if not 0 <= white_index < CHART_PATCHES:
-        raise ConfigError(f"config: white_index must be in [0, {CHART_PATCHES}), got {white_index}")
+    _check_white_index(white_index)
 
     output_dir = doc.get("output_dir", "out")
     if not isinstance(output_dir, str):
@@ -251,7 +265,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
 
     return PipelineConfig(
         primaries_image=primaries_image,
-        primary_rois={c: tuple(rois[c]) for c in CHANNELS},
+        primary_rois=rois,
         channel_charts=channel_charts,
         targets=targets,
         w_avg_rgb=w_rgb,
@@ -513,6 +527,7 @@ def run_simulate(config: PipelineConfig, bundle_path, variant: str, outdir=None)
 
 
 def run_chart_error(target_csv, measured_csv, white_index: int = DEFAULT_WHITE_INDEX) -> dict:
+    _check_white_index(white_index)
     for p in (target_csv, measured_csv):
         if not Path(p).is_file():
             raise ConfigError(f"chart CSV not found: {p}")

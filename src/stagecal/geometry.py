@@ -26,10 +26,15 @@ MAX_BETA_RESOLUTION = 4096
 
 
 class EnvMap(LinearImage):
-    """Latitude-longitude radiance map; width must be twice the height."""
+    """Latitude-longitude radiance map; width must be twice the height.
+
+    The data is float64 whatever its source's precision, so diffuse_convolve
+    sums the same values in the same precision.
+    """
 
     def __post_init__(self):
         super().__post_init__()
+        object.__setattr__(self, "data", self.data.astype(np.float64, copy=False))
         if self.width != 2 * self.height:
             raise ValueError(f"lat-long map must have width = 2 * height, got {self.width}x{self.height}")
 
@@ -75,6 +80,11 @@ def diffuse_convolve(env: EnvMap, n) -> np.ndarray:
     return np.einsum("yx,yxc->c", weight, env.data)
 
 
+def _check_half_extent(half_extent: float) -> None:
+    if not 0 < half_extent < np.inf:
+        raise ValueError(f"half_extent must be positive and finite, got {half_extent}")
+
+
 def build_panel_env(half_extent: float, resolution: int) -> EnvMap:
     """Unit-radiance map of a square panel centered 1m away on the z=1 plane.
 
@@ -86,8 +96,7 @@ def build_panel_env(half_extent: float, resolution: int) -> EnvMap:
     in/out test; the panel's vertical edges otherwise alias against the
     column grid and integration converges erratically.
     """
-    if half_extent <= 0:
-        raise ValueError(f"half_extent must be positive, got {half_extent}")
+    _check_half_extent(half_extent)
     if resolution < 64:
         raise ValueError(f"resolution must be >= 64, got {resolution}")
     if resolution > MAX_BETA_RESOLUTION:
@@ -124,9 +133,14 @@ def compute_beta(
     The green channel of the frontal diffuse convolution of the panel map:
     the fraction of a full sphere's cosine-weighted illumination that the
     panel provides, i.e. its radiative form factor seen from the chart.
+    A value outside (0, 1], which the texel grid gives for a panel nearly as
+    wide as the hemisphere, raises ValueError.
     """
     env = build_panel_env(half_extent, resolution)
-    return float(diffuse_convolve(env, FRONTAL)[1])
+    beta = float(diffuse_convolve(env, FRONTAL)[1])
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must be in (0, 1], got {beta} for half_extent {half_extent}")
+    return beta
 
 
 def panel_form_factor_analytic(half_extent: float) -> float:
@@ -136,8 +150,7 @@ def panel_form_factor_analytic(half_extent: float) -> float:
     identical corner rectangles of side ratio A = B = half_extent. Serves as
     an independent cross-check on compute_beta.
     """
-    if half_extent <= 0:
-        raise ValueError(f"half_extent must be positive, got {half_extent}")
+    _check_half_extent(half_extent)
     a = b = float(half_extent)
     ra = a / np.sqrt(1.0 + a * a)
     rb = b / np.sqrt(1.0 + b * b)

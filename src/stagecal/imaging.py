@@ -40,10 +40,18 @@ def as_array(value, shape: tuple, name: str, nonneg: bool = False) -> np.ndarray
     naming `name`: non-numeric input, the wrong shape, or the index of the
     first non-finite (or, with `nonneg`, negative) component.
     """
+    return _checked(_float64(value, name), shape, name, nonneg)
+
+
+def _float64(value, name: str) -> np.ndarray:
     try:
-        a = np.asarray(value, dtype=np.float64)
+        return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be numeric, got {reprlib.repr(value)}") from exc
+
+
+def _checked(a: np.ndarray, shape: tuple, name: str, nonneg: bool = False) -> np.ndarray:
+    """`a` itself, once its shape and components pass as_array's checks."""
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
         want = str(shape).replace("None", "n")
         raise ValueError(f"{name} must have shape {want}, got {a.shape}")
@@ -67,12 +75,19 @@ def _raise_at(a: np.ndarray, bad: np.ndarray, name: str, what: str):
 
 @dataclass(frozen=True)
 class LinearImage:
-    """Scene-linear RGB image, row-major, components finite and >= 0."""
+    """Scene-linear RGB image, row-major, components finite and >= 0.
 
-    data: np.ndarray  # (height, width, 3) float64
+    A float32 array, such as read_pfm returns, stays at that precision and a
+    float64 array stays as it is; anything else is converted to float64.
+    """
+
+    data: np.ndarray  # (height, width, 3) float32 or float64
 
     def __post_init__(self):
-        object.__setattr__(self, "data", as_array(self.data, (None, None, 3), "image", nonneg=True))
+        data = self.data
+        if getattr(data, "dtype", None) != np.float32:
+            data = _float64(data, "image")
+        object.__setattr__(self, "data", _checked(data, (None, None, 3), "image", nonneg=True))
 
     @property
     def width(self) -> int:
@@ -132,13 +147,29 @@ def _is_convex(corners: np.ndarray) -> bool:
 
 
 def trimmed_mean(values: np.ndarray) -> np.ndarray:
-    """Per-channel mean after dropping the top and bottom TRIM_FRACTION."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1, 3)
+    """Per-channel mean after dropping the top and bottom TRIM_FRACTION.
+
+    float32 values are sorted as float32, which orders them as their exact
+    float64 widening would; only the kept values are widened, and the mean is
+    taken in float64.
+    """
+    values = np.asarray(values).reshape(-1, 3)
     n = values.shape[0]
     k = int(n * TRIM_FRACTION)
-    kept = np.sort(values, axis=0)[k : n - k]
+    # one contiguous row per channel sorts faster than a strided column
+    rows = np.array(values.T, dtype=np.float32 if values.dtype == np.float32 else np.float64, order="C")
+    rows.sort(axis=1)
+    kept = rows[:, k : n - k].T.astype(np.float64, order="C")
+    first, constant = kept[0], kept[0] == kept[-1]
     # constant channels pass through exactly instead of accruing summation ulps
-    return np.where(kept[0] == kept[-1], kept[0], kept.mean(axis=0))
+    mean = np.where(constant, first, kept.mean(axis=0))
+    if not first.all():
+        # numpy's sort treats -0.0 and +0.0 as equal and may hand back either
+        # sign, differently for float32 and float64; a channel that keeps only
+        # zeros takes the sign of its first kept value when -0.0 sorts first
+        zeros = constant & (first == 0)
+        mean[zeros] = np.where(np.signbit(values[:, zeros]).sum(axis=0) > k, -0.0, 0.0)
+    return mean
 
 
 def _bilinear_point(corners: np.ndarray, u, v) -> np.ndarray:
@@ -148,30 +179,48 @@ def _bilinear_point(corners: np.ndarray, u, v) -> np.ndarray:
     return (1 - u) * (1 - v) * tl + u * (1 - v) * tr + u * v * br + (1 - u) * v * bl
 
 
-def _pixels_in_quad(image: LinearImage, quad: np.ndarray) -> np.ndarray:
-    """Collect pixel values whose centers fall inside a convex quad."""
-    x0 = max(int(np.floor(quad[:, 0].min())), 0)
-    x1 = min(int(np.ceil(quad[:, 0].max())), image.width)
-    y0 = max(int(np.floor(quad[:, 1].min())), 0)
-    y1 = min(int(np.ceil(quad[:, 1].max())), image.height)
-    if x1 <= x0 or y1 <= y0:
-        return np.empty((0, 3))
-    xs, ys = np.meshgrid(
-        np.arange(x0, x1) + 0.5, np.arange(y0, y1) + 0.5, indexing="xy"
-    )
-    # winding sign from the quad's signed area
-    area2 = sum(
-        quad[i, 0] * quad[(i + 1) % 4, 1] - quad[(i + 1) % 4, 0] * quad[i, 1]
-        for i in range(4)
-    )
-    sign = 1.0 if area2 >= 0 else -1.0
-    inside = np.ones(xs.shape, dtype=bool)
-    for i in range(4):
-        ax, ay = quad[i]
-        bx, by = quad[(i + 1) % 4]
-        cross = (bx - ax) * (ys - ay) - (by - ay) * (xs - ax)
-        inside &= sign * cross >= 0
-    return image.data[y0:y1, x0:x1][inside]
+def _pixels_in_quads(image: LinearImage, quads: np.ndarray):
+    """Yield each quad's pixel values, row-major, for a (P, 4, 2) stack of quads.
+
+    A pixel is inside a quad when its center passes sign * cross >= 0 for
+    all four edges, sign being the quad's winding. Along a row each edge's
+    test holds on a prefix or a suffix of the pixels, so the pixels inside
+    form one run per row. Where each edge crosses a row's center line puts
+    the run's ends within a pixel, and the exact test then decides the
+    pixels at either end. The runs of all quads are found in one set of
+    array operations, so a small quad costs little more than its pixels.
+    """
+    qx, qy = quads[..., 0], quads[..., 1]
+    x0 = np.maximum(np.floor(qx.min(axis=1)), 0).astype(np.int64)[:, None]
+    x1 = np.minimum(np.ceil(qx.max(axis=1)), image.width).astype(np.int64)[:, None]
+    y0 = np.maximum(np.floor(qy.min(axis=1)), 0).astype(np.int64)
+    y1 = np.minimum(np.ceil(qy.max(axis=1)), image.height).astype(np.int64)
+    nx, ny = np.roll(qx, -1, axis=1), np.roll(qy, -1, axis=1)
+    # winding sign from each quad's signed area
+    t = qx * ny - nx * qy
+    sign = np.where(t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3] >= 0, 1.0, -1.0)[:, None, None]
+    # edge i of quad p runs from (ax, ay) by (dx, dy); each is (P, 4, 1)
+    ax, ay, dx, dy = qx[..., None], qy[..., None], (nx - qx)[..., None], (ny - qy)[..., None]
+    height = np.maximum(y1 - y0, 0)
+    ys = y0[:, None] + np.arange(height.max(initial=0))  # (P, R), rows past a quad's own unused
+    rise = dx * (ys[:, None, :] + 0.5 - ay)  # cross = rise - dy * (x + 0.5 - ax), (P, 4, R)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cut = ax + rise / dy  # where each edge crosses each row's center line
+    # the test holds left of an edge's cut or right of it; a flat edge keeps or drops whole rows
+    drop = (dy == 0) & (sign * rise < 0)
+    right = np.where(sign * dy > 0, cut, np.where(drop, -np.inf, np.inf)).min(axis=1)
+    left = np.where(sign * dy < 0, cut, -np.inf).max(axis=1)
+    start = np.ceil(np.clip(left, x0, x1) - 0.5).astype(np.int64)
+    stop = np.floor(np.clip(right, x0, x1) - 0.5).astype(np.int64) + 1
+    ends = np.stack([start - 1, start, stop - 1, stop], axis=-1)[:, None]  # (P, 1, R, 4)
+    cross = rise[..., None] - dy[..., None] * (ends + 0.5 - ax[..., None])
+    ok = (sign[..., None] * cross >= 0).all(axis=1)
+    start = np.maximum(np.where(ok[..., 0], start - 1, np.where(ok[..., 1], start, start + 1)), x0)
+    stop = np.minimum(np.where(ok[..., 3], stop + 1, np.where(ok[..., 2], stop, stop - 1)), x1)
+    lengths = np.where(np.arange(ys.shape[1]) < height[:, None], np.maximum(stop - start, 0), 0)
+    for rows, firsts, counts in zip(ys.tolist(), start.tolist(), lengths.tolist()):
+        runs = [image.data[y, x : x + n] for y, x, n in zip(rows, firsts, counts) if n]
+        yield np.concatenate(runs) if runs else np.empty((0, 3), image.data.dtype)
 
 
 def extract_chart(
@@ -189,26 +238,26 @@ def extract_chart(
     if (corners < 0).any() or (corners > (image.width, image.height)).any():
         raise ValueError("chart grid corner outside image bounds")
 
+    # every patch's quad in one call: (24, 4, 2), patches in row-major order
+    c = np.arange(CHART_PATCHES) % CHART_COLS
+    r = np.arange(CHART_PATCHES) // CHART_COLS
+    u0, u1 = (c + grid.inset) / CHART_COLS, (c + 1 - grid.inset) / CHART_COLS
+    v0, v1 = (r + grid.inset) / CHART_ROWS, (r + 1 - grid.inset) / CHART_ROWS
+    quads = _bilinear_point(
+        corners, np.stack([u0, u1, u1, u0], axis=1), np.stack([v0, v0, v1, v1], axis=1)
+    )
     patches = np.zeros((CHART_PATCHES, 3))
-    for r in range(CHART_ROWS):
-        for c in range(CHART_COLS):
-            idx = r * CHART_COLS + c
-            u = np.array([c + grid.inset, c + 1 - grid.inset]) / CHART_COLS
-            v = np.array([r + grid.inset, r + 1 - grid.inset]) / CHART_ROWS
-            quad = _bilinear_point(
-                corners,
-                np.array([u[0], u[1], u[1], u[0]]),
-                np.array([v[0], v[0], v[1], v[1]]),
-            )
-            values = _pixels_in_quad(image, quad)
-            if values.shape[0] < 4:
-                raise ValueError(f"patch {idx} region has {values.shape[0]} pixels (< 4)")
-            patches[idx] = trimmed_mean(values)
+    for idx, values in enumerate(_pixels_in_quads(image, quads)):
+        if values.shape[0] < 4:
+            raise ValueError(f"patch {idx} region has {values.shape[0]} pixels (< 4)")
+        patches[idx] = trimmed_mean(values)
     return ChartSamples(patches, white_index=white_index)
 
 
 def sample_roi(image: LinearImage, roi: tuple[int, int, int, int]) -> np.ndarray:
-    """Trimmed-mean RGB of an axis-aligned (x, y, w, h) region."""
+    """Trimmed-mean RGB of an axis-aligned (x, y, w, h) region of whole pixels."""
+    if not all(float(v).is_integer() for v in roi):
+        raise ValueError(f"ROI {roi} has a component that is not a whole number of pixels")
     x, y, w, h = (int(v) for v in roi)
     if w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > image.width or y + h > image.height:
         raise ValueError(f"ROI {roi} outside image bounds")
@@ -259,10 +308,11 @@ def render_comparison_chart(target: ChartSamples, measured: ChartSamples) -> Lin
 
 
 def read_pfm(path) -> np.ndarray:
-    """Read a 3-channel PFM file; returns (h, w, 3) float64, rows top-to-bottom.
+    """Read a 3-channel PFM file; returns (h, w, 3) float32, rows top-to-bottom.
 
-    The payload is decoded in blocks of about 64 Ki pixels, so a read holds
-    the float64 image plus one small float32 block.
+    The values are the file's own, in native byte order; widening them to
+    float64 is exact. The payload is decoded in blocks of about 64 Ki pixels,
+    so a read holds the image plus one small block.
     """
     with open(path, "rb") as f:
         magic = f.readline().strip()
@@ -278,7 +328,7 @@ def read_pfm(path) -> np.ndarray:
             raise ValueError(f"{path}: truncated PFM payload")
         rows = max(1, _TILE // max(width, 1))
         block = np.empty((min(rows, height), width, 3), dtype="<f4" if scale < 0 else ">f4")
-        data = np.empty((height, width, 3))
+        data = np.empty((height, width, 3), dtype=np.float32)
         # PFM stores rows bottom-to-top: each block fills the next band up
         for end in range(height, 0, -rows):
             chunk = block[: min(rows, end)]

@@ -327,12 +327,12 @@ def _one_error_line(capsys) -> str:
 
 class TestErrorPaths:
     def test_beta_above_one_fails_its_stage(self, fixtures, tmp_path, capsys):
-        # a 1e6 half extent integrates to beta = 1 + 4e-7, which the bundle rejects
+        # a 1e6 half extent integrates to beta = 1 + 4e-7, which compute_beta rejects
         out = tmp_path / "out"
         argv = ["solve", "--config", str(fixtures["broad"]["dir"] / "config.json"),
                 "--output-dir", str(out), "--half-extent", "1e6"]
         assert main(argv) == 1
-        assert _one_error_line(capsys).startswith("error: stage bundle: beta must be in (0, 1]")
+        assert _one_error_line(capsys).startswith("error: stage beta: beta must be in (0, 1]")
         assert not out.exists()
 
     def test_simulate_malformed_targets_csv(self, fixtures, tmp_path, capsys):
@@ -359,6 +359,27 @@ class TestErrorPaths:
     def test_beta_out_of_range_fails_its_stage(self, capsys, flag, value):
         assert main(["beta", flag, value]) == 1
         assert _one_error_line(capsys).startswith("error: stage beta: ")
+
+    @pytest.mark.parametrize(
+        "value, line",
+        [("inf", "error: stage beta: half_extent must be positive and finite, got inf"),
+         ("nan", "error: stage beta: half_extent must be positive and finite, got nan"),
+         ("1e6", "error: stage beta: beta must be in (0, 1], got 1.0001003801184138 for half_extent 1000000.0")],
+    )
+    def test_beta_half_extent_without_a_beta_in_range_fails(self, capsys, value, line):
+        assert main(["beta", "--half-extent", value, "--resolution", "64"]) == 1
+        assert _one_error_line(capsys) == line
+
+    def test_beta_of_a_panel_nearly_a_hemisphere_stays_in_range(self, capsys):
+        assert main(["beta", "--half-extent", "100", "--resolution", "64"]) == 0
+        assert 0.999 < float(capsys.readouterr().out) <= 1.0
+
+    def test_chart_error_white_index_out_of_range_is_a_config_error(self, fixtures, capsys):
+        # the range check solve makes at load, made before any stage runs
+        targets = str(fixtures["broad"]["dir"] / "targets.csv")
+        argv = ["chart-error", "--target", targets, "--measured", targets, "--white-index", "30"]
+        assert main(argv) == 2
+        assert _one_error_line(capsys) == "error: config: white_index must be in [0, 24), got 30"
 
     def test_solve_beta_resolution_above_bound_fails_its_stage(self, fixtures, tmp_path, capsys):
         argv = ["solve", "--config", str(fixtures["broad"]["dir"] / "config.json"),
@@ -399,13 +420,18 @@ class TestErrorPaths:
         assert _one_error_line(capsys).startswith(f"error: config {config}: invalid JSON (")
 
     def test_integral_float_is_an_integer_setting(self, fixtures, tmp_path):
-        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, white_index=18.0)
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path / "index", white_index=18.0)
         assert load_config(fixture_dir / "config.json").white_index == 18
+        fixture_dir = _copy_fixture_with(fixtures["broad"], tmp_path / "roi", ["black_level", "roi"],
+                                         [0.0, 0, 16.0, 16])
+        assert load_config(fixture_dir / "config.json").black_level[1] == (0, 0, 16, 16)
 
-    def test_warnings_printed_before_a_stage_error(self, fixtures, tmp_path, capsys):
-        # the black level warns, then beta = 1 + 4e-7 fails the bundle stage
+    def test_warnings_printed_before_a_stage_error(self, fixtures, tmp_path, capsys, monkeypatch):
+        # the black level warns, then beta = 1 + 4e-7 fails the bundle stage;
+        # compute_beta itself rejects that value, so it stands in here
+        monkeypatch.setattr("stagecal.cli.compute_beta", lambda half_extent, resolution: 1 + 4e-7)
         argv = ["solve", "--config", str(fixtures["monochromatic"]["dir"] / "config.json"),
-                "--output-dir", str(tmp_path / "out"), "--half-extent", "1e6"]
+                "--output-dir", str(tmp_path / "out")]
         assert main(argv) == 1
         warning, error = capsys.readouterr().err.splitlines()
         assert warning.startswith("warning: black level [")
@@ -429,6 +455,10 @@ class TestErrorPaths:
             (["primaries", "rois", "red"], "x", "primaries.rois: red"),
             (["primaries", "rois", "green"], [0, 0, 24], "primaries.rois: green"),
             (["black_level", "roi"], "x", "black_level: roi"),
+            # a region is whole pixels, by the rule an integer setting follows
+            (["primaries", "rois", "red"], [0.5, 0, 24, 24], "primaries.rois: red"),
+            (["primaries", "rois", "blue"], [64, 4, True, 24], "primaries.rois: blue"),
+            (["black_level", "roi"], [0, -1e-300, 16, 16], "black_level: roi"),
             (["primaries"], 5, "config: primaries"),
             (["primaries", "rois"], 5, "primaries: rois"),
             (["channel_charts"], 5, "config: channel_charts"),
@@ -452,7 +482,8 @@ class TestErrorPaths:
              "w_avg.facing: direction must be"),
         ],
         ids=["weights-text", "weights-5", "weights-negative", "corners-text", "corners-3", "rgb-text",
-             "facing-text", "roi-text", "roi-3", "black-roi-text", "primaries-number", "rois-number",
+             "facing-text", "roi-text", "roi-3", "black-roi-text", "roi-fraction", "roi-bool",
+             "black-roi-tiny", "primaries-number", "rois-number",
              "channel-charts-number", "channel-number", "targets-number", "targets-csv-number",
              "targets-image-number", "chart-image-number", "primaries-image-number", "env-path-number",
              "black-image-number", "output-dir-number", "output-dir-null", "corners-not-convex",

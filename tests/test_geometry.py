@@ -94,6 +94,10 @@ class TestPanelEnv:
             build_panel_env(0.0, 256)
         with pytest.raises(ValueError):
             build_panel_env(0.5, 32)
+        for half_extent in (np.inf, np.nan):
+            for call in (lambda: build_panel_env(half_extent, 64), lambda: panel_form_factor_analytic(half_extent)):
+                with pytest.raises(ValueError, match="half_extent must be positive and finite"):
+                    call()
 
 
 class TestComputeBeta:
@@ -109,6 +113,11 @@ class TestComputeBeta:
         betas = [compute_beta(he, 256) for he in extents]
         assert all(b2 >= b1 for b1, b2 in zip(betas, betas[1:]))
         assert all(0.0 < b <= 1.0 for b in betas)
+
+    def test_beta_above_one_rejected(self):
+        # a panel this wide covers the frontal hemisphere, and the texel grid overshoots 1
+        with pytest.raises(ValueError, match=r"beta must be in \(0, 1\], got 1\.0001"):
+            compute_beta(1e6, 64)
 
     def test_convergence(self):
         assert abs(compute_beta(0.6, 512) - compute_beta(0.6, 1024)) < 1e-3
@@ -183,7 +192,9 @@ class TestEnvMap:
         env = EnvMap(rng.uniform(0, 4, (16, 32, 3)).astype(np.float32).astype(np.float64))
         path = tmp_path / "env.pfm"
         write_pfm(path, env.data)
-        assert np.array_equal(read_env_pfm(path).data, env.data)
+        read = read_env_pfm(path).data
+        # read_pfm gives float32; the map widens it, so w_avg sums float64 as before
+        assert read.dtype == np.float64 and np.array_equal(read, env.data)
 
     def test_pfm_read_enforces_aspect(self, tmp_path):
         path = tmp_path / "bad.pfm"

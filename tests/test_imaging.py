@@ -22,6 +22,8 @@ from stagecal.calibration import (
 from stagecal.geometry import EnvMap, as_direction, w_avg_from_white
 from stagecal.imaging import (
     _TILE,
+    _bilinear_point,
+    _pixels_in_quads,
     ChartGridSpec,
     ChartSamples,
     LinearImage,
@@ -156,6 +158,7 @@ def _scene(**changes):
 # (call with the checked value, a valid value, the name its errors carry, checked for sign)
 CHECKED_INPUTS = {
     "LinearImage": (LinearImage, np.full((2, 3, 3), 0.5), "image", True),
+    "LinearImage.float32": (LinearImage, np.full((2, 3, 3), 0.5, np.float32), "image", True),
     "EnvMap": (EnvMap, np.full((2, 4, 3), 0.5), "image", True),
     "ChartSamples": (ChartSamples, np.full((24, 3), 0.5), "patches", True),
     "ChartGridSpec": (ChartGridSpec, np.array([[0, 0], [6, 0], [6, 4], [0, 4]], float), "corners", False),
@@ -223,6 +226,14 @@ class TestLinearImage:
     def test_shape_rejected(self):
         with pytest.raises(ValueError):
             LinearImage(np.zeros((4, 4)))
+
+    def test_float32_and_float64_kept_as_given(self):
+        for dtype in (np.float32, np.float64):
+            data = np.full((2, 3, 3), 0.5, dtype)
+            assert LinearImage(data).data is data
+        assert LinearImage(np.ones((1, 1, 3), np.float16)).data.dtype == np.float64
+        assert LinearImage(np.ones((1, 1, 3), ">f4")).data.dtype == np.float64
+        assert LinearImage([[[1, 2, 3]]]).data.dtype == np.float64
 
 
 class TestExtractChart:
@@ -293,6 +304,70 @@ class TestExtractChart:
             ChartGridSpec(corners, inset=0.5)
 
 
+def reference_pixels_in_quad(image: LinearImage, quad: np.ndarray) -> np.ndarray:
+    """One quad's pixels as _pixels_in_quads selects them, by four cross-product masks
+    over the quad's whole bounding box."""
+    x0 = max(int(np.floor(quad[:, 0].min())), 0)
+    x1 = min(int(np.ceil(quad[:, 0].max())), image.width)
+    y0 = max(int(np.floor(quad[:, 1].min())), 0)
+    y1 = min(int(np.ceil(quad[:, 1].max())), image.height)
+    if x1 <= x0 or y1 <= y0:
+        return np.empty((0, 3))
+    xs, ys = np.meshgrid(np.arange(x0, x1) + 0.5, np.arange(y0, y1) + 0.5, indexing="xy")
+    area2 = sum(
+        quad[i, 0] * quad[(i + 1) % 4, 1] - quad[(i + 1) % 4, 0] * quad[i, 1]
+        for i in range(4)
+    )
+    sign = 1.0 if area2 >= 0 else -1.0
+    inside = np.ones(xs.shape, dtype=bool)
+    for i in range(4):
+        ax, ay = quad[i]
+        bx, by = quad[(i + 1) % 4]
+        cross = (bx - ax) * (ys - ay) - (by - ay) * (xs - ax)
+        inside &= sign * cross >= 0
+    return image.data[y0:y1, x0:x1][inside]
+
+
+# pixel coordinates on the integer and half-integer grid, where edges pass
+# exactly through pixel centers, and anywhere between; the image is 20 x 16,
+# so some quads reach past its bounds
+QUAD_IMAGE = LinearImage(np.arange(16 * 20 * 3, dtype=np.float32).reshape(16, 20, 3))
+_COORD = st.one_of(st.integers(-8, 48).map(lambda i: i / 2), st.floats(-4.0, 24.0))
+_POINT = st.tuples(_COORD, _COORD)
+_NUDGE = st.sampled_from([0.0, 0.5, 1e-9, 0.3])
+
+
+@st.composite
+def quads(draw):
+    if draw(st.booleans()):
+        # four free points: degenerate, non-convex and crossed quads included
+        quad = np.array(draw(st.lists(_POINT, min_size=4, max_size=4)))
+    else:
+        # a chart patch as extract_chart maps it, whose edges may run a few
+        # ulps off horizontal or vertical
+        (xa, ya), (xb, yb) = draw(_POINT), draw(_POINT)
+        corners = np.array([[xa, ya], [xb, ya], [xb, yb], [xa, yb]]) + np.array(
+            draw(st.lists(st.tuples(_NUDGE, _NUDGE), min_size=4, max_size=4))
+        )
+        r, c, inset = draw(st.integers(0, 3)), draw(st.integers(0, 5)), draw(st.sampled_from([0.1, 0.25, 0.4]))
+        u0, u1 = (c + inset) / 6, (c + 1 - inset) / 6
+        v0, v1 = (r + inset) / 4, (r + 1 - inset) / 4
+        quad = _bilinear_point(corners, np.array([u0, u1, u1, u0]), np.array([v0, v0, v1, v1]))
+    # either winding
+    return quad[::-1].copy() if draw(st.booleans()) else quad
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(stack=st.lists(quads(), min_size=1, max_size=4))
+def test_pixels_in_quads_selects_what_full_box_masks_select(stack):
+    got = list(_pixels_in_quads(QUAD_IMAGE, np.array(stack)))
+    assert len(got) == len(stack)
+    for values, quad in zip(got, stack):
+        want = reference_pixels_in_quad(QUAD_IMAGE, quad)
+        # the same pixels in the same row-major order: every pixel value is distinct
+        assert values.shape == want.shape and values.tobytes() == want.astype(values.dtype).tobytes()
+
+
 class TestSampleRoi:
     def test_flat_region_exact(self):
         img = LinearImage(np.full((10, 10, 3), 0.37))
@@ -303,12 +378,52 @@ class TestSampleRoi:
         with pytest.raises(ValueError):
             sample_roi(img, (8, 8, 5, 5))
 
+    @pytest.mark.parametrize("roi", [(0.5, 0, 4, 4), (0, -1e-300, 4, 4), (0, 0, 4, np.nan), (0, 0, np.inf, 4)])
+    def test_fractional_component_rejected(self, roi):
+        img = LinearImage(np.zeros((10, 10, 3)))
+        with pytest.raises(ValueError, match="not a whole number of pixels"):
+            sample_roi(img, roi)
+        assert np.array_equal(sample_roi(img, (0.0, 0, 4.0, 4)), np.zeros(3))
+
 
 class TestTrimmedMean:
     def test_matches_plain_mean_without_outliers(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(0.4, 0.6, (9, 3))  # n=9 -> no samples trimmed
         assert np.allclose(trimmed_mean(values), values.mean(axis=0), atol=1e-15)
+
+    def test_zeros_of_both_signs_take_the_sign_of_the_first_kept(self):
+        # n = 10 trims one value from each end; -0.0 counts as sorting first
+        values = np.zeros((10, 3))
+        values[:5, 0] = values[:1, 1] = values[:, 2] = -0.0
+        assert np.signbit(trimmed_mean(values)).tolist() == [True, False, True]
+
+
+# few distinct values, so channels tie, hold constant runs and mix -0.0 with +0.0
+_TRIM_VALUES = np.array([-0.0, 0.0, 1e-45, 0.1, 0.5, 2.0, 3e38], dtype=np.float32)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    constant=st.lists(st.sampled_from([None, 0, 1, 4]), min_size=3, max_size=3),
+)
+def test_float32_trimmed_mean_matches_the_widened_float64_path(n, seed, constant):
+    rng = np.random.default_rng(seed)
+    values = np.where(
+        rng.random((n, 3)) < 0.5,
+        rng.choice(_TRIM_VALUES, (n, 3)),
+        rng.random((n, 3), dtype=np.float32),
+    ).astype(np.float32)
+    for channel, kind in enumerate(constant):
+        if kind is not None:
+            # one value throughout; zeros may still differ in sign
+            pool = _TRIM_VALUES[:2] if kind == 0 else _TRIM_VALUES[kind : kind + 1]
+            values[:, channel] = rng.choice(pool, n)
+    got, want = trimmed_mean(values), trimmed_mean(values.astype(np.float64))
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 class TestNormalizeGreenWhite:
@@ -506,14 +621,14 @@ def pfm_bytes(width, height, dtype, payload=b""):
 
 
 def reference_read_pfm(path):
-    """read_pfm as one whole-payload decode: frombuffer, flipud, astype."""
+    """read_pfm as one whole-payload decode: frombuffer, flipud, native float32."""
     with open(path, "rb") as f:
         f.readline()
         width, height = (int(t) for t in f.readline().split())
         scale = float(f.readline())
         raw = f.read(width * height * 12)
     data = np.frombuffer(raw, dtype="<f4" if scale < 0 else ">f4").reshape(height, width, 3)
-    return np.flipud(data).astype(np.float64)
+    return np.flipud(data).astype(np.float32)
 
 
 def block_rows(width):
@@ -538,9 +653,9 @@ def test_streamed_read_pfm_matches_whole_payload_decode(tmp_path_factory, width,
     bits = np.random.default_rng(seed).integers(0, 2**32, width * height * 3, dtype=np.uint32)
     path = tmp_path_factory.mktemp("pfm") / "img.pfm"
     path.write_bytes(pfm_bytes(width, height, dtype, bits.astype(dtype[0] + "u4").tobytes()))
-    with np.errstate(invalid="ignore"):  # signalling NaNs become quiet in both casts
-        data, ref = read_pfm(path), reference_read_pfm(path)
-    assert data.dtype == np.float64 and data.shape == (height, width, 3)
+    # a byte swap keeps every bit, signalling NaN payloads included
+    data, ref = read_pfm(path), reference_read_pfm(path)
+    assert data.dtype == np.float32 and data.dtype.isnative and data.shape == (height, width, 3)
     assert data.tobytes() == ref.tobytes()
 
 
