@@ -16,12 +16,13 @@ panels. All solves operate on linear camera-raw RGB.
 from __future__ import annotations
 
 import json
+import reprlib
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imaging import CHART_PATCHES, DEFAULT_WHITE_INDEX, ChartSamples, as_array
+from .imaging import CHART_PATCHES, ChartSamples, as_array
 
 DEFAULT_COND_LIMIT_SL = 1e6
 DEFAULT_COND_LIMIT_Q = 1e4
@@ -55,7 +56,6 @@ class SRLSet:
     """
 
     matrices: np.ndarray  # (24, 3, 3) float64
-    white_index: int = DEFAULT_WHITE_INDEX
 
     def __post_init__(self):
         matrices = as_array(self.matrices, (CHART_PATCHES, 3, 3), "matrices", nonneg=True)
@@ -102,11 +102,17 @@ class CalibrationBundle:
     @classmethod
     def from_json(cls, text: str) -> "CalibrationBundle":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {reprlib.repr(doc)}")
+        beta = doc["beta"]
+        # type(), not isinstance(): JSON true parses to a bool, which is an int
+        if type(beta) not in (int, float):
+            raise ValueError(f"beta must be a JSON number, got {reprlib.repr(beta)}")
         return cls(
             m=doc["M"],
             q=doc["Q"],
             n=doc["N"],
-            beta=float(doc["beta"]),
+            beta=float(beta),
             black_offset=doc["black_offset"],
             diagnostics=doc.get("diagnostics", {}),
         )
@@ -143,11 +149,7 @@ def solve_m(sl, cond_limit: float = DEFAULT_COND_LIMIT_SL) -> np.ndarray:
 
 def build_srl(red_chart: ChartSamples, green_chart: ChartSamples, blue_chart: ChartSamples) -> SRLSet:
     """Assemble per-patch response matrices from the three channel captures."""
-    charts = (red_chart, green_chart, blue_chart)
-    if len({c.white_index for c in charts}) != 1:
-        raise ValueError("channel charts disagree on white_index")
-    matrices = np.stack([c.patches for c in charts], axis=2)  # (24, 3, 3)
-    return SRLSet(matrices, white_index=red_chart.white_index)
+    return SRLSet(np.stack([c.patches for c in (red_chart, green_chart, blue_chart)], axis=2))
 
 
 def predict_lit_chart(srl: SRLSet, m, w_avg, beta: float) -> np.ndarray:
@@ -167,16 +169,15 @@ def simulate_lit_chart(srl: SRLSet, m, w_avg, beta: float) -> ChartSamples:
     geometry to the full sphere by 1/beta. Negative predictions are clamped
     to zero with a warning.
     """
-    chart, negatives = clamp_chart(predict_lit_chart(srl, m, w_avg, beta), srl.white_index)
+    chart, negatives = clamp_chart(predict_lit_chart(srl, m, w_avg, beta))
     if negatives:
         warnings.warn(f"{negatives} negative simulated components clamped to 0", stacklevel=2)
     return chart
 
 
-def clamp_chart(values: np.ndarray, white_index: int) -> tuple[ChartSamples, int]:
+def clamp_chart(values: np.ndarray) -> tuple[ChartSamples, int]:
     """A (24, 3) prediction with negatives clamped to 0, and how many were clamped."""
-    clamped = int((values < 0).sum())
-    return ChartSamples(np.maximum(values, 0.0), white_index=white_index), clamped
+    return ChartSamples(np.maximum(values, 0.0)), int((values < 0).sum())
 
 
 def check_weights(weights) -> np.ndarray:
@@ -337,13 +338,14 @@ def transform_content(pixels, mode: str, bundle: CalibrationBundle, counter: Gam
     return out.reshape(pixels.shape)
 
 
-def chart_error(target: ChartSamples, measured: ChartSamples) -> np.ndarray:
+def chart_error(target: ChartSamples, measured: ChartSamples, white_index: int) -> np.ndarray:
     """Mean per-channel absolute error relative to the target white intensity.
 
     error_c = (1/24) * sum_j |measured_jc - target_jc| / target_white_c,
-    computed in whatever linear space the inputs share (camera raw here).
+    with the white patch at `white_index`, computed in whatever linear space
+    the inputs share (camera raw here).
     """
-    white = target.white
+    white = target.white(white_index)
     if (white <= 0).any():
         raise ValueError("target white patch components must be > 0")
     return np.abs(measured.patches - target.patches).mean(axis=0) / white

@@ -51,7 +51,6 @@ from .geometry import (
 )
 from .imaging import (
     CHART_COLS,
-    CHART_PATCHES,
     CHART_ROWS,
     DEFAULT_INSET,
     DEFAULT_WHITE_INDEX,
@@ -62,6 +61,7 @@ from .imaging import (
     LinearImage,
     as_array,
     chart_image,
+    check_white_index,
     extract_chart,
     read_chart_csv,
     read_pfm,
@@ -163,11 +163,6 @@ def _roi(doc: dict, key: str, where: str) -> tuple:
     return tuple(int(v) for v in value)
 
 
-def _check_white_index(white_index: int) -> None:
-    if not 0 <= white_index < CHART_PATCHES:
-        raise ConfigError(f"config: white_index must be in [0, {CHART_PATCHES}), got {white_index}")
-
-
 def _array(doc: dict, key: str, shape: tuple, where: str) -> np.ndarray:
     value = _require(doc, key, where)
     with _checked(where):
@@ -256,8 +251,8 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         roi = _roi(black_doc, "roi", "black_level")
         black_level = (_path(black_doc, "image", base, "black_level"), roi)
 
-    white_index = _scalar(doc, "white_index", int, DEFAULT_WHITE_INDEX)
-    _check_white_index(white_index)
+    with _checked("config"):
+        white_index = check_white_index(_scalar(doc, "white_index", int, DEFAULT_WHITE_INDEX))
 
     output_dir = doc.get("output_dir", "out")
     if not isinstance(output_dir, str):
@@ -288,38 +283,34 @@ def _sample_rois(path, *rois) -> list:
     return [sample_roi(image, roi) for roi in rois]
 
 
-def _extract(source: ChartSource, white_index: int) -> ChartSamples:
-    return extract_chart(LinearImage(read_pfm(source.image)), source.grid, white_index=white_index)
+def _extract(source: ChartSource) -> ChartSamples:
+    return extract_chart(LinearImage(read_pfm(source.image)), source.grid)
 
 
-def lit_chart_variants(srl, m, q, w_avg, beta, white_index) -> tuple[dict, int]:
+def lit_chart_variants(srl, m, q, w_avg, beta) -> tuple[dict, int]:
     """Simulated lit chart for both correction variants, negatives clamped."""
     predicted = predict_lit_chart(srl, m, w_avg, beta)
-    charts = {}
-    clamped = 0
-    for name, values in (("lit_m_only", predicted), ("lit_m_q", predicted @ np.asarray(q).T)):
-        charts[name], n = clamp_chart(values, white_index)
-        clamped += n
-    return charts, clamped
+    (m_only, clamped), (m_q, more) = clamp_chart(predicted), clamp_chart(predicted @ np.asarray(q).T)
+    return {"lit_m_only": m_only, "lit_m_q": m_q}, clamped + more
 
 
 def load_inputs(config: PipelineConfig):
     """Read the per-channel charts, the targets and w_avg; returns (srl, targets, w_avg)."""
     with _stage("channel_charts"):
-        charts = [_extract(config.channel_charts[c], config.white_index) for c in CHANNELS]
+        charts = [_extract(config.channel_charts[c]) for c in CHANNELS]
     with _stage("build_srl"):
         srl = build_srl(*charts)
     with _stage("targets"):
         if isinstance(config.targets, ChartSource):
-            targets = _extract(config.targets, config.white_index)
+            targets = _extract(config.targets)
         else:
-            targets = read_chart_csv(config.targets, config.white_index)
+            targets = read_chart_csv(config.targets)
     with _stage("w_avg"):
         if config.env_map is not None:
             env_path, facing = config.env_map
             w_avg = w_avg_from_env(read_env_pfm(env_path), facing)
         else:
-            white = config.w_avg_rgb if config.w_avg_rgb is not None else targets.white
+            white = targets.white(config.white_index) if config.w_avg_rgb is None else config.w_avg_rgb
             w_avg = w_avg_from_white(white, config.white_reflectance)
     return srl, targets, w_avg
 
@@ -357,7 +348,7 @@ def run_solve(config: PipelineConfig):
         no_black = CalibrationBundle(m=m, q=q, n=n, beta=beta, black_offset=np.zeros(3))
 
     # Simulated charts for the report.
-    lit_charts, clamped = lit_chart_variants(srl, m, q, w_avg, beta, config.white_index)
+    lit_charts, clamped = lit_chart_variants(srl, m, q, w_avg, beta)
     counter = GamutCounter()
     displayed = {}
     for name, bundle_variant, use_counter in (
@@ -366,7 +357,7 @@ def run_solve(config: PipelineConfig):
     ):
         panel = transform_content(targets.patches, "in_frustum", bundle_variant, use_counter)
         recorded = panel @ sl.T + b_camera
-        displayed[name], extra = clamp_chart(recorded @ q.T, config.white_index)
+        displayed[name], extra = clamp_chart(recorded @ q.T)
         clamped += extra
 
     diagnostics = {
@@ -381,7 +372,7 @@ def run_solve(config: PipelineConfig):
 
     all_charts = {**lit_charts, **displayed}
     errors = {
-        name: dict(zip("rgb", chart_error(targets, chart).tolist()))
+        name: dict(zip("rgb", chart_error(targets, chart, config.white_index).tolist()))
         for name, chart in all_charts.items()
     }
     report = {
@@ -413,12 +404,12 @@ def run_solve(config: PipelineConfig):
     return bundle, report, 0 if n is not None else 1
 
 
-def _write_chart(out: Path, name: str, targets: ChartSamples, chart: ChartSamples):
+def _write_chart(out: Path, name: str, targets: ChartSamples, chart: ChartSamples, white_index: int):
     """Write `<name>.csv` and `comparison_<name>.png`; returns both paths."""
     csv_path = out / f"{name}.csv"
     png_path = out / f"comparison_{name}.png"
     write_chart_csv(csv_path, chart)
-    write_png16(png_path, render_comparison_chart(targets, chart))
+    write_png16(png_path, render_comparison_chart(targets, chart, white_index))
     return csv_path, png_path
 
 
@@ -429,7 +420,7 @@ def _write_outputs(config, bundle, report, targets, charts) -> None:
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     write_chart_csv(out / "targets.csv", targets)
     for name, chart in charts.items():
-        _write_chart(out, name, targets, chart)
+        _write_chart(out, name, targets, chart, config.white_index)
 
 
 def run_oracle(seed: int, scenario: str, outdir) -> Path:
@@ -517,25 +508,27 @@ def run_simulate(config: PipelineConfig, bundle_path, variant: str, outdir=None)
 
     srl, targets, w_avg = load_inputs(config)
     name = {"m-only": "lit_m_only", "m-q": "lit_m_q"}[variant]
-    lit, _ = lit_chart_variants(srl, bundle.m, bundle.q, w_avg, bundle.beta, config.white_index)
+    lit, _ = lit_chart_variants(srl, bundle.m, bundle.q, w_avg, bundle.beta)
     chart = lit[name]
 
     outdir = Path(outdir) if outdir is not None else config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    csv_path, png_path = _write_chart(outdir, f"simulated_{name}", targets, chart)
+    csv_path, png_path = _write_chart(outdir, f"simulated_{name}", targets, chart, config.white_index)
     return chart, csv_path, png_path
 
 
-def run_chart_error(target_csv, measured_csv, white_index: int = DEFAULT_WHITE_INDEX) -> dict:
-    _check_white_index(white_index)
+def run_chart_error(target_csv, measured_csv, white_index: int) -> dict:
+    with _checked("config"):
+        check_white_index(white_index)
     for p in (target_csv, measured_csv):
         if not Path(p).is_file():
             raise ConfigError(f"chart CSV not found: {p}")
     with _stage("target"):
-        target = read_chart_csv(target_csv, white_index)
+        target = read_chart_csv(target_csv)
     with _stage("measured"):
-        measured = read_chart_csv(measured_csv, white_index)
-    return dict(zip("rgb", chart_error(target, measured).tolist()))
+        measured = read_chart_csv(measured_csv)
+    with _stage("chart_error"):
+        return dict(zip("rgb", chart_error(target, measured, white_index).tolist()))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -98,22 +98,26 @@ class LinearImage:
         return self.data.shape[0]
 
 
+def check_white_index(white_index: int) -> int:
+    """`white_index` itself if it names a chart patch; ValueError otherwise."""
+    if not 0 <= white_index < CHART_PATCHES:
+        raise ValueError(f"white_index must be in [0, {CHART_PATCHES}), got {white_index}")
+    return white_index
+
+
 @dataclass(frozen=True)
 class ChartSamples:
     """24 linear RGB patch values in row-major chart order."""
 
     patches: np.ndarray  # (24, 3) float64
-    white_index: int = DEFAULT_WHITE_INDEX
 
     def __post_init__(self):
         patches = as_array(self.patches, (CHART_PATCHES, 3), "patches", nonneg=True)
-        if not 0 <= self.white_index < CHART_PATCHES:
-            raise ValueError(f"white_index {self.white_index} out of range")
         object.__setattr__(self, "patches", patches)
 
-    @property
-    def white(self) -> np.ndarray:
-        return self.patches[self.white_index]
+    def white(self, white_index: int) -> np.ndarray:
+        """The RGB of the white patch, which is patch `white_index`."""
+        return self.patches[check_white_index(white_index)]
 
 
 @dataclass(frozen=True)
@@ -223,11 +227,7 @@ def _pixels_in_quads(image: LinearImage, quads: np.ndarray):
         yield np.concatenate(runs) if runs else np.empty((0, 3), image.data.dtype)
 
 
-def extract_chart(
-    image: LinearImage,
-    grid: ChartGridSpec,
-    white_index: int = DEFAULT_WHITE_INDEX,
-) -> ChartSamples:
+def extract_chart(image: LinearImage, grid: ChartGridSpec) -> ChartSamples:
     """Sample the 24 chart patches as trimmed means of their inset regions.
 
     Each patch is the axis-aligned cell of the 6x4 grid shrunk by the inset
@@ -251,7 +251,7 @@ def extract_chart(
         if values.shape[0] < 4:
             raise ValueError(f"patch {idx} region has {values.shape[0]} pixels (< 4)")
         patches[idx] = trimmed_mean(values)
-    return ChartSamples(patches, white_index=white_index)
+    return ChartSamples(patches)
 
 
 def sample_roi(image: LinearImage, roi: tuple[int, int, int, int]) -> np.ndarray:
@@ -264,17 +264,17 @@ def sample_roi(image: LinearImage, roi: tuple[int, int, int, int]) -> np.ndarray
     return trimmed_mean(image.data[y : y + h, x : x + w])
 
 
-def normalize_green_white(reference: ChartSamples, subject: ChartSamples) -> ChartSamples:
-    """Rescale subject so its white patch green channel matches the reference's.
+def normalize_green_white(reference: ChartSamples, subject: ChartSamples, white_index: int) -> ChartSamples:
+    """Rescale subject so its white patch's green channel matches the reference's.
 
     One scalar is applied to all channels of all patches, so relative colors
     are untouched; only the global exposure difference is removed.
     """
-    ref_g = reference.white[1]
-    sub_g = subject.white[1]
+    ref_g = reference.white(white_index)[1]
+    sub_g = subject.white(white_index)[1]
     if ref_g <= 0 or sub_g <= 0:
         raise ValueError("white patch green channel must be > 0 in both charts")
-    return ChartSamples(subject.patches * (ref_g / sub_g), white_index=subject.white_index)
+    return ChartSamples(subject.patches * (ref_g / sub_g))
 
 
 def chart_image(patches, patch_size: int) -> np.ndarray:
@@ -283,17 +283,15 @@ def chart_image(patches, patch_size: int) -> np.ndarray:
     return rows.repeat(patch_size, axis=0).repeat(patch_size, axis=1)
 
 
-def render_comparison_chart(target: ChartSamples, measured: ChartSamples) -> LinearImage:
+def render_comparison_chart(target: ChartSamples, measured: ChartSamples, white_index: int) -> LinearImage:
     """Draw target values as 48-pixel squares with measured values as inset circles.
 
     The measured chart is exposure-matched to the target on the white patch's
     green channel; where that green is zero (fully degenerate lighting) it is
     drawn unscaled.
     """
-    try:
-        measured = normalize_green_white(target, measured)
-    except ValueError:
-        pass
+    if target.white(white_index)[1] > 0 and measured.white(white_index)[1] > 0:
+        measured = normalize_green_white(target, measured, white_index)
     patch_size = 48
     img = chart_image(target.patches, patch_size)
     radius = patch_size * 0.33
@@ -318,8 +316,11 @@ def read_pfm(path) -> np.ndarray:
         magic = f.readline().strip()
         if magic != b"PF":
             raise ValueError(f"{path}: not a color PFM file (magic {magic!r})")
-        width, height = (int(t) for t in f.readline().split())
-        scale = float(f.readline())
+        try:
+            width, height = (int(t) for t in f.readline().split())
+            scale = float(f.readline())
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed PFM header: {exc}") from None
         if width < 0 or height < 0:
             raise ValueError(f"{path}: negative PFM dimensions {width} x {height}")
         # checked before allocating, so a forged header cannot ask for more
@@ -384,7 +385,7 @@ def write_chart_csv(path, chart: ChartSamples) -> None:
             f.write(f"{i},{float(r)!r},{float(g)!r},{float(b)!r}\n")
 
 
-def read_chart_csv(path, white_index: int = DEFAULT_WHITE_INDEX) -> ChartSamples:
+def read_chart_csv(path) -> ChartSamples:
     patches = np.zeros((CHART_PATCHES, 3))
     seen = set()
     with open(path) as f:
@@ -394,14 +395,17 @@ def read_chart_csv(path, white_index: int = DEFAULT_WHITE_INDEX) -> ChartSamples
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            idx_s, r, g, b = line.split(",")
-            idx = int(idx_s)
+            try:
+                idx_s, r, g, b = line.split(",")
+                idx, rgb = int(idx_s), (float(r), float(g), float(b))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
             if not 0 <= idx < CHART_PATCHES:
                 raise ValueError(f"{path}, line {lineno}: patch index {idx} outside [0, {CHART_PATCHES})")
             if idx in seen:
                 raise ValueError(f"{path}, line {lineno}: duplicate patch index {idx}")
-            patches[idx] = (float(r), float(g), float(b))
+            patches[idx] = rgb
             seen.add(idx)
     if len(seen) != CHART_PATCHES:
         raise ValueError(f"{path}: expected {CHART_PATCHES} patches, got {len(seen)}")
-    return ChartSamples(patches, white_index=white_index)
+    return ChartSamples(patches)

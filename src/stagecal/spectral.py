@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import SRLSet
-from .imaging import CHART_PATCHES, DEFAULT_WHITE_INDEX, WHITE_REFLECTANCE, ChartSamples, as_array
+from .imaging import CHART_PATCHES, WHITE_REFLECTANCE, ChartSamples, as_array
 
 WAVELENGTHS = np.arange(380.0, 781.0, 5.0)  # 81 samples
 N_SAMPLES = len(WAVELENGTHS)
@@ -77,7 +77,7 @@ class OracleScene:
     camera: np.ndarray        # (3, 81) sensitivities
     leds: np.ndarray          # (3, 81) stage channel emissions
     illuminant: np.ndarray    # (81,) target environment emission
-    reflectances: np.ndarray  # (24, 81) chart patches, white at DEFAULT_WHITE_INDEX
+    reflectances: np.ndarray  # (24, 81) chart patches, the neutral row last, white first
 
     def __post_init__(self):
         camera = as_array(self.camera, (3, N_SAMPLES), "camera", nonneg=True)
@@ -197,8 +197,8 @@ def oracle_calibration(scene: OracleScene, beta: float) -> OracleCalibration:
     w_avg = _integrate(camera, scene.illuminant, WHITE_REFLECTANCE) / WHITE_REFLECTANCE
     return OracleCalibration(
         sl=sl,
-        srl=SRLSet(np.ascontiguousarray(srl.transpose(0, 2, 1)), white_index=DEFAULT_WHITE_INDEX),
-        targets=ChartSamples(targets, white_index=DEFAULT_WHITE_INDEX),
+        srl=SRLSet(np.ascontiguousarray(srl.transpose(0, 2, 1))),
+        targets=ChartSamples(targets),
         w_avg=w_avg,
     )
 

@@ -155,8 +155,8 @@ def test_criterion_6_improvement_property():
     m = solve_m(calib.sl)
     q = solve_q(calib.srl, m, calib.w_avg, calib.targets, 0.311)
     predicted = predict_lit_chart(calib.srl, m, calib.w_avg, 0.311)
-    base = chart_error(calib.targets, ChartSamples(np.maximum(predicted, 0)))
-    corrected = chart_error(calib.targets, ChartSamples(np.maximum(predicted @ q.T, 0)))
+    base = chart_error(calib.targets, ChartSamples(np.maximum(predicted, 0)), 18)
+    corrected = chart_error(calib.targets, ChartSamples(np.maximum(predicted @ q.T, 0)), 18)
     per_channel = bool(np.all(corrected <= base) and np.any(corrected < base))
 
     worst_q_dist = 0.0
@@ -228,7 +228,7 @@ def test_criterion_9_error_metric_reported(broad_fixture):
     targets = read_chart_csv(out / "targets.csv")
     reproducible = True
     for variant, expect in report["errors"].items():
-        err = chart_error(targets, read_chart_csv(out / f"{variant}.csv"))
+        err = chart_error(targets, read_chart_csv(out / f"{variant}.csv"), config.white_index)
         reproducible &= bool(
             np.array_equal(err, np.array([expect["r"], expect["g"], expect["b"]]))
         )

@@ -111,12 +111,6 @@ class TestBuildSRL:
         for j in range(24):
             assert np.allclose(srl.matrices[j], r[j] * np.eye(3), atol=1e-15)
 
-    def test_mismatched_white_index(self):
-        a = ChartSamples(np.zeros((24, 3)), white_index=18)
-        b = ChartSamples(np.zeros((24, 3)), white_index=19)
-        with pytest.raises(ValueError, match="white_index"):
-            build_srl(a, a, b)
-
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             SRLSet(np.full((24, 3, 3), -0.5))
@@ -463,14 +457,14 @@ def test_transform_content_matches_whole_array_reference(count, data, bundle):
 class TestChartError:
     def test_zero_for_equal(self):
         chart = ChartSamples(np.random.default_rng(15).uniform(0.1, 1.0, (24, 3)))
-        assert np.array_equal(chart_error(chart, chart), np.zeros(3))
+        assert np.array_equal(chart_error(chart, chart, 18), np.zeros(3))
 
     def test_single_patch_white_offset(self):
         rng = np.random.default_rng(16)
         target = ChartSamples(rng.uniform(0.2, 1.0, (24, 3)))
         measured = target.patches.copy()
-        measured[4, 0] += target.white[0]  # off by the white intensity, red only
-        err = chart_error(target, ChartSamples(measured))
+        measured[4, 0] += target.white(18)[0]  # off by the white intensity, red only
+        err = chart_error(target, ChartSamples(measured), 18)
         assert abs(err[0] - 1 / 24) < 1e-12
         assert err[1] == 0.0 and err[2] == 0.0
 
@@ -478,20 +472,27 @@ class TestChartError:
         rng = np.random.default_rng(17)
         target = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
         measured = ChartSamples(np.abs(target.patches + rng.normal(0, 0.05, (24, 3))))
-        err = chart_error(target, measured)
+        err = chart_error(target, measured, 18)
         # second, loop-based implementation
         for c in range(3):
             total = 0.0
             for j in range(24):
                 total += abs(measured.patches[j, c] - target.patches[j, c])
-            expect = total / 24 / target.white[c]
+            expect = total / 24 / target.white(18)[c]
             assert abs(err[c] - expect) < 1e-12
+
+    def test_white_index_picks_the_normalising_patch(self):
+        rng = np.random.default_rng(19)
+        target = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
+        measured = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
+        at_18, at_0 = chart_error(target, measured, 18), chart_error(target, measured, 0)
+        assert np.allclose(at_0, at_18 * target.white(18) / target.white(0), rtol=1e-14, atol=0)
 
     def test_zero_white_rejected(self):
         patches = np.full((24, 3), 0.5)
         patches[18] = 0.0
         with pytest.raises(ValueError, match="white"):
-            chart_error(ChartSamples(patches), ChartSamples(np.full((24, 3), 0.5)))
+            chart_error(ChartSamples(patches), ChartSamples(np.full((24, 3), 0.5)), 18)
 
 
 class TestBundle:

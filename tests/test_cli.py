@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stagecal
-from stagecal.calibration import CalibrationBundle, predict_lit_chart
+from stagecal.calibration import CalibrationBundle, chart_error, predict_lit_chart
 from stagecal.cli import _build_parser, load_config, main, run_oracle, run_solve
 from stagecal.imaging import (
     ChartSamples,
@@ -25,7 +25,8 @@ from stagecal.imaging import (
     read_pfm,
     write_pfm,
 )
-from stagecal.spectral import brute_force_q
+from stagecal.geometry import compute_beta
+from stagecal.spectral import brute_force_q, make_scene, oracle_calibration
 
 SCENARIO_SEEDS = {"broad": 3, "identity": 0, "monochromatic": 0, "rgb-led": 0}
 
@@ -59,7 +60,7 @@ def rebuild_srl(config):
     for channel in ("red", "green", "blue"):
         src = config.channel_charts[channel]
         img = LinearImage(read_pfm(src.image))
-        charts.append(extract_chart(img, src.grid, white_index=config.white_index))
+        charts.append(extract_chart(img, src.grid))
     return build_srl(*charts)
 
 
@@ -84,8 +85,8 @@ class TestSolve:
         fx = fixtures["broad"]
         srl = rebuild_srl(fx["config"])
         bundle = fx["bundle"]
-        targets = read_chart_csv(fx["config"].targets, fx["config"].white_index)
-        predicted = predict_lit_chart(srl, bundle.m, targets.white / 0.9, bundle.beta)
+        targets = read_chart_csv(fx["config"].targets)
+        predicted = predict_lit_chart(srl, bundle.m, targets.white(fx["config"].white_index) / 0.9, bundle.beta)
         qb = brute_force_q(predicted, targets.patches)
         assert np.linalg.norm(bundle.q - qb) / np.linalg.norm(qb) < 1e-9
 
@@ -124,14 +125,12 @@ class TestSolve:
         assert np.abs(q - np.eye(3)).max() < 0.05
 
     def test_report_errors_reproducible_from_csvs(self, fixtures):
-        from stagecal.calibration import chart_error
-
         fx = fixtures["broad"]
         out = fx["config"].output_dir
         targets = read_chart_csv(out / "targets.csv")
         for variant, expect in fx["report"]["errors"].items():
             measured = read_chart_csv(out / f"{variant}.csv")
-            err = chart_error(targets, measured)
+            err = chart_error(targets, measured, 18)
             assert np.array_equal(err, np.array([expect["r"], expect["g"], expect["b"]]))
 
 
@@ -354,6 +353,61 @@ class TestErrorPaths:
         assert "patch index 24 outside" in _one_error_line(capsys)
 
     @pytest.mark.parametrize(
+        "row, reason",
+        [("3,0.5,0.5", "not enough values to unpack (expected 4, got 3)"),
+         ("3.5,0.5,0.5,0.5", "invalid literal for int() with base 10: '3.5'")],
+    )
+    def test_chart_error_names_the_csv_file_and_line(self, fixtures, tmp_path, capsys, row, reason):
+        good = fixtures["broad"]["dir"] / "targets.csv"
+        lines = good.read_text().splitlines()
+        lines[4] = row  # patch 3's row, line 5 of the file
+        bad = tmp_path / "measured.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = ["chart-error", "--target", str(good), "--measured", str(bad)]
+        assert main(argv) == 1
+        assert _one_error_line(capsys) == f"error: stage measured: {bad}, line 5: {reason}"
+
+    def test_chart_error_zero_white_target_fails_its_stage(self, fixtures, tmp_path, capsys):
+        good = fixtures["broad"]["dir"] / "targets.csv"
+        lines = good.read_text().splitlines()
+        lines[19] = "18,0.0,0.5,0.5"  # the white patch, with no red
+        target = tmp_path / "target.csv"
+        target.write_text("\n".join(lines) + "\n")
+        assert main(["chart-error", "--target", str(target), "--measured", str(good)]) == 1
+        assert _one_error_line(capsys) == "error: stage chart_error: target white patch components must be > 0"
+
+    @pytest.mark.parametrize(
+        "size, reason",
+        [(b"96 32 1", "too many values to unpack (expected 2)"),
+         (b"abc", "invalid literal for int() with base 10: b'abc'")],
+    )
+    def test_malformed_pfm_header_names_the_file(self, fixtures, tmp_path, capsys, size, reason):
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path)
+        path = fixture_dir / "primaries.pfm"
+        path.write_bytes(b"PF\n" + size + b"\n-1.0\n" + b"\x00" * 12)
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 1
+        assert _one_error_line(capsys) == f"error: stage primaries: {path}: malformed PFM header: {reason}"
+
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [([], "expected a JSON object, got []"),
+         ("x", "expected a JSON object, got 'x'"),
+         ({"beta": None}, "beta must be a JSON number, got None"),
+         ({"beta": "0.3"}, "beta must be a JSON number, got '0.3'")],
+    )
+    def test_simulate_malformed_bundle_is_an_input_error(self, fixtures, tmp_path, capsys, doc, reason):
+        fx = fixtures["broad"]
+        if isinstance(doc, dict):  # the solved bundle with one key replaced
+            doc = {**json.loads((fx["config"].output_dir / "bundle.json").read_text()), **doc}
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(doc))
+        argv = ["simulate", "--config", str(fx["dir"] / "config.json"), "--bundle", str(bundle),
+                "--output-dir", str(tmp_path / "sim")]
+        assert main(argv) == 2
+        assert _one_error_line(capsys) == f"error: invalid bundle {bundle}: {reason}"
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize(
         "flag, value", [("--resolution", "10"), ("--resolution", "100000"), ("--half-extent", "-1")]
     )
     def test_beta_out_of_range_fails_its_stage(self, capsys, flag, value):
@@ -518,11 +572,11 @@ def mutation_bases(tmp_path_factory):
     and env-map w_avg with targets photographed; both weighted, at beta_resolution 64."""
     fixture_dir = run_oracle(2, "broad", tmp_path_factory.mktemp("mutations") / "broad")
     targets = read_chart_csv(fixture_dir / "targets.csv")
-    write_pfm(fixture_dir / "env.pfm", np.broadcast_to(targets.white / 0.9, (64, 128, 3)).copy())
+    write_pfm(fixture_dir / "env.pfm", np.broadcast_to(targets.white(18) / 0.9, (64, 128, 3)).copy())
     write_pfm(fixture_dir / "targets.pfm", chart_image(targets.patches, 16))
     white = json.loads((fixture_dir / "config.json").read_text())
     white.update(beta_resolution=64, output_dir=str(fixture_dir / "out"), weights=[1.0] * 24)
-    white["w_avg"]["rgb"] = targets.white.tolist()
+    white["w_avg"]["rgb"] = targets.white(18).tolist()
     env = json.loads(json.dumps(white))
     env["w_avg"] = {"mode": "env_map", "path": "env.pfm", "facing": [0.0, 0.0, 1.0]}
     env["targets"] = {"image": "targets.pfm", "corners": [[0, 0], [96, 0], [96, 64], [0, 64]], "inset": 0.25}
@@ -607,7 +661,7 @@ class TestAlternateConfigRoutes:
         fx = fixtures["broad"]
         targets = read_chart_csv(fx["dir"] / "targets.csv")
         # uniform environment whose diffuse integral reproduces the white route
-        w_avg = targets.white / 0.9
+        w_avg = targets.white(18) / 0.9
         env = np.broadcast_to(w_avg, (64, 128, 3)).copy()
         write_pfm(fx["dir"] / "env.pfm", env)
         doc = json.loads((fx["dir"] / "config.json").read_text())
@@ -690,6 +744,30 @@ def test_root_exports_exactly_the_readme_library_imports():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert documented and public == documented
+
+
+def test_readme_library_snippet_runs(fixtures, monkeypatch, capsys):
+    """The first README python block, run on the broad oracle's calibration data."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    snippet = re.search(r"```python\n(.*?)```", readme, flags=re.S).group(1)
+    scene = make_scene(SCENARIO_SEEDS["broad"], "broad")
+    calib = oracle_calibration(scene, compute_beta())
+    red_rgb, green_rgb, blue_rgb = calib.sl.T
+    chart_red, chart_green, chart_blue = (ChartSamples(calib.srl.matrices[:, :, c]) for c in range(3))
+    placeholders = {
+        "red_rgb": red_rgb, "green_rgb": green_rgb, "blue_rgb": blue_rgb,
+        "chart_red": chart_red, "chart_green": chart_green, "chart_blue": chart_blue,
+        "target_patches": calib.targets.patches,
+    }
+    monkeypatch.chdir(fixtures["broad"]["dir"])  # holds primaries.pfm
+    namespace = dict(placeholders)
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    # the snippet solves what `stagecal solve` solves, to the float32 precision of its captures
+    assert np.array_equal(namespace["m"], np.linalg.inv(calib.sl))
+    assert np.allclose(namespace["q"], fixtures["broad"]["bundle"].q, rtol=0, atol=1e-6)
+    printed = capsys.readouterr().out
+    expect = chart_error(calib.targets, namespace["lit"], 18)
+    assert printed == f"{expect}\n"
 
 
 def test_readme_cli_block_lists_exactly_the_parser_flags():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import struct
 import zlib
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stagecal.calibration import (
     CalibrationBundle,
@@ -426,16 +428,32 @@ def test_float32_trimmed_mean_matches_the_widened_float64_path(n, seed, constant
     assert got.tobytes() == want.tobytes()
 
 
+class TestChartSamples:
+    def test_charts_carry_values_only(self):
+        assert [f.name for f in dataclasses.fields(ChartSamples)] == ["patches"]
+        assert [f.name for f in dataclasses.fields(SRLSet)] == ["matrices"]
+
+    def test_white_reads_the_named_patch(self):
+        chart = ChartSamples(np.random.default_rng(3).uniform(0.1, 1.0, (24, 3)))
+        for index in (0, 18, 23):
+            assert np.array_equal(chart.white(index), chart.patches[index])
+
+    @pytest.mark.parametrize("index", [-1, 24])
+    def test_white_index_outside_the_chart_rejected(self, index):
+        with pytest.raises(ValueError, match=re.escape(f"white_index must be in [0, 24), got {index}")):
+            ChartSamples(np.zeros((24, 3))).white(index)
+
+
 class TestNormalizeGreenWhite:
     def test_identity(self):
         chart = ChartSamples(np.random.default_rng(4).uniform(0.1, 1.0, (24, 3)))
-        out = normalize_green_white(chart, chart)
+        out = normalize_green_white(chart, chart, 18)
         assert np.allclose(out.patches, chart.patches, atol=1e-15)
 
     def test_scalar_cancellation(self):
         ref = ChartSamples(np.random.default_rng(5).uniform(0.1, 1.0, (24, 3)))
         subject = ChartSamples(0.5 * ref.patches)
-        out = normalize_green_white(ref, subject)
+        out = normalize_green_white(ref, subject, 18)
         assert np.allclose(out.patches, ref.patches, atol=1e-12)
 
     def test_explicit_scale(self):
@@ -444,22 +462,26 @@ class TestNormalizeGreenWhite:
         sub_p = rng.uniform(0.1, 1.0, (24, 3))
         ref_p[18, 1] = 0.4
         sub_p[18, 1] = 0.1
-        out = normalize_green_white(ChartSamples(ref_p), ChartSamples(sub_p))
+        out = normalize_green_white(ChartSamples(ref_p), ChartSamples(sub_p), 18)
         assert np.array_equal(out.patches, sub_p * 4.0)
+        # another white index reads another patch's green
+        ref_p[5, 1], sub_p[5, 1] = 0.3, 0.6
+        out = normalize_green_white(ChartSamples(ref_p), ChartSamples(sub_p), 5)
+        assert np.array_equal(out.patches, sub_p * 0.5)
 
     def test_white_green_matches_reference(self):
         rng = np.random.default_rng(7)
         ref = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
         sub = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
-        out = normalize_green_white(ref, sub)
-        assert abs(out.white[1] - ref.white[1]) < 1e-12
+        out = normalize_green_white(ref, sub, 18)
+        assert abs(out.white(18)[1] - ref.white(18)[1]) < 1e-12
 
     def test_zero_green_rejected(self):
         good = ChartSamples(np.full((24, 3), 0.5))
         bad_p = np.full((24, 3), 0.5)
         bad_p[18, 1] = 0.0
         with pytest.raises(ValueError, match="green"):
-            normalize_green_white(good, ChartSamples(bad_p))
+            normalize_green_white(good, ChartSamples(bad_p), 18)
 
 
 class TestComparisonChart:
@@ -476,7 +498,7 @@ class TestComparisonChart:
 
     def test_equal_inputs_uniform_cells(self):
         chart = ChartSamples(np.random.default_rng(8).uniform(0.1, 1.0, (24, 3)))
-        img = render_comparison_chart(chart, chart)
+        img = render_comparison_chart(chart, chart, 18)
         for j in range(24):
             r, c = divmod(j, 6)
             cell = img.data[r * 48 : (r + 1) * 48, c * 48 : (c + 1) * 48]
@@ -487,7 +509,7 @@ class TestComparisonChart:
         patches[18] = 0.5  # gray white patch
         target = ChartSamples(patches)
         measured = ChartSamples(2.0 * patches)
-        img = render_comparison_chart(target, measured)
+        img = render_comparison_chart(target, measured, 18)
         for j in range(24):
             r, c = divmod(j, 6)
             cell = img.data[r * 48 : (r + 1) * 48, c * 48 : (c + 1) * 48]
@@ -497,9 +519,9 @@ class TestComparisonChart:
         rng = np.random.default_rng(10)
         target = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
         patches = rng.uniform(0.1, 1.0, (24, 3))
-        patches[18, 1] = target.white[1]  # same exposure: the match scales by exactly 1
+        patches[18, 1] = target.white(18)[1]  # same exposure: the match scales by exactly 1
         measured = ChartSamples(patches)
-        img = render_comparison_chart(target, measured)
+        img = render_comparison_chart(target, measured, 18)
         for j in range(24):
             r, c = divmod(j, 6)
             center = img.data[r * 48 + 24, c * 48 + 24]
@@ -510,9 +532,12 @@ class TestComparisonChart:
         target = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
         patches = rng.uniform(0.1, 1.0, (24, 3))
         patches[18, 1] = 0.0  # no exposure to match against
-        img = render_comparison_chart(target, ChartSamples(patches))
+        img = render_comparison_chart(target, ChartSamples(patches), 18)
         centers = img.data[24::48, 24::48].reshape(24, 3)
         assert np.array_equal(centers, patches)
+        # only a zero green is drawn unscaled; a white index off the chart raises
+        with pytest.raises(ValueError, match="white_index must be in"):
+            render_comparison_chart(target, ChartSamples(patches), 24)
 
 
 class TestFileFormats:
@@ -673,3 +698,31 @@ def test_pfm_truncated_at_any_point(tmp_path, width, cut_rows, cut_bytes):
     path.write_bytes(pfm_bytes(width, height, "<f4", payload[: rows * width * 12 + cut_bytes]))
     with pytest.raises(ValueError, match="truncated PFM payload"):
         read_pfm(path)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    patches=hnp.arrays(
+        np.float64, (24, 3), elements=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+    )
+)
+def test_chart_csv_round_trip_is_exact(tmp_path_factory, patches):
+    path = tmp_path_factory.mktemp("csv") / "chart.csv"
+    write_chart_csv(path, ChartSamples(patches))
+    back = read_chart_csv(path).patches
+    assert back.dtype == np.float64 and back.tobytes() == patches.tobytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    data=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5).map(lambda s: (*s, 3)),
+        elements=st.floats(-1e38, 1e38, allow_nan=False),
+    )
+)
+def test_pfm_round_trip_is_the_float32_rounding(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("pfm") / "img.pfm"
+    write_pfm(path, data)
+    back = read_pfm(path)
+    assert back.shape == data.shape and back.tobytes() == data.astype(np.float32).tobytes()

@@ -177,7 +177,7 @@ class TestOracleCalibration:
         scene = make_scene(9, "broad")
         calib = oracle_calibration(scene, BETA)
         charts = [
-            ChartSamples(calib.srl.matrices[:, :, c], white_index=18) for c in range(3)
+            ChartSamples(calib.srl.matrices[:, :, c]) for c in range(3)
         ]
         rebuilt = build_srl(*charts)
         assert np.array_equal(rebuilt.matrices, calib.srl.matrices)
@@ -193,7 +193,7 @@ class TestOracleCalibration:
     def test_w_avg_equals_white_target_scaled(self):
         scene = make_scene(4, "broad")
         calib = oracle_calibration(scene, BETA)
-        assert np.array_equal(calib.w_avg, calib.targets.white / 0.9)
+        assert np.array_equal(calib.w_avg, calib.targets.white(18) / 0.9)
 
     def test_led_span_illuminant_yields_identity_q(self):
         # stage's own channels as the environment, flat chart: metameric match
@@ -225,10 +225,8 @@ class TestOracleCalibration:
             m = solve_m(calib.sl)
             q = solve_q(calib.srl, m, calib.w_avg, calib.targets, BETA)
             predicted = predict_lit_chart(calib.srl, m, calib.w_avg, BETA)
-            base = chart_error(calib.targets, ChartSamples(np.maximum(predicted, 0)))
-            corrected = chart_error(
-                calib.targets, ChartSamples(np.maximum(predicted @ q.T, 0))
-            )
+            base = chart_error(calib.targets, ChartSamples(np.maximum(predicted, 0)), 18)
+            corrected = chart_error(calib.targets, ChartSamples(np.maximum(predicted @ q.T, 0)), 18)
             assert corrected.sum() <= base.sum()
 
     def test_broad_scenario_improves_per_channel(self):
@@ -237,8 +235,8 @@ class TestOracleCalibration:
         m = solve_m(calib.sl)
         q = solve_q(calib.srl, m, calib.w_avg, calib.targets, BETA)
         predicted = predict_lit_chart(calib.srl, m, calib.w_avg, BETA)
-        base = chart_error(calib.targets, ChartSamples(np.maximum(predicted, 0)))
-        corrected = chart_error(calib.targets, ChartSamples(np.maximum(predicted @ q.T, 0)))
+        base = chart_error(calib.targets, ChartSamples(np.maximum(predicted, 0)), 18)
+        corrected = chart_error(calib.targets, ChartSamples(np.maximum(predicted @ q.T, 0)), 18)
         assert np.all(corrected <= base)
         assert np.any(corrected < base)
 
