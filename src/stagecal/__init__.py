@@ -16,7 +16,8 @@ from .calibration import (
     build_sl,
     build_srl,
     chart_error,
-    simulate_lit_chart,
+    clamp_chart,
+    predict_lit_chart,
     solve_m,
     solve_n,
     solve_q,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imaging import CHART_PATCHES, ChartSamples, as_array
+from .imaging import CHART_PATCHES, ChartSamples, as_array, check_beta
 
 DEFAULT_COND_LIMIT_SL = 1e6
 DEFAULT_COND_LIMIT_Q = 1e4
@@ -78,8 +78,7 @@ class CalibrationBundle:
         object.__setattr__(self, "q", as_array(self.q, (3, 3), "Q"))
         if self.n is not None:
             object.__setattr__(self, "n", as_array(self.n, (3, 3), "N"))
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must be in (0, 1], got {self.beta}")
+        object.__setattr__(self, "beta", float(check_beta(self.beta)))
         offset = as_array(self.black_offset, (3,), "black_offset", nonneg=True)
         object.__setattr__(self, "black_offset", offset)
 
@@ -104,6 +103,9 @@ class CalibrationBundle:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError(f"expected a JSON object, got {reprlib.repr(doc)}")
+        for key in ("M", "Q", "N", "beta", "black_offset"):
+            if key not in doc:
+                raise ValueError(f'missing key "{key}"')
         beta = doc["beta"]
         # type(), not isinstance(): JSON true parses to a bool, which is an int
         if type(beta) not in (int, float):
@@ -112,7 +114,7 @@ class CalibrationBundle:
             m=doc["M"],
             q=doc["Q"],
             n=doc["N"],
-            beta=float(beta),
+            beta=beta,
             black_offset=doc["black_offset"],
             diagnostics=doc.get("diagnostics", {}),
         )
@@ -153,26 +155,16 @@ def build_srl(red_chart: ChartSamples, green_chart: ChartSamples, blue_chart: Ch
 
 
 def predict_lit_chart(srl: SRLSet, m, w_avg, beta: float) -> np.ndarray:
-    """Unclamped per-patch prediction (1/beta) * SRL_j * M * w_avg."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    m = as_array(m, (3, 3), "M")
-    w_avg = as_array(w_avg, (3,), "w_avg")
-    return srl.matrices @ (m @ w_avg) / beta
-
-
-def simulate_lit_chart(srl: SRLSet, m, w_avg, beta: float) -> ChartSamples:
-    """Simulate the chart as lit by the stage reproducing an environment.
+    """The chart as lit by the stage reproducing an environment, unclamped: (24, 3).
 
     The stage shows the environment pre-corrected by M; each patch then
     responds with its per-channel calibration matrix, rescaled from panel
-    geometry to the full sphere by 1/beta. Negative predictions are clamped
-    to zero with a warning.
+    geometry to the full sphere by 1/beta: (1/beta) * SRL_j * M * w_avg.
     """
-    chart, negatives = clamp_chart(predict_lit_chart(srl, m, w_avg, beta))
-    if negatives:
-        warnings.warn(f"{negatives} negative simulated components clamped to 0", stacklevel=2)
-    return chart
+    check_beta(beta)
+    m = as_array(m, (3, 3), "M")
+    w_avg = as_array(w_avg, (3,), "w_avg")
+    return srl.matrices @ (m @ w_avg) / beta
 
 
 def clamp_chart(values: np.ndarray) -> tuple[ChartSamples, int]:
@@ -200,28 +192,22 @@ Q_SPREAD_RCOND = 1e-6
 Q_DEGENERATE_RTOL = 1e-10
 
 
-def solve_q(
-    srl: SRLSet,
-    m,
-    w_avg,
-    targets: ChartSamples,
-    beta: float,
-    weights=None,
-) -> np.ndarray:
+def solve_q(predicted, targets: ChartSamples, weights=None) -> np.ndarray:
     """Least-squares post-correction matrix.
 
-    Minimizes sum_j weight_j * ||(1/beta) Q SRL_j M w_avg - p_j||^2. The
-    objective decouples by output channel, so each row of Q is its own
-    3-unknown linear least-squares problem over the 24 predicted responses,
-    solved by SVD and anchored at the identity: rows are corrections to I,
-    and spread directions below Q_SPREAD_RCOND of the dominant singular
-    value are left at the identity. A spectrally flat chart (all responses
-    collinear) therefore returns Q = I exactly when the identity already
-    fits; if a rank-deficient system cannot be fit, the capture does not
-    constrain Q and ValueError is raised.
+    Minimizes sum_j weight_j * ||Q x_j - p_j||^2, x_j being row j of the
+    (24, 3) `predicted` chart (predict_lit_chart's, negatives allowed) and
+    p_j the target patch. The objective decouples by output channel, so each
+    row of Q is its own 3-unknown linear least-squares problem over the 24
+    predicted responses, solved by SVD and anchored at the identity: rows
+    are corrections to I, and spread directions below Q_SPREAD_RCOND of the
+    dominant singular value are left at the identity. A spectrally flat
+    chart (all responses collinear) therefore returns Q = I exactly when the
+    identity already fits; if a rank-deficient system cannot be fit, the
+    capture does not constrain Q and ValueError is raised.
     """
     weights = check_weights(weights)
-    predicted = predict_lit_chart(srl, m, w_avg, beta)
+    predicted = as_array(predicted, (CHART_PATCHES, 3), "predicted")
     sw = np.sqrt(weights)[:, None]
     wx = predicted * sw
     wt = targets.patches * sw
@@ -244,11 +230,11 @@ def solve_q(
     return q
 
 
-def q_objective(q, srl: SRLSet, m, w_avg, targets: ChartSamples, beta: float, weights=None) -> float:
+def q_objective(q, predicted, targets: ChartSamples, weights=None) -> float:
     """Weighted squared-error objective that solve_q minimizes."""
     weights = check_weights(weights)
     q = as_array(q, (3, 3), "Q")
-    predicted = predict_lit_chart(srl, m, w_avg, beta)
+    predicted = as_array(predicted, (CHART_PATCHES, 3), "predicted")
     residual = predicted @ q.T - targets.patches
     return float((weights[:, None] * residual**2).sum())
 

@@ -155,6 +155,14 @@ def _scalar(doc: dict, key: str, kind: type, default, where: str = "config"):
     raise ConfigError(f"{where}: {key} must be {noun}, got {value!r}")
 
 
+def _cond_limit(doc: dict, key: str, default: float) -> float:
+    """A condition-number limit: a finite number >= 1, as every condition number is."""
+    limit = _scalar(doc, key, float, default)
+    if limit < 1:
+        raise ConfigError(f"config: {key} must be >= 1, got {limit!r}")
+    return limit
+
+
 def _roi(doc: dict, key: str, where: str) -> tuple:
     """An (x, y, w, h) pixel region: four integers, by _scalar's rule."""
     value = _require(doc, key, where)
@@ -268,8 +276,8 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         white_reflectance=_scalar(doc, "white_reflectance", float, WHITE_REFLECTANCE),
         half_extent=_scalar(doc, "half_extent", float, DEFAULT_HALF_EXTENT),
         beta_resolution=_scalar(doc, "beta_resolution", int, DEFAULT_BETA_RESOLUTION),
-        cond_limit_sl=_scalar(doc, "cond_limit_sl", float, DEFAULT_COND_LIMIT_SL),
-        cond_limit_q=_scalar(doc, "cond_limit_q", float, DEFAULT_COND_LIMIT_Q),
+        cond_limit_sl=_cond_limit(doc, "cond_limit_sl", DEFAULT_COND_LIMIT_SL),
+        cond_limit_q=_cond_limit(doc, "cond_limit_q", DEFAULT_COND_LIMIT_Q),
         weights=weights,
         black_level=black_level,
         white_index=white_index,
@@ -285,13 +293,6 @@ def _sample_rois(path, *rois) -> list:
 
 def _extract(source: ChartSource) -> ChartSamples:
     return extract_chart(LinearImage(read_pfm(source.image)), source.grid)
-
-
-def lit_chart_variants(srl, m, q, w_avg, beta) -> tuple[dict, int]:
-    """Simulated lit chart for both correction variants, negatives clamped."""
-    predicted = predict_lit_chart(srl, m, w_avg, beta)
-    (m_only, clamped), (m_q, more) = clamp_chart(predicted), clamp_chart(predicted @ np.asarray(q).T)
-    return {"lit_m_only": m_only, "lit_m_q": m_q}, clamped + more
 
 
 def load_inputs(config: PipelineConfig):
@@ -329,8 +330,9 @@ def run_solve(config: PipelineConfig):
     with _stage("beta"):
         beta = compute_beta(config.half_extent, config.beta_resolution)
     with _stage("solve_q"):
-        q = solve_q(srl, m, w_avg, targets, beta, config.weights)
-    residual = q_objective(q, srl, m, w_avg, targets, beta, config.weights)
+        predicted = predict_lit_chart(srl, m, w_avg, beta)
+        q = solve_q(predicted, targets, config.weights)
+    residual = q_objective(q, predicted, targets, config.weights)
     with _stage("solve_n"):
         n = solve_n(m, q, config.cond_limit_q)
 
@@ -348,7 +350,8 @@ def run_solve(config: PipelineConfig):
         no_black = CalibrationBundle(m=m, q=q, n=n, beta=beta, black_offset=np.zeros(3))
 
     # Simulated charts for the report.
-    lit_charts, clamped = lit_chart_variants(srl, m, q, w_avg, beta)
+    (lit_m_only, clamped), (lit_m_q, more) = clamp_chart(predicted), clamp_chart(predicted @ q.T)
+    clamped += more
     counter = GamutCounter()
     displayed = {}
     for name, bundle_variant, use_counter in (
@@ -370,7 +373,7 @@ def run_solve(config: PipelineConfig):
     }
     bundle = replace(pipeline, diagnostics=diagnostics)
 
-    all_charts = {**lit_charts, **displayed}
+    all_charts = {"lit_m_only": lit_m_only, "lit_m_q": lit_m_q, **displayed}
     errors = {
         name: dict(zip("rgb", chart_error(targets, chart, config.white_index).tolist()))
         for name, chart in all_charts.items()
@@ -503,13 +506,13 @@ def run_simulate(config: PipelineConfig, bundle_path, variant: str, outdir=None)
         raise ConfigError(f"bundle file not found: {bundle_path}")
     try:
         bundle = CalibrationBundle.from_json(bundle_path.read_text())
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid bundle {bundle_path}: {exc}") from exc
 
     srl, targets, w_avg = load_inputs(config)
+    predicted = predict_lit_chart(srl, bundle.m, w_avg, bundle.beta)
     name = {"m-only": "lit_m_only", "m-q": "lit_m_q"}[variant]
-    lit, _ = lit_chart_variants(srl, bundle.m, bundle.q, w_avg, bundle.beta)
-    chart = lit[name]
+    chart, _ = clamp_chart(predicted if variant == "m-only" else predicted @ bundle.q.T)
 
     outdir = Path(outdir) if outdir is not None else config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .imaging import WHITE_REFLECTANCE, LinearImage, as_array, read_pfm
+from .imaging import WHITE_REFLECTANCE, LinearImage, as_array, check_beta, read_pfm
 
 FRONTAL = np.array([0.0, 0.0, 1.0])
 
@@ -137,10 +137,7 @@ def compute_beta(
     wide as the hemisphere, raises ValueError.
     """
     env = build_panel_env(half_extent, resolution)
-    beta = float(diffuse_convolve(env, FRONTAL)[1])
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta} for half_extent {half_extent}")
-    return beta
+    return check_beta(float(diffuse_convolve(env, FRONTAL)[1]), f" for half_extent {half_extent}")
 
 
 def panel_form_factor_analytic(half_extent: float) -> float:

@@ -46,11 +46,11 @@ def as_array(value, shape: tuple, name: str, nonneg: bool = False) -> np.ndarray
 def _float64(value, name: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
         raise ValueError(f"{name} must be numeric, got {reprlib.repr(value)}") from exc
 
 
-def _checked(a: np.ndarray, shape: tuple, name: str, nonneg: bool = False) -> np.ndarray:
+def _checked(a: np.ndarray, shape: tuple, name: str, nonneg: bool) -> np.ndarray:
     """`a` itself, once its shape and components pass as_array's checks."""
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
         want = str(shape).replace("None", "n")
@@ -103,6 +103,13 @@ def check_white_index(white_index: int) -> int:
     if not 0 <= white_index < CHART_PATCHES:
         raise ValueError(f"white_index must be in [0, {CHART_PATCHES}), got {white_index}")
     return white_index
+
+
+def check_beta(beta: float, context: str = "") -> float:
+    """`beta` itself if 0 < beta <= 1; ValueError (ending in `context`) otherwise, NaN included."""
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must be in (0, 1], got {beta}{context}")
+    return beta
 
 
 @dataclass(frozen=True)
@@ -388,7 +395,8 @@ def write_chart_csv(path, chart: ChartSamples) -> None:
 def read_chart_csv(path) -> ChartSamples:
     patches = np.zeros((CHART_PATCHES, 3))
     seen = set()
-    with open(path) as f:
+    # a byte that is not UTF-8 decodes to U+FFFD, which fails its row's parse, naming the line
+    with open(path, encoding="utf-8", errors="replace") as f:
         header = f.readline().strip()
         if header != "patch_index,r,g,b":
             raise ValueError(f"{path}: unexpected chart CSV header {header!r}")
@@ -402,6 +410,8 @@ def read_chart_csv(path) -> ChartSamples:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
             if not 0 <= idx < CHART_PATCHES:
                 raise ValueError(f"{path}, line {lineno}: patch index {idx} outside [0, {CHART_PATCHES})")
+            if not all(0.0 <= v < np.inf for v in rgb):  # NaN fails both comparisons
+                raise ValueError(f"{path}, line {lineno}: r, g, b must be finite and >= 0, got {rgb}")
             if idx in seen:
                 raise ValueError(f"{path}, line {lineno}: duplicate patch index {idx}")
             patches[idx] = rgb

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import SRLSet
-from .imaging import CHART_PATCHES, WHITE_REFLECTANCE, ChartSamples, as_array
+from .imaging import CHART_PATCHES, WHITE_REFLECTANCE, ChartSamples, as_array, check_beta
 
 WAVELENGTHS = np.arange(380.0, 781.0, 5.0)  # 81 samples
 N_SAMPLES = len(WAVELENGTHS)
@@ -187,8 +187,7 @@ def oracle_calibration(scene: OracleScene, beta: float) -> OracleCalibration:
     The scene's curves were checked when it was built, so they are
     integrated here unchecked, one batch per measurement.
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta}")
+    check_beta(beta)
     camera, leds, reflectances = scene.camera, scene.leds, scene.reflectances
     # integrals come out channel-major; SL and each SRL_j hold channels as columns
     sl = np.ascontiguousarray(_integrate(camera, leds, 1.0).T)

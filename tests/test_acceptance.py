@@ -110,8 +110,9 @@ def test_criterion_4_least_squares_correctness(random_q_fixture):
     worst_grad = 0.0
     for _ in range(100):
         sl, m, srl, w_avg, targets, beta = random_q_fixture(rng)
-        q = solve_q(srl, m, w_avg, targets, beta)
-        qb = brute_force_q(predict_lit_chart(srl, m, w_avg, beta), targets.patches)
+        predicted = predict_lit_chart(srl, m, w_avg, beta)
+        q = solve_q(predicted, targets)
+        qb = brute_force_q(predicted, targets.patches)
         worst_rel = max(worst_rel, np.linalg.norm(q - qb) / np.linalg.norm(qb))
         for r in range(3):
             for c in range(3):
@@ -120,8 +121,7 @@ def test_criterion_4_least_squares_correctness(random_q_fixture):
                 qp[r, c] += h
                 qm[r, c] -= h
                 grad = (
-                    q_objective(qp, srl, m, w_avg, targets, beta)
-                    - q_objective(qm, srl, m, w_avg, targets, beta)
+                    q_objective(qp, predicted, targets) - q_objective(qm, predicted, targets)
                 ) / (2 * h)
                 worst_grad = max(worst_grad, abs(grad))
     ok = worst_rel < 1e-9 and worst_grad < 1e-6
@@ -142,8 +142,9 @@ def test_criterion_5_metamer_property():
     )
     calib = oracle_calibration(flat_scene, 0.311)
     m = solve_m(calib.sl)
-    q = solve_q(calib.srl, m, calib.w_avg, calib.targets, 0.311)
-    residual = q_objective(q, calib.srl, m, calib.w_avg, calib.targets, 0.311)
+    predicted = predict_lit_chart(calib.srl, m, calib.w_avg, 0.311)
+    q = solve_q(predicted, calib.targets)
+    residual = q_objective(q, predicted, calib.targets)
     dist = np.abs(q - np.eye(3)).max()
     ok = dist < 1e-9 and residual < 1e-18
     _verdict(5, ok, f"flat-reflectance chart: |Q - I| = {dist:.1e}, residual = {residual:.1e}")
@@ -153,8 +154,8 @@ def test_criterion_6_improvement_property():
     scene = make_scene(0, "broad")
     calib = oracle_calibration(scene, 0.311)
     m = solve_m(calib.sl)
-    q = solve_q(calib.srl, m, calib.w_avg, calib.targets, 0.311)
     predicted = predict_lit_chart(calib.srl, m, calib.w_avg, 0.311)
+    q = solve_q(predicted, calib.targets)
     base = chart_error(calib.targets, ChartSamples(np.maximum(predicted, 0)), 18)
     corrected = chart_error(calib.targets, ChartSamples(np.maximum(predicted @ q.T, 0)), 18)
     per_channel = bool(np.all(corrected <= base) and np.any(corrected < base))
@@ -164,7 +165,8 @@ def test_criterion_6_improvement_property():
         led_scene = make_scene(seed, "rgb-led")
         led_calib = oracle_calibration(led_scene, 0.311)
         led_m = solve_m(led_calib.sl)
-        led_q = solve_q(led_calib.srl, led_m, led_calib.w_avg, led_calib.targets, 0.311)
+        led_predicted = predict_lit_chart(led_calib.srl, led_m, led_calib.w_avg, 0.311)
+        led_q = solve_q(led_predicted, led_calib.targets)
         worst_q_dist = max(worst_q_dist, np.abs(led_q - np.eye(3)).max())
 
     ok = per_channel and worst_q_dist < 0.05

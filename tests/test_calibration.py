@@ -11,11 +11,11 @@ from stagecal.calibration import (
     build_sl,
     build_srl,
     chart_error,
+    clamp_chart,
     compute_black_level,
     condition_number,
     predict_lit_chart,
     q_objective,
-    simulate_lit_chart,
     solve_m,
     solve_n,
     solve_q,
@@ -34,14 +34,14 @@ well_conditioned_sl = (
 
 @st.composite
 def q_systems(draw):
-    """A full-rank solve_q system: (srl, m, w_avg, targets, beta, weights)."""
+    """A full-rank solve_q system: (predicted, targets, weights)."""
     m = np.linalg.inv(draw(well_conditioned_sl))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     srl = SRLSet(rng.uniform(0.0, 0.8, (24, 3, 3)))
     w_avg = rng.uniform(0.2, 1.0, 3)
     targets = ChartSamples(rng.uniform(0.01, 1.0, (24, 3)))
     weights = rng.uniform(0.0, 2.0, 24) if draw(st.booleans()) else None
-    return srl, m, w_avg, targets, draw(st.floats(0.05, 1.0)), weights
+    return predict_lit_chart(srl, m, w_avg, draw(st.floats(0.05, 1.0))), targets, weights
 
 
 class TestBuildSL:
@@ -130,28 +130,32 @@ class TestSimulateLitChart:
     def test_metamer_cancellation(self):
         rng = np.random.default_rng(2)
         sl, srl, w_avg, targets = flat_metamer_fixture(rng)
-        chart = simulate_lit_chart(srl, solve_m(sl), w_avg, 0.311)
+        chart, clamped = clamp_chart(predict_lit_chart(srl, solve_m(sl), w_avg, 0.311))
+        assert clamped == 0
         assert np.abs(chart.patches - targets.patches).max() < 1e-12
 
     def test_zero_w_avg(self):
         rng = np.random.default_rng(3)
         sl, srl, _, _ = flat_metamer_fixture(rng)
-        chart = simulate_lit_chart(srl, solve_m(sl), np.zeros(3), 0.311)
-        assert np.array_equal(chart.patches, np.zeros((24, 3)))
+        chart, clamped = clamp_chart(predict_lit_chart(srl, solve_m(sl), np.zeros(3), 0.311))
+        assert np.array_equal(chart.patches, np.zeros((24, 3))) and clamped == 0
 
     def test_bad_beta(self):
         rng = np.random.default_rng(4)
         sl, srl, w_avg, _ = flat_metamer_fixture(rng)
         with pytest.raises(ValueError, match="beta"):
-            simulate_lit_chart(srl, solve_m(sl), w_avg, 0.0)
+            predict_lit_chart(srl, solve_m(sl), w_avg, 0.0)
 
-    def test_negative_predictions_clamped_with_warning(self):
+    def test_negative_predictions_clamped_and_counted(self):
         srl = SRLSet(np.ones((24, 3, 3)))
         m = np.eye(3)
-        w_avg = np.array([1.0, -2.0, 0.5])  # drives predictions negative
-        with pytest.warns(UserWarning, match="clamped"):
-            chart = simulate_lit_chart(srl, m, w_avg, 0.5)
-        assert (chart.patches >= 0).all()
+        w_avg = np.array([1.0, -2.0, 0.5])  # every predicted component is (1 - 2 + 0.5) / 0.5 = -1
+        predicted = predict_lit_chart(srl, m, w_avg, 0.5)
+        chart, clamped = clamp_chart(predicted)
+        assert clamped == 72
+        assert np.array_equal(chart.patches, np.zeros((24, 3)))
+        # the prediction itself is left as it was
+        assert (predicted < 0).all()
 
     def test_linear_in_w_avg(self):
         rng = np.random.default_rng(5)
@@ -172,9 +176,9 @@ class TestSolveQ:
         predicted = predict_lit_chart(srl, m, w_avg, beta)
         targets = ChartSamples(np.maximum(predicted, 0.0))
         assert (predicted >= 0).all()  # fixture stays physical
-        q = solve_q(srl, m, w_avg, targets, beta)
+        q = solve_q(predicted, targets)
         assert np.abs(q - np.eye(3)).max() < 1e-9
-        assert q_objective(q, srl, m, w_avg, targets, beta) < 1e-18
+        assert q_objective(q, predicted, targets) < 1e-18
 
     def test_three_patch_exact_solve(self, random_q_fixture):
         rng = np.random.default_rng(7)
@@ -183,7 +187,7 @@ class TestSolveQ:
         weights[[0, 5, 11]] = 1.0
         predicted = predict_lit_chart(srl, m, w_avg, beta)
         assert np.linalg.matrix_rank(predicted[[0, 5, 11]]) == 3
-        q = solve_q(srl, m, w_avg, targets, beta, weights)
+        q = solve_q(predicted, targets, weights)
         # nine equations, nine unknowns: the selected patches match exactly
         assert np.abs(predicted[[0, 5, 11]] @ q.T - targets.patches[[0, 5, 11]]).max() < 1e-9
 
@@ -192,23 +196,24 @@ class TestSolveQ:
         for _ in range(100):
             sl, m, srl, w_avg, targets, beta = random_q_fixture(rng)
             predicted = predict_lit_chart(srl, m, w_avg, beta)
-            q = solve_q(srl, m, w_avg, targets, beta)
+            q = solve_q(predicted, targets)
             qb = brute_force_q(predicted, targets.patches)
             assert np.linalg.norm(q - qb) / np.linalg.norm(qb) < 1e-9
 
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(system=q_systems())
     def test_agrees_with_brute_force_on_any_full_rank_system(self, system):
-        srl, m, w_avg, targets, beta, weights = system
-        q = solve_q(srl, m, w_avg, targets, beta, weights)
-        qb = brute_force_q(predict_lit_chart(srl, m, w_avg, beta), targets.patches, weights)
+        predicted, targets, weights = system
+        q = solve_q(predicted, targets, weights)
+        qb = brute_force_q(predicted, targets.patches, weights)
         assert np.linalg.norm(q - qb) / np.linalg.norm(qb) < 1e-9
 
     def test_gradient_vanishes_at_solution(self, random_q_fixture):
         rng = np.random.default_rng(9)
         for _ in range(20):
             sl, m, srl, w_avg, targets, beta = random_q_fixture(rng)
-            q = solve_q(srl, m, w_avg, targets, beta)
+            predicted = predict_lit_chart(srl, m, w_avg, beta)
+            q = solve_q(predicted, targets)
             for r in range(3):
                 for c in range(3):
                     h = 1e-6 * max(abs(q[r, c]), 1.0)
@@ -216,8 +221,7 @@ class TestSolveQ:
                     qp[r, c] += h
                     qm[r, c] -= h
                     grad = (
-                        q_objective(qp, srl, m, w_avg, targets, beta)
-                        - q_objective(qm, srl, m, w_avg, targets, beta)
+                        q_objective(qp, predicted, targets) - q_objective(qm, predicted, targets)
                     ) / (2 * h)
                     assert abs(grad) < 1e-6
 
@@ -225,36 +229,37 @@ class TestSolveQ:
         rng = np.random.default_rng(10)
         for _ in range(50):
             sl, m, srl, w_avg, targets, beta = random_q_fixture(rng)
-            q = solve_q(srl, m, w_avg, targets, beta)
-            assert q_objective(q, srl, m, w_avg, targets, beta) <= q_objective(
-                np.eye(3), srl, m, w_avg, targets, beta
-            ) * (1 + 1e-12)
+            predicted = predict_lit_chart(srl, m, w_avg, beta)
+            q = solve_q(predicted, targets)
+            identity = q_objective(np.eye(3), predicted, targets)
+            assert q_objective(q, predicted, targets) <= identity * (1 + 1e-12)
 
     def test_flat_metamer_returns_identity(self):
         rng = np.random.default_rng(11)
         sl, srl, w_avg, targets = flat_metamer_fixture(rng)
-        m = solve_m(sl)
-        q = solve_q(srl, m, w_avg, targets, 0.311)
+        predicted = predict_lit_chart(srl, solve_m(sl), w_avg, 0.311)
+        q = solve_q(predicted, targets)
         assert np.abs(q - np.eye(3)).max() < 1e-9
-        assert q_objective(q, srl, m, w_avg, targets, 0.311) < 1e-18
+        assert q_objective(q, predicted, targets) < 1e-18
 
     def test_degenerate_inconsistent_raises(self):
         rng = np.random.default_rng(12)
         sl, srl, w_avg, _ = flat_metamer_fixture(rng)  # rank-1 predictions
-        m = solve_m(sl)
+        predicted = predict_lit_chart(srl, solve_m(sl), w_avg, 0.311)
         targets = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))  # unexplainable
         with pytest.raises(ValueError, match="rank"):
-            solve_q(srl, m, w_avg, targets, 0.311)
+            solve_q(predicted, targets)
 
     def test_weight_validation(self, random_q_fixture):
         rng = np.random.default_rng(13)
         sl, m, srl, w_avg, targets, beta = random_q_fixture(rng)
+        predicted = predict_lit_chart(srl, m, w_avg, beta)
         weights = np.zeros(24)
         weights[[1, 2]] = 1.0  # only two constrained patches
         with pytest.raises(ValueError, match="3 patches"):
-            solve_q(srl, m, w_avg, targets, beta, weights)
+            solve_q(predicted, targets, weights)
         with pytest.raises(ValueError):
-            solve_q(srl, m, w_avg, targets, beta, np.full(24, -1.0))
+            solve_q(predicted, targets, np.full(24, -1.0))
 
 
 class TestSolveN:

@@ -355,7 +355,10 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "row, reason",
         [("3,0.5,0.5", "not enough values to unpack (expected 4, got 3)"),
-         ("3.5,0.5,0.5,0.5", "invalid literal for int() with base 10: '3.5'")],
+         ("3.5,0.5,0.5,0.5", "invalid literal for int() with base 10: '3.5'"),
+         ("3,nan,0.5,0.5", "r, g, b must be finite and >= 0, got (nan, 0.5, 0.5)"),
+         ("3,0.5,inf,0.5", "r, g, b must be finite and >= 0, got (0.5, inf, 0.5)"),
+         ("3,0.5,0.5,-1", "r, g, b must be finite and >= 0, got (0.5, 0.5, -1.0)")],
     )
     def test_chart_error_names_the_csv_file_and_line(self, fixtures, tmp_path, capsys, row, reason):
         good = fixtures["broad"]["dir"] / "targets.csv"
@@ -406,6 +409,49 @@ class TestErrorPaths:
         assert main(argv) == 2
         assert _one_error_line(capsys) == f"error: invalid bundle {bundle}: {reason}"
         assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("key", ["M", "Q", "N", "beta", "black_offset"])
+    def test_simulate_bundle_missing_key_is_an_input_error(self, fixtures, tmp_path, capsys, key):
+        fx = fixtures["broad"]
+        doc = json.loads((fx["config"].output_dir / "bundle.json").read_text())
+        del doc[key]
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(doc))
+        argv = ["simulate", "--config", str(fx["dir"] / "config.json"), "--bundle", str(bundle),
+                "--output-dir", str(tmp_path / "sim")]
+        assert main(argv) == 2
+        assert _one_error_line(capsys) == f'error: invalid bundle {bundle}: missing key "{key}"'
+
+    @pytest.mark.parametrize("key, value", [("M", [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                                            ("beta", 10**400)])
+    def test_simulate_bundle_integer_past_float_range_is_an_input_error(self, fixtures, tmp_path, capsys,
+                                                                         key, value):
+        fx = fixtures["broad"]
+        doc = {**json.loads((fx["config"].output_dir / "bundle.json").read_text()), key: value}
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(doc))
+        argv = ["simulate", "--config", str(fx["dir"] / "config.json"), "--bundle", str(bundle)]
+        assert main(argv) == 2
+        assert _one_error_line(capsys).startswith(f"error: invalid bundle {bundle}: {key} must be")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("cond_limit_sl", 0.5), ("cond_limit_sl", 0), ("cond_limit_q", -1), ("cond_limit_q", 0.999)],
+    )
+    def test_condition_limit_below_one_is_a_config_error(self, fixtures, tmp_path, capsys, key, value):
+        # no condition number is below 1, so such a limit fails every matrix
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, **{key: value})
+        argv = ["solve", "--config", str(fixture_dir / "config.json")]
+        assert main(argv) == 2
+        assert _one_error_line(capsys) == f"error: config: {key} must be >= 1, got {float(value)!r}"
+        # a flag override is checked by the same rule
+        assert main(argv[:3] + ["--" + key.replace("_", "-"), str(value)]) == 2
+        assert _one_error_line(capsys) == f"error: config: {key} must be >= 1, got {float(value)!r}"
+
+    def test_condition_limit_of_one_is_allowed(self, fixtures, tmp_path):
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, cond_limit_sl=1, cond_limit_q=1)
+        config = load_config(fixture_dir / "config.json")
+        assert config.cond_limit_sl == config.cond_limit_q == 1.0
 
     @pytest.mark.parametrize(
         "flag, value", [("--resolution", "10"), ("--resolution", "100000"), ("--half-extent", "-1")]
@@ -481,15 +527,24 @@ class TestErrorPaths:
         assert load_config(fixture_dir / "config.json").black_level[1] == (0, 0, 16, 16)
 
     def test_warnings_printed_before_a_stage_error(self, fixtures, tmp_path, capsys, monkeypatch):
-        # the black level warns, then beta = 1 + 4e-7 fails the bundle stage;
-        # compute_beta itself rejects that value, so it stands in here
-        monkeypatch.setattr("stagecal.cli.compute_beta", lambda half_extent, resolution: 1 + 4e-7)
+        # the black level warns, then a non-finite N fails the bundle stage;
+        # solve_n never returns one, so this stand-in does
+        monkeypatch.setattr("stagecal.cli.solve_n", lambda m, q, cond_limit: np.full((3, 3), np.nan))
         argv = ["solve", "--config", str(fixtures["monochromatic"]["dir"] / "config.json"),
                 "--output-dir", str(tmp_path / "out")]
         assert main(argv) == 1
         warning, error = capsys.readouterr().err.splitlines()
         assert warning.startswith("warning: black level [")
-        assert error.startswith("error: stage bundle: beta must be in (0, 1]")
+        assert error == "error: stage bundle: N has a non-finite component at index (0, 0): nan"
+
+    def test_beta_out_of_range_fails_where_the_chart_is_predicted(self, fixtures, tmp_path, capsys,
+                                                                   monkeypatch):
+        # compute_beta itself rejects 1 + 4e-7, so a stand-in returns it
+        monkeypatch.setattr("stagecal.cli.compute_beta", lambda half_extent, resolution: 1 + 4e-7)
+        argv = ["solve", "--config", str(fixtures["broad"]["dir"] / "config.json"),
+                "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert _one_error_line(capsys) == "error: stage solve_q: beta must be in (0, 1], got 1.0000004"
 
     def test_w_avg_must_be_an_object(self, fixtures, tmp_path, capsys):
         fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, w_avg="white_patch")
@@ -505,6 +560,7 @@ class TestErrorPaths:
             (["channel_charts", "red", "corners"], "x", "channel_charts.red: corners"),
             (["channel_charts", "red", "corners"], [[0, 0], [96, 0], [96, 64]], "channel_charts.red: corners"),
             (["w_avg"], {"mode": "white_patch", "rgb": "x"}, "w_avg: rgb"),
+            (["w_avg"], {"mode": "white_patch", "rgb": [10**400, 1, 1]}, "w_avg: rgb"),
             (["w_avg"], {"mode": "env_map", "path": "env.pfm", "facing": "x"}, "w_avg: facing"),
             (["primaries", "rois", "red"], "x", "primaries.rois: red"),
             (["primaries", "rois", "green"], [0, 0, 24], "primaries.rois: green"),
@@ -536,7 +592,7 @@ class TestErrorPaths:
              "w_avg.facing: direction must be"),
         ],
         ids=["weights-text", "weights-5", "weights-negative", "corners-text", "corners-3", "rgb-text",
-             "facing-text", "roi-text", "roi-3", "black-roi-text", "roi-fraction", "roi-bool",
+             "rgb-past-float-range", "facing-text", "roi-text", "roi-3", "black-roi-text", "roi-fraction", "roi-bool",
              "black-roi-tiny", "primaries-number", "rois-number",
              "channel-charts-number", "channel-number", "targets-number", "targets-csv-number",
              "targets-image-number", "chart-image-number", "primaries-image-number", "env-path-number",
@@ -638,9 +694,15 @@ def test_one_mutated_config_field_exits_0_1_or_2(mutation_bases, data):
         section[path[-1]] = value
     config = fixture_dir / "mutated.json"
     config.write_text(json.dumps(doc))
+    _assert_exit_contract(["solve", "--config", str(config)])
+
+
+def _assert_exit_contract(argv):
+    """Run a command: it exits 0, 1 or 2 without raising, and stderr holds
+    only one-line warnings and, when the command fails, one error line, last."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["solve", "--config", str(config)])
+        code = main(argv)
     lines = err.getvalue().splitlines()
     errors = [line for line in lines if line.startswith("error: ")]
     assert code in (0, 1, 2)
@@ -651,6 +713,57 @@ def test_one_mutated_config_field_exits_0_1_or_2(mutation_bases, data):
         assert "warning: N unavailable, in-frustum fallback N := M" in lines
     else:
         assert len(errors) == 1 and lines[-1] == errors[0], lines
+
+
+@pytest.fixture(scope="module")
+def byte_mutation_base(tmp_path_factory):
+    """A broad fixture whose config asks for beta_resolution 64, with the bundle it solves to."""
+    root = tmp_path_factory.mktemp("bytes")
+    pristine = run_oracle(5, "broad", root / "pristine")
+    shutil.rmtree(pristine / "scene")  # nothing reads it
+    doc = json.loads((pristine / "config.json").read_text())
+    doc["beta_resolution"] = 64
+    (pristine / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+    argv = ["solve", "--config", str(pristine / "config.json"), "--output-dir", str(root / "solved")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    shutil.copy(root / "solved" / "bundle.json", pristine / "bundle.json")
+    return pristine, root / "work"
+
+
+# The file each kind of input flips bytes in, and which part of it.
+_BYTE_INPUTS = {
+    "config": ("config.json", "all"),
+    "chart_csv": ("targets.csv", "all"),
+    "pfm_header": ("chart_green.pfm", "header"),
+    "pfm_payload": ("primaries.pfm", "payload"),
+    "bundle": ("bundle.json", "all"),
+}
+# bytes that keep a JSON, CSV or PFM header parsing more often than a random one does
+_SYNTAX_BYTES = st.sampled_from(b'0123456789-+.eE,:"[]{} nN\n')
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(data=st.data())
+def test_flipped_bytes_in_any_input_exit_0_1_or_2(byte_mutation_base, data):
+    pristine, work = byte_mutation_base
+    kind = data.draw(st.sampled_from(sorted(_BYTE_INPUTS)), label="input")
+    name, part = _BYTE_INPUTS[kind]
+    blob = bytearray((pristine / name).read_bytes())
+    header = blob.index(b"\n", blob.index(b"\n", 3) + 1) + 1 if name.endswith(".pfm") else 0
+    lo, hi = {"all": (0, len(blob)), "header": (0, header), "payload": (header, len(blob))}[part]
+    flips = st.tuples(st.integers(lo, hi - 1), st.one_of(_SYNTAX_BYTES, st.integers(0, 255)))
+    for at, byte in data.draw(st.lists(flips, min_size=1, max_size=3), label="flips"):
+        blob[at] = byte
+    shutil.copytree(pristine, work, dirs_exist_ok=True)
+    (work / name).write_bytes(bytes(blob))
+    config, out, mutated = str(work / "config.json"), str(work / "out"), str(work / name)
+    if kind == "bundle":
+        _assert_exit_contract(["simulate", "--config", config, "--bundle", mutated, "--output-dir", out])
+        return
+    _assert_exit_contract(["solve", "--config", config, "--output-dir", out])
+    if kind == "chart_csv":
+        _assert_exit_contract(["chart-error", "--target", str(pristine / name), "--measured", mutated])
 
 
 class TestAlternateConfigRoutes:

@@ -30,6 +30,7 @@ from stagecal.imaging import (
     ChartSamples,
     LinearImage,
     as_array,
+    check_beta,
     chart_image,
     extract_chart,
     normalize_green_white,
@@ -42,7 +43,14 @@ from stagecal.imaging import (
     write_pfm,
     write_png16,
 )
-from stagecal.spectral import N_SAMPLES, OracleScene, default_camera, default_leds, integrate_response
+from stagecal.spectral import (
+    N_SAMPLES,
+    OracleScene,
+    default_camera,
+    default_leds,
+    integrate_response,
+    oracle_calibration,
+)
 
 
 def flat_chart_image(colors, patch=12):
@@ -138,6 +146,7 @@ EYE = np.eye(3)
 RGB = np.array([0.5, 0.4, 0.3])
 SRL = SRLSet(np.full((24, 3, 3), 0.1))
 TARGETS = ChartSamples(np.full((24, 3), 0.5))
+PREDICTED = predict_lit_chart(SRL, EYE, RGB, 0.5)
 CURVE = np.full(N_SAMPLES, 0.5)
 
 
@@ -174,8 +183,10 @@ CHECKED_INPUTS = {
     "solve_m": (solve_m, EYE, "SL", False),
     "solve_n": (lambda v: solve_n(EYE, v), EYE, "Q", False),
     "predict_lit_chart": (lambda v: predict_lit_chart(SRL, EYE, v, 0.5), RGB, "w_avg", False),
-    "solve_q.weights": (lambda v: solve_q(SRL, EYE, RGB, TARGETS, 0.5, v), np.ones(24), "weights", True),
-    "q_objective": (lambda v: q_objective(v, SRL, EYE, RGB, TARGETS, 0.5), EYE, "Q", False),
+    "solve_q.weights": (lambda v: solve_q(PREDICTED, TARGETS, v), np.ones(24), "weights", True),
+    "solve_q.predicted": (lambda v: solve_q(v, TARGETS), PREDICTED, "predicted", False),
+    "q_objective": (lambda v: q_objective(v, PREDICTED, TARGETS), EYE, "Q", False),
+    "q_objective.predicted": (lambda v: q_objective(EYE, v, TARGETS), PREDICTED, "predicted", False),
     "compute_black_level.b_camera": (lambda v: compute_black_level(v, np.ones(3)), RGB / 10, "b_camera", True),
     "compute_black_level.w_camera": (lambda v: compute_black_level(RGB / 10, v), np.ones(3), "w_camera", False),
     "as_direction": (as_direction, np.array([0.0, 0.0, 1.0]), "direction", False),
@@ -218,6 +229,24 @@ def test_checked_inputs_reject_malformed_values(case):
         bad.flat[-1] = -1.0
         last = tuple(n - 1 for n in good.shape)
         rejects(bad, re.escape(f"has a negative component at index {last}: -1.0"))
+
+
+# every function that takes beta, checked by check_beta's one rule
+BETA_CHECKS = {
+    "check_beta": check_beta,
+    "predict_lit_chart": lambda v: predict_lit_chart(SRL, EYE, RGB, v),
+    "CalibrationBundle": lambda v: _bundle(beta=v),
+    "oracle_calibration": lambda v: oracle_calibration(_scene(), v),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, 1.5, float("nan")], ids=str)
+@pytest.mark.parametrize("case", BETA_CHECKS, ids=str)
+def test_beta_outside_zero_to_one_rejected(case, value):
+    call = BETA_CHECKS[case]
+    call(1.0)  # the upper end is included
+    with pytest.raises(ValueError, match=re.escape(f"beta must be in (0, 1], got {value}")):
+        call(value)
 
 
 class TestLinearImage:
@@ -609,6 +638,29 @@ class TestFileFormats:
         path = self._chart_csv(tmp_path / "chart.csv", [*range(24), 5])
         with pytest.raises(ValueError, match=r"chart\.csv, line 26: duplicate patch index 5"):
             read_chart_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-300"])
+    def test_chart_csv_rejects_a_non_finite_or_negative_value(self, tmp_path, value):
+        path = self._chart_csv(tmp_path / "chart.csv", range(24))
+        lines = path.read_text().splitlines()
+        lines[4] = f"3,0.5,{value},0.5"
+        path.write_text("\n".join(lines) + "\n")
+        got = re.escape(f"got (0.5, {float(value)}, 0.5)")
+        with pytest.raises(ValueError, match=rf"chart\.csv, line 5: r, g, b must be finite and >= 0, {got}$"):
+            read_chart_csv(path)
+
+    def test_chart_csv_byte_not_utf8_names_its_line(self, tmp_path):
+        path = self._chart_csv(tmp_path / "chart.csv", range(24))
+        path.write_bytes(path.read_bytes().replace(b"3,0.5,0.5,0.5", b"3,0.5,0.\xd3,0.5"))
+        reason = re.escape("could not convert string to float: '0.\ufffd'")
+        with pytest.raises(ValueError, match=rf"chart\.csv, line 5: {reason}"):
+            read_chart_csv(path)
+
+    def test_chart_csv_keeps_negative_zero(self, tmp_path):
+        # a trimmed mean of zeros may be -0.0, which write_chart_csv writes as it is
+        path = self._chart_csv(tmp_path / "chart.csv", range(24))
+        path.write_text(path.read_text().replace("3,0.5,0.5,0.5", "3,-0.0,0.5,0.5"))
+        assert np.signbit(read_chart_csv(path).patches[3, 0])
 
     def test_png16_payload(self, tmp_path):
         rng = np.random.default_rng(13)

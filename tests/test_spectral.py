@@ -5,10 +5,10 @@ import pytest
 
 from stagecal.calibration import (
     chart_error,
+    clamp_chart,
     condition_number,
     predict_lit_chart,
     q_objective,
-    simulate_lit_chart,
     solve_m,
     solve_n,
     solve_q,
@@ -206,14 +206,14 @@ class TestOracleCalibration:
         scene = OracleScene(camera, leds, illuminant, np.repeat(flats[:, None], N_SAMPLES, axis=1))
         calib = oracle_calibration(scene, BETA)
         m = solve_m(calib.sl)
-        q = solve_q(calib.srl, m, calib.w_avg, calib.targets, BETA)
+        q = solve_q(predict_lit_chart(calib.srl, m, calib.w_avg, BETA), calib.targets)
         assert np.abs(q - np.eye(3)).max() < 1e-9
 
     def test_monochromatic_scenario_kills_n(self):
         scene = make_scene(6, "monochromatic")
         calib = oracle_calibration(scene, BETA)
         m = solve_m(calib.sl)
-        q = solve_q(calib.srl, m, calib.w_avg, calib.targets, BETA)
+        q = solve_q(predict_lit_chart(calib.srl, m, calib.w_avg, BETA), calib.targets)
         assert condition_number(q) > 1e4
         assert solve_n(m, q) is None
 
@@ -223,8 +223,8 @@ class TestOracleCalibration:
             scene = make_scene(seed, scenario)
             calib = oracle_calibration(scene, BETA)
             m = solve_m(calib.sl)
-            q = solve_q(calib.srl, m, calib.w_avg, calib.targets, BETA)
             predicted = predict_lit_chart(calib.srl, m, calib.w_avg, BETA)
+            q = solve_q(predicted, calib.targets)
             base = chart_error(calib.targets, ChartSamples(np.maximum(predicted, 0)), 18)
             corrected = chart_error(calib.targets, ChartSamples(np.maximum(predicted @ q.T, 0)), 18)
             assert corrected.sum() <= base.sum()
@@ -233,8 +233,8 @@ class TestOracleCalibration:
         scene = make_scene(0, "broad")
         calib = oracle_calibration(scene, BETA)
         m = solve_m(calib.sl)
-        q = solve_q(calib.srl, m, calib.w_avg, calib.targets, BETA)
         predicted = predict_lit_chart(calib.srl, m, calib.w_avg, BETA)
+        q = solve_q(predicted, calib.targets)
         base = chart_error(calib.targets, ChartSamples(np.maximum(predicted, 0)), 18)
         corrected = chart_error(calib.targets, ChartSamples(np.maximum(predicted @ q.T, 0)), 18)
         assert np.all(corrected <= base)
@@ -247,7 +247,8 @@ class TestOracleCalibration:
         scene = make_scene(7, "broad")
         calib = oracle_calibration(scene, BETA)
         m = solve_m(calib.sl)
-        chart = simulate_lit_chart(calib.srl, m, calib.w_avg, BETA)
+        chart, clamped = clamp_chart(predict_lit_chart(calib.srl, m, calib.w_avg, BETA))
+        assert clamped == 0
         drive = m @ calib.w_avg
         stage_emission = drive @ scene.leds
         for j in range(24):
@@ -287,11 +288,11 @@ class TestBruteForceQ:
             scene = make_scene(seed, "broad")
             calib = oracle_calibration(scene, BETA)
             m = solve_m(calib.sl)
-            q = solve_q(calib.srl, m, calib.w_avg, calib.targets, BETA)
             predicted = predict_lit_chart(calib.srl, m, calib.w_avg, BETA)
+            q = solve_q(predicted, calib.targets)
             qb = brute_force_q(predicted, calib.targets.patches)
             assert np.linalg.norm(q - qb) / np.linalg.norm(qb) < 1e-9
             # and the solution is a true stationary point of the objective
-            f0 = q_objective(q, calib.srl, m, calib.w_avg, calib.targets, BETA)
-            fb = q_objective(qb, calib.srl, m, calib.w_avg, calib.targets, BETA)
+            f0 = q_objective(q, predicted, calib.targets)
+            fb = q_objective(qb, predicted, calib.targets)
             assert f0 <= fb * (1 + 1e-9) + 1e-15
