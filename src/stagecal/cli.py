@@ -285,14 +285,23 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     )
 
 
+def _read_image(path) -> LinearImage:
+    """The PFM capture at path; a value the image check rejects names the file."""
+    data = read_pfm(path)
+    try:
+        return LinearImage(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _sample_rois(path, *rois) -> list:
     """Trimmed-mean RGB of each ROI of one image, read here and dropped on return."""
-    image = LinearImage(read_pfm(path))
+    image = _read_image(path)
     return [sample_roi(image, roi) for roi in rois]
 
 
 def _extract(source: ChartSource) -> ChartSamples:
-    return extract_chart(LinearImage(read_pfm(source.image)), source.grid)
+    return extract_chart(_read_image(source.image), source.grid)
 
 
 def load_inputs(config: PipelineConfig):

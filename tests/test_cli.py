@@ -392,6 +392,36 @@ class TestErrorPaths:
         assert _one_error_line(capsys) == f"error: stage primaries: {path}: malformed PFM header: {reason}"
 
     @pytest.mark.parametrize(
+        "name, stage, value, reason",
+        [("primaries.pfm", "primaries", -0.5, "image has a negative component at index (3, 5, 1): -0.5"),
+         ("chart_green.pfm", "channel_charts", np.nan,
+          "image has a non-finite component at index (3, 5, 1): nan")],
+    )
+    def test_bad_capture_value_names_the_file(self, fixtures, tmp_path, capsys, name, stage, value, reason):
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path)
+        path = fixture_dir / name
+        data = read_pfm(path)
+        data[3, 5, 1] = value
+        write_pfm(path, data)
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 1
+        assert _one_error_line(capsys) == f"error: stage {stage}: {path}: {reason}"
+
+    @pytest.mark.parametrize(
+        "width, value, reason",
+        [(128, -1.0, "image has a negative component at index (2, 7, 0): -1.0"),
+         (64, 1.0, "lat-long map must have width = 2 * height, got 64x64")],
+    )
+    def test_bad_env_map_names_the_file(self, fixtures, tmp_path, capsys, width, value, reason):
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path,
+                                    w_avg={"mode": "env_map", "path": "env.pfm", "facing": [0.0, 0.0, 1.0]})
+        data = np.ones((64, width, 3))
+        data[2, 7, 0] = value
+        path = fixture_dir / "env.pfm"
+        write_pfm(path, data)
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 1
+        assert _one_error_line(capsys) == f"error: stage w_avg: {path}: {reason}"
+
+    @pytest.mark.parametrize(
         "doc, reason",
         [([], "expected a JSON object, got []"),
          ("x", "expected a JSON object, got 'x'"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,24 @@ class TestPanelEnv:
         beta_panel = compute_beta(100.0, 256)
         assert abs(beta_panel - 1.0) < 0.01
 
+    @pytest.mark.parametrize("resolution", [64, 256])
+    @pytest.mark.parametrize("half_extent", [0.25, 0.6, 1.0, 100.0, 1e6])
+    def test_matches_full_array_coverage_bit_for_bit(self, half_extent, resolution):
+        # reference: the coverage formula over every texel of the map
+        width = 2 * resolution
+        d_alpha, d_theta = 2.0 * np.pi / width, np.pi / resolution
+        alpha_edges = d_alpha * np.arange(width + 1) - np.pi
+        a_max = np.arctan(half_extent)
+        lo = np.clip(alpha_edges[:-1], -a_max, a_max)
+        hi = np.clip(alpha_edges[1:], -a_max, a_max)
+        t_top = np.arctan(1.0 / (half_extent * np.cos(0.5 * (lo + hi))))
+        theta_edges = d_theta * np.arange(resolution + 1)
+        th_lo = np.maximum(theta_edges[:-1, None], t_top[None, :])
+        th_hi = np.minimum(theta_edges[1:, None], (np.pi - t_top)[None, :])
+        coverage = ((hi - lo) / d_alpha)[None, :] * (np.clip(th_hi - th_lo, 0.0, None) / d_theta)
+        expected = np.repeat(coverage[:, :, None], 3, axis=2)
+        assert build_panel_env(half_extent, resolution).data.tobytes() == expected.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             build_panel_env(0.0, 256)
@@ -141,6 +161,33 @@ class TestComputeBeta:
     def test_full_sphere_normalization(self):
         out = diffuse_convolve(uniform_env(1024, [1, 1, 1]), FRONTAL)
         assert abs(out[1] - 1.0) < 0.002
+
+
+class TestAllocationBounds:
+    """Peak traced allocation at resolution 1024, against the arrays each call must hold."""
+
+    RES = 1024
+    PLANE = RES * 2 * RES * 8  # one (h, w) float64 array
+    MAP = 3 * PLANE  # the (h, w, 3) float64 panel map
+
+    @staticmethod
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_diffuse_convolve(self):
+        env = uniform_env(self.RES, [1.0, 1.0, 1.0])
+        assert self.peak(lambda: diffuse_convolve(env, FRONTAL)) <= 1.25 * self.PLANE
+
+    def test_build_panel_env(self):
+        assert self.peak(lambda: build_panel_env(0.6, self.RES)) <= 1.25 * self.MAP
+
+    def test_compute_beta(self):
+        assert self.peak(lambda: compute_beta(0.6, self.RES)) <= 1.5 * self.MAP
 
 
 class TestWAvg:
