@@ -210,7 +210,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except ValueError as exc:  # a JSONDecodeError, or an integer literal over 4300 digits
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int over 4300 digits, or too deep nesting
         raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
@@ -515,7 +515,7 @@ def run_simulate(config: PipelineConfig, bundle_path, variant: str, outdir=None)
         raise ConfigError(f"bundle file not found: {bundle_path}")
     try:
         bundle = CalibrationBundle.from_json(bundle_path.read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: too deeply nested JSON
         raise ConfigError(f"invalid bundle {bundle_path}: {exc}") from exc
 
     srl, targets, w_avg = load_inputs(config)

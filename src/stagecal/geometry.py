@@ -29,15 +29,12 @@ MAX_BETA_RESOLUTION = 4096
 
 
 class EnvMap(LinearImage):
-    """Latitude-longitude radiance map; width must be twice the height.
-
-    The data is float64 whatever its source's precision, so diffuse_convolve
-    sums the same values in the same precision.
-    """
+    """Latitude-longitude radiance map of at least one row; width must be twice the height."""
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "data", self.data.astype(np.float64, copy=False))
+        if self.height == 0:
+            raise ValueError(f"lat-long map must have at least one row, got {self.width}x{self.height}")
         if self.width != 2 * self.height:
             raise ValueError(f"lat-long map must have width = 2 * height, got {self.width}x{self.height}")
 
@@ -69,7 +66,8 @@ def diffuse_convolve(env: EnvMap, n) -> np.ndarray:
     cosine of theta and the (1, w) sine and cosine of azimuth, so no other
     full-size array is built; each weight is computed as
     max(0, (sin t sin a) n0 + cos t n1 + (sin t cos a) n2) sin t k, in that
-    order.
+    order. The einsum widens a float32 map exactly as it reads it, so the
+    sum is bit for bit that of the map's float64 widening.
     """
     n = as_direction(n)
     h, w = env.height, env.width

@@ -28,8 +28,7 @@ WHITE_REFLECTANCE = 0.9
 DEFAULT_INSET = 0.25
 TRIM_FRACTION = 0.1
 
-# Items per pass over a large array: pixels per read_pfm block, elements per
-# as_array tile. Keeps every temporary small however large the image.
+# Elements per as_array tile: keeps its temporaries small however large the image.
 _TILE = 1 << 16
 
 
@@ -160,15 +159,15 @@ def _is_convex(corners: np.ndarray) -> bool:
 def trimmed_mean(values: np.ndarray) -> np.ndarray:
     """Per-channel mean after dropping the top and bottom TRIM_FRACTION.
 
-    float32 values are sorted as float32, which orders them as their exact
-    float64 widening would; only the kept values are widened, and the mean is
-    taken in float64.
+    Values are sorted at their own precision, which orders float32 values as
+    their exact float64 widening would; only the kept values are widened, and
+    the mean is taken in float64.
     """
     values = np.asarray(values).reshape(-1, 3)
     n = values.shape[0]
     k = int(n * TRIM_FRACTION)
     # one contiguous row per channel sorts faster than a strided column
-    rows = np.array(values.T, dtype=np.float32 if values.dtype == np.float32 else np.float64, order="C")
+    rows = np.array(values.T, order="C")
     rows.sort(axis=1)
     kept = rows[:, k : n - k].T.astype(np.float64, order="C")
     first, constant = kept[0], kept[0] == kept[-1]
@@ -316,8 +315,8 @@ def read_pfm(path) -> np.ndarray:
     """Read a 3-channel PFM file; returns (h, w, 3) float32, rows top-to-bottom.
 
     The values are the file's own, in native byte order; widening them to
-    float64 is exact. The payload is decoded in blocks of about 64 Ki pixels,
-    so a read holds the image plus one small block.
+    float64 is exact. Each row is read straight into its place in the
+    output, so a read holds the image and nothing else.
     """
     with open(path, "rb") as f:
         magic = f.readline().strip()
@@ -334,16 +333,13 @@ def read_pfm(path) -> np.ndarray:
         # memory than the file could fill
         if os.fstat(f.fileno()).st_size - f.tell() < width * height * 12:
             raise ValueError(f"{path}: truncated PFM payload")
-        rows = max(1, _TILE // max(width, 1))
-        block = np.empty((min(rows, height), width, 3), dtype="<f4" if scale < 0 else ">f4")
-        data = np.empty((height, width, 3), dtype=np.float32)
-        # PFM stores rows bottom-to-top: each block fills the next band up
-        for end in range(height, 0, -rows):
-            chunk = block[: min(rows, end)]
-            if f.readinto(chunk) != chunk.nbytes:
+        data = np.empty((height, width, 3), dtype="<f4" if scale < 0 else ">f4")
+        # PFM stores rows bottom-to-top; an empty payload has nothing to read,
+        # however many rows it claims
+        for row in data[::-1] if data.size else ():
+            if f.readinto(row) != row.nbytes:
                 raise ValueError(f"{path}: truncated PFM payload")
-            data[end - len(chunk) : end] = chunk[::-1]
-    return data
+    return data if data.dtype.isnative else data.byteswap(inplace=True).view(np.float32)
 
 
 def write_pfm(path, data: np.ndarray) -> None:

@@ -421,6 +421,15 @@ class TestErrorPaths:
         assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 1
         assert _one_error_line(capsys) == f"error: stage w_avg: {path}: {reason}"
 
+    def test_empty_env_map_names_the_file(self, fixtures, tmp_path, capsys):
+        # a 0x0 map passes the aspect check, and its integral would divide by its zero width
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path,
+                                    w_avg={"mode": "env_map", "path": "env.pfm", "facing": [0.0, 0.0, 1.0]})
+        path = fixture_dir / "env.pfm"
+        path.write_bytes(b"PF\n0 0\n-1\n")
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 1
+        assert _one_error_line(capsys) == f"error: stage w_avg: {path}: lat-long map must have at least one row, got 0x0"
+
     @pytest.mark.parametrize(
         "doc, reason",
         [([], "expected a JSON object, got []"),
@@ -451,6 +460,14 @@ class TestErrorPaths:
                 "--output-dir", str(tmp_path / "sim")]
         assert main(argv) == 2
         assert _one_error_line(capsys) == f'error: invalid bundle {bundle}: missing key "{key}"'
+
+    def test_simulate_bundle_nested_past_the_recursion_limit_is_an_input_error(self, fixtures, tmp_path, capsys):
+        fx = fixtures["broad"]
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text("[" * 200000)
+        argv = ["simulate", "--config", str(fx["dir"] / "config.json"), "--bundle", str(bundle)]
+        assert main(argv) == 2
+        assert _one_error_line(capsys).startswith(f"error: invalid bundle {bundle}: maximum recursion depth")
 
     @pytest.mark.parametrize("key, value", [("M", [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]),
                                             ("beta", 10**400)])
@@ -548,6 +565,12 @@ class TestErrorPaths:
         config.write_text(config.read_text().replace('"white_index": 18', '"white_index": ' + "1" * 5000))
         assert main(["solve", "--config", str(config)]) == 2
         assert _one_error_line(capsys).startswith(f"error: config {config}: invalid JSON (")
+
+    def test_config_nested_past_the_recursion_limit_is_invalid_json(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 200000)
+        assert main(["solve", "--config", str(config)]) == 2
+        assert _one_error_line(capsys).startswith(f"error: config {config}: invalid JSON (maximum recursion depth")
 
     def test_integral_float_is_an_integer_setting(self, fixtures, tmp_path):
         fixture_dir = _copy_fixture(fixtures["broad"], tmp_path / "index", white_index=18.0)

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stagecal.geometry import (
     FRONTAL,
@@ -65,6 +67,19 @@ class TestDiffuseConvolve:
         combined = diffuse_convolve(EnvMap(a * e1 + b * e2), n)
         split = a * diffuse_convolve(EnvMap(e1), n) + b * diffuse_convolve(EnvMap(e2), n)
         assert np.abs(combined - split).max() < 1e-9
+
+    # a float32 map sums bit for bit as its float64 widening, so keeping a
+    # PFM map at file precision leaves every w_avg unchanged
+    @pytest.mark.parametrize("height", [1, 2, 7, 64, 65, 300, 1024])
+    @settings(derandomize=True, max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_float32_map_sums_as_its_float64_widening(self, height, seed):
+        rng = np.random.default_rng(seed)
+        x32 = rng.uniform(0.0, 8.0, (height, 2 * height, 3)).astype(np.float32)
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        got = diffuse_convolve(EnvMap(x32), n)
+        assert got.tobytes() == diffuse_convolve(EnvMap(x32.astype(np.float64)), n).tobytes()
 
     def test_non_unit_normal_rejected(self):
         with pytest.raises(ValueError, match="unit"):
@@ -234,14 +249,18 @@ class TestEnvMap:
         with pytest.raises(ValueError, match="negative"):
             EnvMap(np.full((4, 8, 3), -1.0))
 
+    def test_empty_map_rejected(self):
+        with pytest.raises(ValueError, match="at least one row, got 0x0"):
+            EnvMap(np.zeros((0, 0, 3), np.float32))
+
     def test_pfm_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         env = EnvMap(rng.uniform(0, 4, (16, 32, 3)).astype(np.float32).astype(np.float64))
         path = tmp_path / "env.pfm"
         write_pfm(path, env.data)
         read = read_env_pfm(path).data
-        # read_pfm gives float32; the map widens it, so w_avg sums float64 as before
-        assert read.dtype == np.float64 and np.array_equal(read, env.data)
+        # the map keeps read_pfm's float32; diffuse_convolve widens it exactly
+        assert read.dtype == np.float32 and np.array_equal(read, env.data)
 
     def test_pfm_read_enforces_aspect(self, tmp_path):
         path = tmp_path / "bad.pfm"

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import struct
+import time
 import zlib
 
 import numpy as np
@@ -595,6 +596,14 @@ class TestFileFormats:
         path = tmp_path / "wide.pfm"
         path.write_bytes(b"PF\n1000000000000 0\n-1\n")
         assert read_pfm(path).shape == (0, 10**12, 3)
+
+    def test_pfm_zero_width_reads_no_row(self, tmp_path):
+        # 10**15 empty rows hold no payload; a read that visited each would never finish
+        path = tmp_path / "tall.pfm"
+        path.write_bytes(b"PF\n0 1000000000000000\n-1\n")
+        start = time.perf_counter()
+        assert read_pfm(path).shape == (10**15, 0, 3)
+        assert time.perf_counter() - start < 1.0
 
     def test_pfm_accepts_trailing_bytes(self, tmp_path):
         data = np.arange(6.0).reshape(1, 2, 3)
