@@ -164,11 +164,14 @@ def _cond_limit(doc: dict, key: str, default: float) -> float:
 
 
 def _roi(doc: dict, key: str, where: str) -> tuple:
-    """An (x, y, w, h) pixel region: four integers, by _scalar's rule."""
+    """An (x, y, w, h) pixel region: four integers, by _scalar's rule, x, y >= 0 and w, h >= 1."""
     value = _require(doc, key, where)
     if not (isinstance(value, list) and len(value) == 4 and all(_is_number(v, int) for v in value)):
         raise ConfigError(f"{where}: {key} must be 4 integers (x, y, w, h), got {value!r}")
-    return tuple(int(v) for v in value)
+    x, y, w, h = (int(v) for v in value)
+    if x < 0 or y < 0 or w < 1 or h < 1:
+        raise ConfigError(f"{where}: {key} needs x, y >= 0 and w, h >= 1, got {value!r}")
+    return x, y, w, h
 
 
 def _array(doc: dict, key: str, shape: tuple, where: str) -> np.ndarray:

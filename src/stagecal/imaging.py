@@ -139,6 +139,8 @@ class ChartGridSpec:
 
     def __post_init__(self):
         corners = as_array(self.corners, (4, 2), "corners")
+        if (corners < 0).any():
+            raise ValueError("chart corners must not have a negative coordinate")
         if not (0.0 < self.inset < 0.5):
             raise ValueError(f"inset {self.inset} not in (0, 0.5)")
         if not _is_convex(corners):
@@ -157,28 +159,33 @@ def _is_convex(corners: np.ndarray) -> bool:
 
 
 def trimmed_mean(values: np.ndarray) -> np.ndarray:
-    """Per-channel mean after dropping the top and bottom TRIM_FRACTION.
+    """Per-channel mean of (..., 3) values after dropping the top and bottom TRIM_FRACTION.
 
-    Values are sorted at their own precision, which orders float32 values as
-    their exact float64 widening would; only the kept values are widened, and
-    the mean is taken in float64.
+    Each channel is copied once into its own contiguous row and sorted there
+    at the values' own precision, which orders float32 values as their exact
+    float64 widening would. Only the kept part of each row is widened, and
+    it is averaged in float64 along the row, so a float32 input gives the
+    same bits as its float64 widening. The input is left as it is.
     """
-    values = np.asarray(values).reshape(-1, 3)
-    n = values.shape[0]
+    values = np.asarray(values)
+    n = values.size // 3
     k = int(n * TRIM_FRACTION)
-    # one contiguous row per channel sorts faster than a strided column
-    rows = np.array(values.T, order="C")
+    # one contiguous row per channel sorts and sums faster than a strided column
+    rows = np.empty((3, n), values.dtype)
+    rows.reshape(3, *values.shape[:-1])[...] = np.moveaxis(values, -1, 0)
     rows.sort(axis=1)
-    kept = rows[:, k : n - k].T.astype(np.float64, order="C")
-    first, constant = kept[0], kept[0] == kept[-1]
+    kept = rows[:, k : n - k]
+    first, constant = kept[:, 0], kept[:, 0] == kept[:, -1]
     # constant channels pass through exactly instead of accruing summation ulps
-    mean = np.where(constant, first, kept.mean(axis=0))
+    mean = np.where(constant, first, kept.astype(np.float64, copy=False).mean(axis=1))
     if not first.all():
         # numpy's sort treats -0.0 and +0.0 as equal and may hand back either
         # sign, differently for float32 and float64; a channel that keeps only
-        # zeros takes the sign of its first kept value when -0.0 sorts first
+        # zeros takes the sign of its first kept value when -0.0 sorts first,
+        # its signs counted in the input since the sort may flip them
         zeros = constant & (first == 0)
-        mean[zeros] = np.where(np.signbit(values[:, zeros]).sum(axis=0) > k, -0.0, 0.0)
+        negative = np.signbit(values[..., zeros]).reshape(n, -1).sum(axis=0)
+        mean[zeros] = np.where(negative > k, -0.0, 0.0)
     return mean
 
 
@@ -241,7 +248,7 @@ def extract_chart(image: LinearImage, grid: ChartGridSpec) -> ChartSamples:
     defined by the grid corners.
     """
     corners = grid.corners
-    if (corners < 0).any() or (corners > (image.width, image.height)).any():
+    if (corners > (image.width, image.height)).any():
         raise ValueError("chart grid corner outside image bounds")
 
     # every patch's quad in one call: (24, 4, 2), patches in row-major order

@@ -661,6 +661,31 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "path, value, line",
         [
+            (["primaries", "rois", "red"], [0, 0, 0, 5],
+             "error: primaries.rois: red needs x, y >= 0 and w, h >= 1, got [0, 0, 0, 5]"),
+            (["primaries", "rois", "green"], [0, 0, 5, -2],
+             "error: primaries.rois: green needs x, y >= 0 and w, h >= 1, got [0, 0, 5, -2]"),
+            (["primaries", "rois", "blue"], [-1, 0, 5, 5],
+             "error: primaries.rois: blue needs x, y >= 0 and w, h >= 1, got [-1, 0, 5, 5]"),
+            (["primaries", "rois", "red"], [0, -3, 5, 5],
+             "error: primaries.rois: red needs x, y >= 0 and w, h >= 1, got [0, -3, 5, 5]"),
+            (["black_level", "roi"], [0, 0, 0, 0],
+             "error: black_level: roi needs x, y >= 0 and w, h >= 1, got [0, 0, 0, 0]"),
+            (["channel_charts", "red", "corners"], [[-1, 0], [96, 0], [96, 64], [0, 64]],
+             "error: channel_charts.red: chart corners must not have a negative coordinate"),
+        ],
+        ids=["roi-zero-width", "roi-negative-height", "roi-negative-x", "roi-negative-y", "black-roi-empty",
+             "corner-negative"],
+    )
+    def test_region_wrong_without_an_image_exits_2(self, fixtures, tmp_path, capsys, path, value, line):
+        # a negative origin or an empty size is wrong for any image, so load rejects it
+        fixture_dir = _copy_fixture_with(fixtures["broad"], tmp_path, path, value)
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 2
+        assert _one_error_line(capsys) == line
+
+    @pytest.mark.parametrize(
+        "path, value, line",
+        [
             (["primaries", "rois", "red"], [0, 0, 9999, 5],
              "error: stage primaries: ROI (0, 0, 9999, 5) outside image bounds"),
             (["channel_charts", "red", "corners"], [[0, 0], [960, 0], [960, 64], [0, 64]],

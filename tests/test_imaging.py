@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import struct
 import time
@@ -25,6 +26,7 @@ from stagecal.calibration import (
 from stagecal.geometry import EnvMap, as_direction, w_avg_from_white
 from stagecal.imaging import (
     _TILE,
+    TRIM_FRACTION,
     _bilinear_point,
     _pixels_in_quads,
     ChartGridSpec,
@@ -316,9 +318,13 @@ class TestExtractChart:
 
     def test_corner_outside_rejected(self):
         img, _ = flat_chart_image(np.full((24, 3), 0.5))
-        grid = ChartGridSpec(np.array([[-1, 0], [72, 0], [72, 48], [0, 48]], dtype=float))
+        grid = ChartGridSpec(np.array([[0, 0], [73, 0], [72, 48], [0, 48]], dtype=float))
         with pytest.raises(ValueError, match="outside"):
             extract_chart(img, grid)
+
+    def test_negative_corner_rejected_without_an_image(self):
+        with pytest.raises(ValueError, match="negative coordinate"):
+            ChartGridSpec(np.array([[-1, 0], [72, 0], [72, 48], [0, 48]], dtype=float))
 
     def test_too_few_pixels_rejected(self):
         img, _ = flat_chart_image(np.full((24, 3), 0.5))
@@ -429,6 +435,36 @@ class TestTrimmedMean:
         values = np.zeros((10, 3))
         values[:5, 0] = values[:1, 1] = values[:, 2] = -0.0
         assert np.signbit(trimmed_mean(values)).tolist() == [True, False, True]
+
+    def test_strided_view_matches_its_contiguous_copy(self):
+        image = np.random.default_rng(4).random((40, 50, 3), dtype=np.float32)
+        view = image[3:31, 7:44]
+        assert not view.flags.c_contiguous
+        assert trimmed_mean(view).tobytes() == trimmed_mean(view.copy()).tobytes()
+        assert trimmed_mean(view).tobytes() == trimmed_mean(view.reshape(-1, 3)).tobytes()
+
+    def test_input_left_unmodified(self):
+        # a (3, n) channel-first view of the input would sort in place
+        for values in (np.random.default_rng(5).random((3, 400)).T, np.random.default_rng(6).random((20, 20, 3))):
+            before = values.copy()
+            trimmed_mean(values)
+            assert values.tobytes() == before.tobytes()
+
+    def test_large_float32_matches_its_widening(self):
+        # past the hypothesis test's n: long rows, and many distinct values per channel
+        values = np.random.default_rng(7).lognormal(0.0, 2.0, (123457, 3)).astype(np.float32)
+        got, want = trimmed_mean(values), trimmed_mean(values.astype(np.float64))
+        assert got.tobytes() == want.tobytes()
+
+    def test_wide_range_within_tolerance_of_an_exact_sum(self):
+        # pairwise float64 summation of positive values: relative error a few
+        # dozen ulps at this n, far inside 1e-14; sequential summation may reach n ulps
+        values = np.random.default_rng(8).lognormal(0.0, 8.0, (100000, 3))
+        n = values.shape[0]
+        k = int(n * TRIM_FRACTION)
+        kept = np.sort(values, axis=0)[k : n - k]
+        exact = np.array([math.fsum(kept[:, c]) / (n - 2 * k) for c in range(3)])
+        assert np.all(np.abs(trimmed_mean(values) - exact) <= 1e-14 * exact)
 
 
 # few distinct values, so channels tie, hold constant runs and mix -0.0 with +0.0
