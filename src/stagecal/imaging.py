@@ -7,6 +7,7 @@ charts as CSV.
 
 from __future__ import annotations
 
+import mmap
 import os
 import reprlib
 import struct
@@ -54,9 +55,9 @@ def _checked(a: np.ndarray, shape: tuple, name: str, nonneg: bool) -> np.ndarray
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
         want = str(shape).replace("None", "n")
         raise ValueError(f"{name} must have shape {want}, got {a.shape}")
-    # one pass of tile min/max (NaN fails every comparison); only a failing
-    # tile pays for the full-size masks that locate the first bad component
-    flat = a.ravel(order="K")
+    # one pass of tile min/max (NaN fails every comparison) in memory order, negative strides
+    # flipped so no view is copied; only a failing tile pays for the masks that find the culprit
+    flat = a[tuple(slice(None, None, -1 if s < 0 else 1) for s in a.strides)].ravel(order="K")
     for start in range(0, flat.size, _TILE):
         tile = flat[start : start + _TILE]
         lo, hi = tile.min(), tile.max()
@@ -322,8 +323,8 @@ def read_pfm(path) -> np.ndarray:
     """Read a 3-channel PFM file; returns (h, w, 3) float32, rows top-to-bottom.
 
     The values are the file's own, in native byte order; widening them to
-    float64 is exact. Each row is read straight into its place in the
-    output, so a read holds the image and nothing else.
+    float64 is exact. The payload is mapped copy-on-write, not copied: a write
+    to the result, such as a big-endian file's byte swap, never reaches the file.
     """
     with open(path, "rb") as f:
         magic = f.readline().strip()
@@ -336,16 +337,15 @@ def read_pfm(path) -> np.ndarray:
             raise ValueError(f"{path}: malformed PFM header: {exc}") from None
         if width < 0 or height < 0:
             raise ValueError(f"{path}: negative PFM dimensions {width} x {height}")
-        # checked before allocating, so a forged header cannot ask for more
-        # memory than the file could fill
+        # checked before mapping, so a short payload fails with this message
         if os.fstat(f.fileno()).st_size - f.tell() < width * height * 12:
             raise ValueError(f"{path}: truncated PFM payload")
-        data = np.empty((height, width, 3), dtype="<f4" if scale < 0 else ">f4")
-        # PFM stores rows bottom-to-top; an empty payload has nothing to read,
-        # however many rows it claims
-        for row in data[::-1] if data.size else ():
-            if f.readinto(row) != row.nbytes:
-                raise ValueError(f"{path}: truncated PFM payload")
+        try:
+            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+        except OSError as exc:
+            raise OSError(exc.errno, f"cannot map PFM file: {exc.strerror}", str(path)) from None
+        data = np.frombuffer(mapped, "<f4" if scale < 0 else ">f4", width * height * 3, f.tell())
+    data = data.reshape(height, width, 3)[::-1]  # PFM stores rows bottom-to-top
     return data if data.dtype.isnative else data.byteswap(inplace=True).view(np.float32)
 
 

@@ -1,9 +1,12 @@
 import argparse
 import ast
 import contextlib
+import errno
 import inspect
 import io
 import json
+import mmap
+import os
 import re
 import shutil
 from pathlib import Path
@@ -390,6 +393,18 @@ class TestErrorPaths:
         path.write_bytes(b"PF\n" + size + b"\n-1.0\n" + b"\x00" * 12)
         assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 1
         assert _one_error_line(capsys) == f"error: stage primaries: {path}: malformed PFM header: {reason}"
+
+    def test_pfm_that_cannot_be_mapped_is_an_input_error(self, fixtures, tmp_path, capsys, monkeypatch):
+        # a file that opens but refuses mmap, as a device file may: exit 2 like any OSError
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENODEV, os.strerror(errno.ENODEV))
+
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path)
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 2
+        path = fixture_dir / "primaries.pfm"
+        reason = f"cannot map PFM file: {os.strerror(errno.ENODEV)}"
+        assert _one_error_line(capsys) == f"error: [Errno {errno.ENODEV}] {reason}: {str(path)!r}"
 
     @pytest.mark.parametrize(
         "name, stage, value, reason",

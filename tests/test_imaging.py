@@ -3,6 +3,7 @@ import math
 import re
 import struct
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -134,6 +135,30 @@ class TestTiledCheck:
         values[1, 2] = np.nan
         with pytest.raises(ValueError, match=re.escape("at index (1, 2): nan")):
             as_array(values, (None, 3), "v")
+
+    def test_row_flipped_view_is_checked_without_a_copy(self):
+        # read_pfm returns such a view of its mapping; a copy would double the image
+        x = np.ones((512, 1024, 3), np.float32)
+        tracemalloc.start()
+        try:
+            assert LinearImage(x[::-1]).data.base is x
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes // 64
+
+    @pytest.mark.parametrize("bad, what", [(np.nan, "non-finite"), (-0.5, "negative")])
+    @pytest.mark.parametrize("at", [(0, 0, 0), (7, 1000, 2), (511, 3, 1)])
+    def test_row_flipped_view_reports_the_same_index(self, bad, what, at):
+        x = np.ones((512, 1024, 3), np.float32)
+        flipped = x[::-1]
+        flipped[at] = bad
+        with pytest.raises(ValueError) as want:
+            LinearImage(np.ascontiguousarray(flipped))
+        with pytest.raises(ValueError) as got:
+            LinearImage(flipped)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"image has a {what} component at index {at}:")
 
     def test_negative_zero_empty_and_identity(self):
         zeros = np.full((_TILE + 1, 3), -0.0)
@@ -628,7 +653,7 @@ class TestFileFormats:
             read_pfm(path)
 
     def test_pfm_zero_height_allocates_no_row(self, tmp_path):
-        # a 10**12-pixel-wide empty image needs no payload, and no 12 TB read block
+        # a 10**12-pixel-wide empty image needs no payload, and no 12 TB of memory
         path = tmp_path / "wide.pfm"
         path.write_bytes(b"PF\n1000000000000 0\n-1\n")
         assert read_pfm(path).shape == (0, 10**12, 3)
@@ -757,7 +782,7 @@ def block_rows(width):
     return max(1, _TILE // width)
 
 
-# heights around one and two read blocks, for a one-pixel and a 4K-wide image
+# heights around one and two multiples of _TILE pixels, for a one-pixel and a 4K-wide image
 PFM_SHAPES = [
     (width, height)
     for width in (1, 3840)
@@ -779,6 +804,46 @@ def test_streamed_read_pfm_matches_whole_payload_decode(tmp_path_factory, width,
     data, ref = read_pfm(path), reference_read_pfm(path)
     assert data.dtype == np.float32 and data.dtype.isnative and data.shape == (height, width, 3)
     assert data.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["<f4", ">f4"])
+def test_read_pfm_payload_at_any_alignment(tmp_path, dtype):
+    # the mapped view is unaligned unless the header's length is a multiple of 4
+    sign = "-" if dtype == "<f4" else ""
+    bits = np.random.default_rng(19).integers(0, 2**32, 5 * 3 * 3, dtype=np.uint32)
+    offsets = set()
+    for zeros in range(1, 5):
+        header = f"PF\n5 3\n{sign}1.{'0' * zeros}\n".encode()
+        path = tmp_path / f"img{zeros}.pfm"
+        path.write_bytes(header + bits.astype(dtype[0] + "u4").tobytes())
+        offsets.add(len(header) % 4)
+        data = read_pfm(path)
+        assert data.dtype == np.float32 and data.dtype.isnative
+        assert data.tobytes() == reference_read_pfm(path).tobytes()
+    assert offsets == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("dtype", ["<f4", ">f4"])
+def test_writing_into_read_pfm_result_leaves_the_file(tmp_path, dtype):
+    path = tmp_path / "img.pfm"
+    path.write_bytes(pfm_bytes(4, 3, dtype, np.arange(36, dtype=dtype).tobytes()))
+    before = path.read_bytes()
+    data = read_pfm(path)
+    assert data.flags.writeable
+    data[...] = 7.0
+    assert path.read_bytes() == before
+    assert np.array_equal(read_pfm(path), np.flipud(np.arange(36.0).reshape(3, 4, 3)))
+
+
+def test_tall_narrow_pfm_reads_and_checks_quickly(tmp_path):
+    # 1 x 4 * 10**6 pixels, 48 MB: no per-row work in the read or in the check
+    height = 4 * 10**6
+    path = tmp_path / "tall.pfm"
+    path.write_bytes(pfm_bytes(1, height, "<f4", np.ones(height * 3, "<f4").tobytes()))
+    start = time.perf_counter()
+    image = LinearImage(read_pfm(path))
+    assert time.perf_counter() - start < 0.25
+    assert image.data.shape == (height, 1, 3)
 
 
 @pytest.mark.parametrize("width", [1, 3840])
