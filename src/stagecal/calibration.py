@@ -16,9 +16,11 @@ panels. All solves operate on linear camera-raw RGB.
 from __future__ import annotations
 
 import json
+import os
 import reprlib
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +36,10 @@ MODES = ("out_of_frustum", "in_frustum", "post")
 # Pixels per transform_content tile: a tile's input and output (1.5 MiB each)
 # stay in cache while the offset, both clamps and the gamut count run. Twice
 # this size was slower, as OpenBLAS then splits each tile's product across
-# threads.
+# threads; at this size it keeps each product on the calling thread. The
+# tiles run on up to as many threads as the process may use, one contiguous
+# run of tiles per thread, and neither the output nor the count depends on
+# that number.
 _TILE_PIXELS = 1 << 16
 
 
@@ -274,6 +279,37 @@ def compute_black_level(b_camera, w_camera) -> np.ndarray:
     return offset
 
 
+def _transform_rows(mat_t, offset, rows, out) -> int:
+    """Tile loop of transform_content over ``rows`` into ``out``.
+
+    ``offset`` is None except for in_frustum, where it is the black offset
+    tiled to at least one tile's length. Returns the count of pixels clamped
+    at the top. The clamp's masks live in two buffers allocated once per call
+    and sliced to each tile: a fresh temporary per tile is an mmap/munmap,
+    which serialises threads running this loop side by side.
+    """
+    # array_split makes the tiles equal to within a pixel, so no tile is a
+    # lone row unless the whole input is
+    n_tiles = max(1, -(-len(rows) // _TILE_PIXELS))
+    if offset is not None:
+        high_buf = np.empty(offset.size, dtype=bool)
+        any_buf = np.empty(offset.size // 3, dtype=bool)
+    over = 0
+    for src, dst in zip(np.array_split(rows, n_tiles), np.array_split(out, n_tiles)):
+        np.matmul(src, mat_t, out=dst)
+        if offset is not None:
+            flat = dst.reshape(-1)
+            high, any_high = high_buf[: flat.size], any_buf[: len(dst)]
+            np.subtract(flat, offset[: flat.size], out=flat)
+            np.maximum(flat, 0.0, out=flat)
+            np.greater(flat, 1.0, out=high)
+            np.logical_or(high[0::3], high[1::3], out=any_high)
+            np.logical_or(any_high, high[2::3], out=any_high)
+            over += np.count_nonzero(any_high)
+            np.minimum(flat, 1.0, out=flat)
+    return over
+
+
 def transform_content(pixels, mode: str, bundle: CalibrationBundle, counter: GamutCounter | None = None) -> np.ndarray:
     """Apply one pipeline stage to content pixels (any (..., 3) array).
 
@@ -284,8 +320,12 @@ def transform_content(pixels, mode: str, bundle: CalibrationBundle, counter: Gam
 
     Returns a new float64 array of the input's shape and leaves the input
     unchanged. The pixels are processed in fixed-size tiles, so a contiguous
-    float64 frame needs only the output plus one tile's scratch, and the
-    result is the same bit for bit whatever the tile size.
+    float64 frame needs only the output plus a few MiB of scratch per
+    thread. Input of more than one tile is split into one contiguous run of
+    tiles per thread, on up to as many threads as the process may use
+    (``os.sched_getaffinity``); smaller input runs on the calling thread. The
+    result and the count are the same bit for bit whatever the tile size
+    and the number of threads.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     if pixels.shape[-1] != 3:
@@ -303,21 +343,23 @@ def transform_content(pixels, mode: str, bundle: CalibrationBundle, counter: Gam
     mat_t = mat.T if lone_rows else np.ascontiguousarray(mat.T)
     out = np.empty(rows.shape)
     clamp = mode == "in_frustum"
-    if clamp:
-        offset = np.tile(bundle.black_offset, min(len(rows), _TILE_PIXELS))
-    over = 0
-    # array_split makes the tiles equal to within a pixel, so no tile is a
-    # lone row unless the whole input is
-    n_tiles = max(1, -(-len(rows) // _TILE_PIXELS))
-    for src, dst in zip(np.array_split(rows, n_tiles), np.array_split(out, n_tiles)):
-        np.matmul(src, mat_t, out=dst)
-        if clamp:
-            flat = dst.reshape(-1)
-            np.subtract(flat, offset[: flat.size], out=flat)
-            np.maximum(flat, 0.0, out=flat)
-            high = flat > 1.0
-            over += np.count_nonzero(high[0::3] | high[1::3] | high[2::3])
-            np.minimum(flat, 1.0, out=flat)
+    offset = np.tile(bundle.black_offset, min(len(rows), _TILE_PIXELS)) if clamp else None
+    # No more workers than tiles, so each gets over half a tile and never a
+    # lone row. The pool lives only for this call: a process forked later
+    # must not inherit a pool whose threads it does not have. Without
+    # sched_getaffinity (not Linux), every CPU counts as usable.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, -(-len(rows) // _TILE_PIXELS))
+    if workers <= 1:
+        over = _transform_rows(mat_t, offset, rows, out)
+    else:
+        # imported here, as the stagecal commands never run more than one
+        # tile, and the import adds about 10 ms and 1 MB to their start-up
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            run = partial(_transform_rows, mat_t, offset)
+            over = sum(pool.map(run, np.array_split(rows, workers), np.array_split(out, workers)))
     if clamp and counter is not None:
         counter.total += len(rows)
         counter.out_of_gamut += int(over)

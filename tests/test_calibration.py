@@ -1,3 +1,8 @@
+import os
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -390,9 +395,11 @@ def reference_transform(pixels, mode, bundle, counter=None):
     return np.minimum(out, 1.0)
 
 
-# the empty input, a lone pixel, small inputs, and both sides of one and two
-# tile boundaries
-PIXEL_COUNTS = (0, 1, 2, 5, _TILE_PIXELS - 1, _TILE_PIXELS, _TILE_PIXELS + 1, 2 * _TILE_PIXELS + 1)
+# the empty input, a lone pixel, small inputs, both sides of one and two
+# tile boundaries, and tiles of unequal size spread over several threads
+PIXEL_COUNTS = (
+    0, 1, 2, 5, _TILE_PIXELS - 1, _TILE_PIXELS, _TILE_PIXELS + 1, 2 * _TILE_PIXELS + 1, 4 * _TILE_PIXELS + 3,
+)
 
 
 def lay_out(values, layout):
@@ -457,6 +464,102 @@ def test_transform_content_matches_whole_array_reference(count, data, bundle):
         assert type(counter.total) is int and type(counter.out_of_gamut) is int
         assert not np.shares_memory(out, pixels)
     assert pixels.dtype == before.dtype and np.array_equal(pixels, before)
+
+
+def many_tile_case(seed=17):
+    """Pixels over four tiles, some pushed past the display maximum, and a bundle."""
+    rng = np.random.default_rng(seed)
+    pixels = rng.uniform(-0.25, 1.5, (4 * _TILE_PIXELS + 3, 3))
+    n = np.eye(3) + rng.uniform(-0.4, 0.4, (3, 3))
+    return pixels, simple_bundle(m=n.T, q=n @ n, n=n, offset=(0.05, 0.0, 0.1))
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 4, None])
+def test_transform_content_does_not_depend_on_the_thread_count(cpus, monkeypatch):
+    if cpus is None:  # a platform without sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    pixels, bundle = many_tile_case()
+    for mode in ("out_of_frustum", "in_frustum", "post"):
+        counter, ref_counter = GamutCounter(), GamutCounter()
+        out = transform_content(pixels, mode, bundle, counter)
+        assert out.tobytes() == reference_transform(pixels, mode, bundle, ref_counter).tobytes()
+        assert (counter.total, counter.out_of_gamut) == (ref_counter.total, ref_counter.out_of_gamut)
+        assert mode != "in_frustum" or 0 < counter.out_of_gamut < counter.total
+
+
+def test_transform_content_from_two_threads_at_once(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pixels, bundle = many_tile_case()
+    ref_counter = GamutCounter()
+    ref = reference_transform(pixels, "in_frustum", bundle, ref_counter).tobytes()
+    results = [None, None]
+
+    def run(i):
+        counter = GamutCounter()
+        out = transform_content(pixels, "in_frustum", bundle, counter)
+        results[i] = (out.tobytes(), counter.total, counter.out_of_gamut)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert results == [(ref, ref_counter.total, ref_counter.out_of_gamut)] * 2
+
+
+def test_transform_content_in_a_forked_child(monkeypatch):
+    # each call's thread pool is gone when it returns, so a child forked
+    # afterwards starts its own
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pixels, bundle = many_tile_case()
+    transform_content(pixels, "in_frustum", bundle)
+    second = pixels[::-1] * 0.5
+    expected = transform_content(second, "post", bundle).tobytes()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork while any OS thread runs, BLAS's included
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            status = 0 if transform_content(second, "post", bundle).tobytes() == expected else 3
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while (reaped := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if reaped[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("forked child did not finish transform_content within 60 s")
+    assert os.waitstatus_to_exitcode(reaped[1]) == 0
+
+
+def test_in_frustum_clamp_gives_positive_zero(monkeypatch):
+    # With a zero pixel and an all-negative N, every product in N.p is -0.0.
+    # A BLAS that sums from the first product gives -0.0, and N.p - 0 stays
+    # -0.0. OpenBLAS starts each sum at +0.0, so a stand-in matmul gives the
+    # -0.0 here. The maximum-then-minimum clamp turns it into +0.0, as the
+    # reference does; np.clip would keep -0.0.
+    real_matmul = np.matmul
+
+    def matmul_from_first_product(a, b, out):
+        real_matmul(a, b, out=out)
+        out[out == 0] = -0.0
+        return out
+
+    pixels = np.zeros((6, 3))
+    n = -np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
+    bundle = simple_bundle(m=np.eye(3), n=n)
+    expected = reference_transform(pixels, "in_frustum", bundle).tobytes()
+    monkeypatch.setattr(np, "matmul", matmul_from_first_product)
+    assert np.signbit(matmul_from_first_product(pixels, n.T, np.empty((6, 3)))).all()
+    out = transform_content(pixels, "in_frustum", bundle)
+    assert out.tobytes() == expected
+    assert not np.signbit(out).any()
 
 
 class TestChartError:
