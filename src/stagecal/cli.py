@@ -440,6 +440,8 @@ def _write_outputs(config, bundle, report, targets, charts) -> None:
 
 def run_oracle(seed: int, scenario: str, outdir) -> Path:
     """Generate a deterministic synthetic fixture directory for cmd solve."""
+    if seed < 0:
+        raise ConfigError(f"oracle: seed must be >= 0, got {seed}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     scene = make_scene(seed, scenario)
@@ -467,9 +469,9 @@ def run_oracle(seed: int, scenario: str, outdir) -> Path:
     write_pfm(outdir / "black.pfm", np.broadcast_to(b_camera, (ps, ps, 3)).copy())
 
     write_scene(
-        outdir / "scene",
+        outdir / "scene.json",
         scene,
-        extra_manifest={
+        provenance={
             "seed": seed,
             "scenario": scenario,
             "beta": beta,
@@ -522,13 +524,13 @@ def run_simulate(config: PipelineConfig, bundle_path, variant: str, outdir=None)
         raise ConfigError(f"invalid bundle {bundle_path}: {exc}") from exc
 
     srl, targets, w_avg = load_inputs(config)
-    predicted = predict_lit_chart(srl, bundle.m, w_avg, bundle.beta)
     name = {"m-only": "lit_m_only", "m-q": "lit_m_q"}[variant]
-    chart, _ = clamp_chart(predicted if variant == "m-only" else predicted @ bundle.q.T)
-
     outdir = Path(outdir) if outdir is not None else config.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_path, png_path = _write_chart(outdir, f"simulated_{name}", targets, chart, config.white_index)
+    with _stage("simulate"):
+        predicted = predict_lit_chart(srl, bundle.m, w_avg, bundle.beta)
+        chart, _ = clamp_chart(predicted if variant == "m-only" else predicted @ bundle.q.T)
+        outdir.mkdir(parents=True, exist_ok=True)
+        csv_path, png_path = _write_chart(outdir, f"simulated_{name}", targets, chart, config.white_index)
     return chart, csv_path, png_path
 
 

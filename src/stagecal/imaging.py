@@ -166,7 +166,8 @@ def trimmed_mean(values: np.ndarray) -> np.ndarray:
     at the values' own precision, which orders float32 values as their exact
     float64 widening would. Only the kept part of each row is widened, and
     it is averaged in float64 along the row, so a float32 input gives the
-    same bits as its float64 widening. The input is left as it is.
+    same bits as its float64 widening. Zeros average to +0.0, whatever their
+    signs. The input is left as it is.
     """
     values = np.asarray(values)
     n = values.size // 3
@@ -176,18 +177,10 @@ def trimmed_mean(values: np.ndarray) -> np.ndarray:
     rows.reshape(3, *values.shape[:-1])[...] = np.moveaxis(values, -1, 0)
     rows.sort(axis=1)
     kept = rows[:, k : n - k]
-    first, constant = kept[:, 0], kept[:, 0] == kept[:, -1]
-    # constant channels pass through exactly instead of accruing summation ulps
-    mean = np.where(constant, first, kept.astype(np.float64, copy=False).mean(axis=1))
-    if not first.all():
-        # numpy's sort treats -0.0 and +0.0 as equal and may hand back either
-        # sign, differently for float32 and float64; a channel that keeps only
-        # zeros takes the sign of its first kept value when -0.0 sorts first,
-        # its signs counted in the input since the sort may flip them
-        zeros = constant & (first == 0)
-        negative = np.signbit(values[..., zeros]).reshape(n, -1).sum(axis=0)
-        mean[zeros] = np.where(negative > k, -0.0, 0.0)
-    return mean
+    first = kept[:, 0]
+    # constant channels pass through exactly instead of accruing summation ulps;
+    # + 0.0 turns the -0.0 numpy's sort may hand back for all-zero rows into +0.0
+    return np.where(first == kept[:, -1], first, kept.astype(np.float64, copy=False).mean(axis=1)) + 0.0
 
 
 def _bilinear_point(corners: np.ndarray, u, v) -> np.ndarray:

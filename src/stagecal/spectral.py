@@ -6,15 +6,14 @@ module does the same on a fixed 380-780 nm grid to manufacture calibration
 data (primary responses, per-channel chart captures, target chart, frontal
 tint) whose correct pipeline outputs are known, plus an independent
 stacked-system solver to check the production least-squares path against.
-`write_scene` stores a scene's curves as CSV for inspection; nothing in the
-package reads them back.
+`write_scene` stores a scene as one JSON object for inspection; nothing in
+the package reads it back.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -225,37 +224,10 @@ def brute_force_q(predicted, targets, weights=None) -> np.ndarray:
     return (np.linalg.pinv(design) @ rhs).reshape(3, 3)
 
 
-# --- scene serialization ----------------------------------------------------
-
-_CURVE_FILES = {
-    "camera": ("camera_red.csv", "camera_green.csv", "camera_blue.csv"),
-    "leds": ("led_red.csv", "led_green.csv", "led_blue.csv"),
-}
-
-
-def _write_curve(path: Path, values: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
-        f.write("wavelength_nm,value\n")
-        for wl, v in zip(WAVELENGTHS, values):
-            f.write(f"{float(wl)!r},{float(v)!r}\n")
-
-
-def write_scene(directory, scene: OracleScene, extra_manifest: dict) -> None:
-    """Store a scene as one CSV per curve plus a manifest holding `extra_manifest`'s keys."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    files: dict[str, object] = {}
-    for group, names in _CURVE_FILES.items():
-        curves = getattr(scene, group)
-        for i, name in enumerate(names):
-            _write_curve(directory / name, curves[i])
-        files[group] = list(names)
-    _write_curve(directory / "illuminant.csv", scene.illuminant)
-    files["illuminant"] = "illuminant.csv"
-    refl_names = [f"reflectance_{j:02d}.csv" for j in range(CHART_PATCHES)]
-    for name, curve in zip(refl_names, scene.reflectances):
-        _write_curve(directory / name, curve)
-    files["reflectances"] = refl_names
-    manifest = {"files": files, "wavelength_nm": [WAVELENGTHS[0], WAVELENGTHS[-1], DELTA_LAMBDA]}
-    manifest.update(extra_manifest)
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+def write_scene(path, scene: OracleScene, provenance: dict) -> None:
+    """Store a scene's curves, its wavelength grid and `provenance`'s keys as one JSON object."""
+    doc = {name: getattr(scene, name).tolist() for name in ("camera", "leds", "illuminant", "reflectances")}
+    doc["wavelength_nm"] = [WAVELENGTHS[0], WAVELENGTHS[-1], DELTA_LAMBDA]
+    doc.update(provenance)
+    with open(path, "w") as f:  # streamed: json.dumps would hold every chunk and the whole text
+        json.dump(doc, f, indent=2, sort_keys=True)

@@ -496,6 +496,27 @@ class TestErrorPaths:
         assert main(argv) == 2
         assert _one_error_line(capsys).startswith(f"error: invalid bundle {bundle}: {key} must be")
 
+    def test_simulate_overflowing_q_is_a_stage_error(self, fixtures, tmp_path, capsys):
+        # a finite Q that the prediction overflows: the clamped chart is not finite
+        fx = fixtures["broad"]
+        doc = json.loads((fx["config"].output_dir / "bundle.json").read_text())
+        doc["Q"][0] = [1e308, 1e308, 1e308]
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(doc))
+        argv = ["simulate", "--config", str(fx["dir"] / "config.json"), "--bundle", str(bundle),
+                "--output-dir", str(tmp_path / "sim")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = [line for line in err.splitlines() if not line.startswith("warning: ")]
+        assert len(lines) == 1 and lines[0].startswith("error: stage simulate: patches has a non-finite component")
+        assert not (tmp_path / "sim").exists()
+
+    def test_oracle_negative_seed_is_an_input_error(self, tmp_path, capsys):
+        assert main(["oracle", "--seed", "-1", "--outdir", str(tmp_path / "fx")]) == 2
+        assert _one_error_line(capsys) == "error: oracle: seed must be >= 0, got -1"
+        assert not (tmp_path / "fx").exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [("cond_limit_sl", 0.5), ("cond_limit_sl", 0), ("cond_limit_q", -1), ("cond_limit_q", 0.999)],
@@ -813,7 +834,7 @@ def byte_mutation_base(tmp_path_factory):
     """A broad fixture whose config asks for beta_resolution 64, with the bundle it solves to."""
     root = tmp_path_factory.mktemp("bytes")
     pristine = run_oracle(5, "broad", root / "pristine")
-    shutil.rmtree(pristine / "scene")  # nothing reads it
+    (pristine / "scene.json").unlink()  # nothing reads it
     doc = json.loads((pristine / "config.json").read_text())
     doc["beta_resolution"] = 64
     (pristine / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True))

@@ -455,11 +455,14 @@ class TestTrimmedMean:
         values = rng.uniform(0.4, 0.6, (9, 3))  # n=9 -> no samples trimmed
         assert np.allclose(trimmed_mean(values), values.mean(axis=0), atol=1e-15)
 
-    def test_zeros_of_both_signs_take_the_sign_of_the_first_kept(self):
-        # n = 10 trims one value from each end; -0.0 counts as sorting first
-        values = np.zeros((10, 3))
-        values[:5, 0] = values[:1, 1] = values[:, 2] = -0.0
-        assert np.signbit(trimmed_mean(values)).tolist() == [True, False, True]
+    def test_zeros_of_any_sign_mix_average_to_positive_zero(self):
+        # n = 10 trims one value from each end: all -0.0, half, one, and none
+        for dtype in (np.float32, np.float64):
+            values = np.zeros((10, 4, 3), dtype)
+            values[:, 0, 0] = values[:5, 1, 0] = values[:1, 2, 0] = -0.0
+            for column in range(4):
+                mean = trimmed_mean(values[:, column])
+                assert mean.tobytes() == np.zeros(3).tobytes(), (dtype, column, mean)
 
     def test_strided_view_matches_its_contiguous_copy(self):
         image = np.random.default_rng(4).random((40, 50, 3), dtype=np.float32)
@@ -727,7 +730,7 @@ class TestFileFormats:
             read_chart_csv(path)
 
     def test_chart_csv_keeps_negative_zero(self, tmp_path):
-        # a trimmed mean of zeros may be -0.0, which write_chart_csv writes as it is
+        # the reader keeps a value as written, the sign of a zero included
         path = self._chart_csv(tmp_path / "chart.csv", range(24))
         path.write_text(path.read_text().replace("3,0.5,0.5,0.5", "3,-0.0,0.5,0.5"))
         assert np.signbit(read_chart_csv(path).patches[3, 0])

@@ -124,25 +124,17 @@ class TestOracleScene:
             assert np.array_equal(row, np.full(N_SAMPLES, value))
 
     def test_round_trip(self, tmp_path):
-        # the manifest names every curve file, and each parses back to the exact curve
+        # one JSON object: every curve parses back to the exact array, next to the provenance
         scene = make_scene(3, "rgb-led")
-        write_scene(tmp_path, scene, extra_manifest={"seed": 3})
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["seed"] == 3
-        assert manifest["wavelength_nm"] == [380.0, 780.0, DELTA_LAMBDA]
-
-        def curve(name):
-            header, *rows = (tmp_path / name).read_text().splitlines()
-            assert header == "wavelength_nm,value"
-            values = np.array([[float(v) for v in row.split(",")] for row in rows])
-            assert np.array_equal(values[:, 0], WAVELENGTHS)
-            return values[:, 1]
-
-        files = manifest["files"]
-        assert np.array_equal(np.stack([curve(n) for n in files["camera"]]), scene.camera)
-        assert np.array_equal(np.stack([curve(n) for n in files["leds"]]), scene.leds)
-        assert np.array_equal(curve(files["illuminant"]), scene.illuminant)
-        assert np.array_equal(np.stack([curve(n) for n in files["reflectances"]]), scene.reflectances)
+        provenance = {"seed": 3, "scenario": "rgb-led", "beta": 0.3, "half_extent": 0.6,
+                      "beta_resolution": 1024, "albedo": 0.07}
+        write_scene(tmp_path / "scene.json", scene, provenance)
+        doc = json.loads((tmp_path / "scene.json").read_text())
+        assert doc["wavelength_nm"] == [380.0, 780.0, DELTA_LAMBDA]
+        assert {k: doc[k] for k in provenance} == provenance
+        for name in ("camera", "leds", "illuminant", "reflectances"):
+            assert np.array_equal(np.array(doc[name]), getattr(scene, name)), name
+        assert sorted(doc) == sorted([*provenance, "wavelength_nm", "camera", "leds", "illuminant", "reflectances"])
 
 
 class TestOracleCalibration:
