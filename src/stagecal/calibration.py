@@ -101,7 +101,7 @@ class CalibrationBundle:
             "black_offset": self.black_offset.tolist(),
             "diagnostics": self.diagnostics,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationBundle":
@@ -371,9 +371,19 @@ def chart_error(target: ChartSamples, measured: ChartSamples, white_index: int) 
 
     error_c = (1/24) * sum_j |measured_jc - target_jc| / target_white_c,
     with the white patch at `white_index`, computed in whatever linear space
-    the inputs share (camera raw here).
+    the inputs share (camera raw here). Each channel's differences are
+    scaled by a power of two that brings their maximum into [0.5, 1) before
+    the mean, and scaled back after it: that is exact, so the sum cannot
+    overflow on finite charts and an ordinary chart keeps every bit. An
+    error too large for a float raises ValueError.
     """
     white = target.white(white_index)
     if (white <= 0).any():
         raise ValueError("target white patch components must be > 0")
-    return np.abs(measured.patches - target.patches).mean(axis=0) / white
+    diff = np.abs(measured.patches - target.patches)
+    _, exponent = np.frexp(diff.max(axis=0))
+    with np.errstate(over="ignore"):
+        error = np.ldexp(np.ldexp(diff, -exponent).mean(axis=0), exponent) / white
+    if not np.isfinite(error).all():
+        raise ValueError(f"chart error {error.tolist()} exceeds the float range")
+    return error

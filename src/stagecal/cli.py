@@ -344,7 +344,7 @@ def run_solve(config: PipelineConfig):
     with _stage("solve_q"):
         predicted = predict_lit_chart(srl, m, w_avg, beta)
         q = solve_q(predicted, targets, config.weights)
-    residual = q_objective(q, predicted, targets, config.weights)
+        residual = q_objective(q, predicted, targets, config.weights)
     with _stage("solve_n"):
         n = solve_n(m, q, config.cond_limit_q)
 
@@ -361,61 +361,61 @@ def run_solve(config: PipelineConfig):
         pipeline = CalibrationBundle(m=m, q=q, n=n, beta=beta, black_offset=black_offset)
         no_black = CalibrationBundle(m=m, q=q, n=n, beta=beta, black_offset=np.zeros(3))
 
-    # Simulated charts for the report.
-    (lit_m_only, clamped), (lit_m_q, more) = clamp_chart(predicted), clamp_chart(predicted @ q.T)
-    clamped += more
-    counter = GamutCounter()
-    displayed = {}
-    for name, bundle_variant, use_counter in (
-        ("displayed_no_black_level", no_black, None),
-        ("displayed_with_black_level", pipeline, counter),
-    ):
-        panel = transform_content(targets.patches, "in_frustum", bundle_variant, use_counter)
-        recorded = panel @ sl.T + b_camera
-        displayed[name], extra = clamp_chart(recorded @ q.T)
-        clamped += extra
+    with _stage("report"):
+        (lit_m_only, clamped), (lit_m_q, more) = clamp_chart(predicted), clamp_chart(predicted @ q.T)
+        clamped += more
+        counter = GamutCounter()
+        displayed = {}
+        for name, bundle_variant, use_counter in (
+            ("displayed_no_black_level", no_black, None),
+            ("displayed_with_black_level", pipeline, counter),
+        ):
+            panel = transform_content(targets.patches, "in_frustum", bundle_variant, use_counter)
+            recorded = panel @ sl.T + b_camera
+            displayed[name], extra = clamp_chart(recorded @ q.T)
+            clamped += extra
 
-    diagnostics = {
-        "cond_SL": condition_number(sl),
-        "cond_Q": condition_number(q),
-        "residual": residual,
-        "out_of_gamut_fraction": counter.fraction,
-        "negative_clamped_components": clamped,
-        "n_available": n is not None,
-    }
-    bundle = replace(pipeline, diagnostics=diagnostics)
+        diagnostics = {
+            "cond_SL": condition_number(sl),
+            "cond_Q": condition_number(q),
+            "residual": residual,
+            "out_of_gamut_fraction": counter.fraction,
+            "negative_clamped_components": clamped,
+            "n_available": n is not None,
+        }
+        bundle = replace(pipeline, diagnostics=diagnostics)
 
-    all_charts = {"lit_m_only": lit_m_only, "lit_m_q": lit_m_q, **displayed}
-    errors = {
-        name: dict(zip("rgb", chart_error(targets, chart, config.white_index).tolist()))
-        for name, chart in all_charts.items()
-    }
-    report = {
-        "errors": errors,
-        "diagnostics": diagnostics,
-        "beta": {
-            "value": beta,
-            "half_extent": config.half_extent,
-            "resolution": config.beta_resolution,
-            "analytic_form_factor": panel_form_factor_analytic(config.half_extent),
-            "exact_1m_panel_half_extent": 0.5,
-            "exact_1m_panel_form_factor": panel_form_factor_analytic(0.5),
-            "note": (
-                "default half_extent 0.6 reproduces the 54-of-90-pixel cube-face "
-                "panel construction; a 1m x 1m panel at 1m distance is half_extent 0.5"
-            ),
-        },
-        "metadata": {
-            "patch_statistic": "trimmed_mean",
-            "trim_fraction": TRIM_FRACTION,
-            "white_index": config.white_index,
-            "white_reflectance": config.white_reflectance,
-            "w_avg_mode": "white_patch" if config.env_map is None else "env_map",
-            "black_level_measured": config.black_level is not None,
-        },
-    }
-
-    _write_outputs(config, bundle, report, targets, all_charts)
+        all_charts = {"lit_m_only": lit_m_only, "lit_m_q": lit_m_q, **displayed}
+        errors = {
+            name: dict(zip("rgb", chart_error(targets, chart, config.white_index).tolist()))
+            for name, chart in all_charts.items()
+        }
+        report = {
+            "errors": errors,
+            "diagnostics": diagnostics,
+            "beta": {
+                "value": beta,
+                "half_extent": config.half_extent,
+                "resolution": config.beta_resolution,
+                "analytic_form_factor": panel_form_factor_analytic(config.half_extent),
+                "exact_1m_panel_half_extent": 0.5,
+                "exact_1m_panel_form_factor": panel_form_factor_analytic(0.5),
+                "note": (
+                    "default half_extent 0.6 reproduces the 54-of-90-pixel cube-face "
+                    "panel construction; a 1m x 1m panel at 1m distance is half_extent 0.5"
+                ),
+            },
+            "metadata": {
+                "patch_statistic": "trimmed_mean",
+                "trim_fraction": TRIM_FRACTION,
+                "white_index": config.white_index,
+                "white_reflectance": config.white_reflectance,
+                "w_avg_mode": "white_patch" if config.env_map is None else "env_map",
+                "black_level_measured": config.black_level is not None,
+            },
+        }
+    with _stage("outputs"):
+        _write_outputs(config, bundle, report, targets, all_charts)
     return bundle, report, 0 if n is not None else 1
 
 
@@ -429,10 +429,15 @@ def _write_chart(out: Path, name: str, targets: ChartSamples, chart: ChartSample
 
 
 def _write_outputs(config, bundle, report, targets, charts) -> None:
+    """Write every output; a non-finite value in either JSON document raises ValueError before any write."""
+    documents = {
+        "bundle.json": bundle.to_json(),
+        "report.json": json.dumps(report, indent=2, sort_keys=True, allow_nan=False),
+    }
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    (out / "bundle.json").write_text(bundle.to_json())
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    for name, text in documents.items():
+        (out / name).write_text(text)
     write_chart_csv(out / "targets.csv", targets)
     for name, chart in charts.items():
         _write_chart(out, name, targets, chart, config.white_index)
@@ -534,7 +539,8 @@ def run_simulate(config: PipelineConfig, bundle_path, variant: str, outdir=None)
     return chart, csv_path, png_path
 
 
-def run_chart_error(target_csv, measured_csv, white_index: int) -> dict:
+def run_chart_error(target_csv, measured_csv, white_index: int) -> str:
+    """The per-channel chart error as a JSON object of r, g and b."""
     with _checked("config"):
         check_white_index(white_index)
     for p in (target_csv, measured_csv):
@@ -545,7 +551,8 @@ def run_chart_error(target_csv, measured_csv, white_index: int) -> dict:
     with _stage("measured"):
         measured = read_chart_csv(measured_csv)
     with _stage("chart_error"):
-        return dict(zip("rgb", chart_error(target, measured, white_index).tolist()))
+        error = dict(zip("rgb", chart_error(target, measured, white_index).tolist()))
+        return json.dumps(error, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -611,8 +618,7 @@ def _run(args) -> int:
         print(repr(beta))
         return 0
     if args.command == "chart-error":
-        metrics = run_chart_error(args.target, args.measured, args.white_index)
-        print(json.dumps(metrics, indent=2, sort_keys=True))
+        print(run_chart_error(args.target, args.measured, args.white_index))
         return 0
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -22,8 +22,8 @@ DEFAULT_BETA_RESOLUTION = 1024
 # Largest beta_resolution; the numeric beta is already within 2.3e-8 of the
 # closed form at this size. Here compute_beta allocates an 805 MB zeroed
 # panel map but writes only its lit window (about 48 MB at half extent 0.6),
-# plus the 268 MB (res, 2 * res) float64 diffuse weight, which it fills
-# whole. compute_beta(0.6, 4096) took 0.36 s with a 567 MB peak RSS in one
+# and the diffuse integral holds one 64-row block of weights (4 MB).
+# compute_beta(0.6, 4096) took about 0.9 s with a 357 MB peak RSS in one
 # process (2-core Xeon, numpy 2.4.6).
 MAX_BETA_RESOLUTION = 4096
 
@@ -48,8 +48,9 @@ def as_direction(v) -> np.ndarray:
     return v
 
 
-# Rows of the (h, w) weight filled per step of diffuse_convolve: its
-# temporaries are (_ROW_BLOCK, w) instead of (h, w).
+# Rows of the map weighted and summed per step of diffuse_convolve: its
+# temporaries are (_ROW_BLOCK, w) weights and a (_ROW_BLOCK, w, 3) float64
+# slice of the map, never (h, w) arrays.
 _ROW_BLOCK = 64
 
 
@@ -61,35 +62,26 @@ def diffuse_convolve(env: EnvMap, n) -> np.ndarray:
     unit-radiance environment integrates to [1, 1, 1] up to texel
     discretization error.
 
-    The texel weights form one (h, w) array, summed against the map in one
-    einsum. It is filled _ROW_BLOCK rows at a time from the (h, 1) sine and
-    cosine of theta and the (1, w) sine and cosine of azimuth, so no other
-    full-size array is built; each weight is computed as
-    max(0, (sin t sin a) n0 + cos t n1 + (sin t cos a) n2) sin t k, in that
-    order. The einsum widens a float32 map exactly as it reads it, so the
-    sum is bit for bit that of the map's float64 widening.
+    The map is summed _ROW_BLOCK rows at a time into a float64 total, each
+    block against its own weights. A float32 block is widened before its
+    einsum; widening is exact, so a float32 map sums bit for bit as its
+    float64 widening. einsum's own loop does the sum, not a BLAS call whose
+    split may depend on the thread count.
     """
     n = as_direction(n)
     h, w = env.height, env.width
     theta = np.pi * (np.arange(h) + 0.5) / h
     azimuth = 2.0 * np.pi * (np.arange(w) + 0.5) / w - np.pi
     sin_t, cos_t = np.sin(theta)[:, None], np.cos(theta)[:, None]
-    sin_a, cos_a = np.sin(azimuth)[None, :], np.cos(azimuth)[None, :]
+    sin_a, cos_a = np.sin(azimuth), np.cos(azimuth)
     scale = (2.0 * np.pi / w) * (np.pi / h) / np.pi
-    weight = np.empty((h, w))
+    total = np.zeros(3)
     for r in range(0, h, _ROW_BLOCK):
         rows = slice(r, r + _ROW_BLOCK)
-        s, block = sin_t[rows], weight[rows]
-        np.multiply(s, sin_a, out=block)
-        block *= n[0]
-        block += cos_t[rows] * n[1]
-        dz = s * cos_a
-        dz *= n[2]
-        block += dz
-        np.maximum(0.0, block, out=block)
-        block *= s
-        block *= scale
-    return np.einsum("yx,yxc->c", weight, env.data)
+        s = sin_t[rows]
+        weight = np.maximum(0.0, s * sin_a * n[0] + cos_t[rows] * n[1] + s * cos_a * n[2]) * s * scale
+        total += np.einsum("yx,yxc->c", weight, env.data[rows].astype(np.float64, copy=False))
+    return total
 
 
 def _check_half_extent(half_extent: float) -> None:

@@ -15,6 +15,10 @@ Regenerate the manifest after an intended output change, and list the
 changed entries in CHANGES.md:
 
     PYTHONPATH=src python tests/golden.py
+
+Before it writes the new manifest, it prints one verdict per command against
+the old one: identical bytes, within REL_TOL/ABS_TOL (naming the files whose
+bytes changed), or the first difference out of tolerance.
 """
 
 from __future__ import annotations
@@ -248,9 +252,27 @@ def compare(want: dict, got: dict, exact: bool) -> list[str]:
     return problems
 
 
+def verdict(want: dict | None, got: dict) -> str:
+    """How a command's new record differs from its old manifest record, in one line."""
+    if want is None:
+        return "new command"
+    if not compare(want, got, exact=True):
+        return "identical bytes"
+    problems = compare(want, got, exact=False)
+    if problems:
+        return f"out of tolerance: {problems[0]}"
+    files = sorted(got["files"].items())
+    changed = [name for name, record in files if want["files"][name]["sha256"] != record["sha256"]]
+    changed += [stream for stream in ("stdout", "stderr") if want[stream] != got[stream]]
+    return f"within REL_TOL/ABS_TOL, bytes changed: {', '.join(changed)}"
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         manifest = run_all(Path(tmp))
+    old = json.loads(MANIFEST.read_text())["commands"] if MANIFEST.exists() else {}
+    for name, record in manifest["commands"].items():
+        print(f"{name}: {verdict(old.get(name), record)}")
     text = json.dumps(manifest, indent=1, sort_keys=True)
     # each list of numbers on one line: a line per number would double the file
     text = re.sub(r"\[\n\s*([-+.\deE,\s]*?)\n\s*\]", lambda m: "[" + re.sub(r",\s+", ", ", m[1]) + "]", text)

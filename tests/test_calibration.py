@@ -602,6 +602,30 @@ class TestChartError:
         with pytest.raises(ValueError, match="white"):
             chart_error(ChartSamples(patches), ChartSamples(np.full((24, 3), 0.5)), 18)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-300, 1e-30, 1e-3, 1.0, 1e30, 1e300]))
+    def test_power_of_two_scaling_keeps_every_bit(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        target = rng.uniform(0.01, 1.0, (24, 3)) * scale
+        measured = np.abs(target * (1 + rng.normal(0, 0.05, (24, 3))))
+        direct = np.abs(measured - target).mean(axis=0) / target[18]
+        got = chart_error(ChartSamples(target), ChartSamples(measured), 18)
+        assert got.tobytes() == direct.tobytes()
+
+    def test_chart_near_the_float_maximum_does_not_overflow(self):
+        # summing 24 differences of about 1e308 overflows; the scaled sum does not
+        # (pytest turns any overflow warning into an error)
+        measured = np.random.default_rng(20).uniform(0.1, 1.0, (24, 3))
+        err = chart_error(ChartSamples(np.full((24, 3), 1e308)), ChartSamples(measured), 18)
+        assert np.allclose(err, 1.0, rtol=1e-12, atol=0)
+
+    def test_error_past_the_float_range_rejected(self):
+        # a subnormal white patch turns ordinary differences into an infinite error
+        target = np.random.default_rng(21).uniform(0.1, 1.0, (24, 3))
+        target[18] = 5e-324
+        with pytest.raises(ValueError, match=r"chart error \[inf, inf, inf\] exceeds the float range"):
+            chart_error(ChartSamples(target), ChartSamples(target + 0.5), 18)
+
 
 class TestBundle:
     def test_json_round_trip_exact(self):

@@ -319,6 +319,15 @@ def _bad_targets_csv(fx, tmp_path):
     return path
 
 
+def _strict_json(text: str):
+    """Parse text as JSON that holds no NaN, Infinity or -Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -381,6 +390,60 @@ class TestErrorPaths:
         target.write_text("\n".join(lines) + "\n")
         assert main(["chart-error", "--target", str(target), "--measured", str(good)]) == 1
         assert _one_error_line(capsys) == "error: stage chart_error: target white patch components must be > 0"
+
+    def test_chart_error_near_the_float_maximum_is_finite(self, fixtures, tmp_path, capsys):
+        good = fixtures["broad"]["dir"] / "targets.csv"
+        lines = good.read_text().splitlines()
+        lines[1:] = [f"{j},1e308,1e308,1e308" for j in range(24)]
+        target = tmp_path / "huge.csv"
+        target.write_text("\n".join(lines) + "\n")
+        assert main(["chart-error", "--target", str(target), "--measured", str(good)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        metrics = _strict_json(out)
+        assert all(abs(metrics[c] - 1.0) < 1e-12 for c in "rgb"), metrics
+
+    def test_chart_error_past_the_float_range_fails_its_stage(self, fixtures, tmp_path, capsys):
+        good = fixtures["broad"]["dir"] / "targets.csv"
+        lines = good.read_text().splitlines()
+        lines[19] = "18,5e-324,5e-324,5e-324"  # a subnormal white patch
+        target = tmp_path / "target.csv"
+        target.write_text("\n".join(lines) + "\n")
+        assert main(["chart-error", "--target", str(target), "--measured", str(good)]) == 1
+        assert _one_error_line(capsys).startswith("error: stage chart_error: chart error [inf, ")
+
+    def test_report_error_fails_its_stage(self, fixtures, tmp_path, capsys):
+        # w_avg comes from the white patch, so only the report's chart errors reject it
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, output_dir=str(tmp_path / "out"))
+        path = fixture_dir / "targets.csv"
+        lines = path.read_text().splitlines()
+        lines[19] = "18,0.0," + lines[19].split(",", 2)[2]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 1
+        assert _one_error_line(capsys) == "error: stage report: target white patch components must be > 0"
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_output_fails_before_any_file_is_written(self, fixtures, tmp_path, capsys):
+        # targets this large overflow the Q residual to inf, which strict JSON cannot hold
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, output_dir=str(tmp_path / "out"))
+        path = fixture_dir / "targets.csv"
+        lines = path.read_text().splitlines()
+        for i, line in enumerate(lines[1:], 1):
+            j, *values = line.split(",")
+            lines[i] = ",".join([j] + [repr(float(v) * 1e200) for v in values])
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = [line for line in err.splitlines() if not line.startswith("warning: ")]
+        assert len(lines) == 1 and lines[0].startswith("error: stage outputs: Out of range float values"), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario", list(SCENARIO_SEEDS))
+    def test_json_outputs_hold_no_constant(self, fixtures, scenario):
+        out = fixtures[scenario]["config"].output_dir
+        for name in ("bundle.json", "report.json"):
+            _strict_json((out / name).read_text())
 
     @pytest.mark.parametrize(
         "size, reason",

@@ -71,3 +71,20 @@ def test_off_platform_rule_forgives_rounding_and_no_more(manifest):
         problems = golden.compare(want, got, exact=False)
         assert bool(problems) == expect_problem, problems
         assert golden.compare(want, got, exact=True)
+
+
+def test_verdict_names_each_kind_of_change(manifest):
+    want = manifest["commands"]["broad-3 solve"]
+    assert golden.verdict(None, want) == "new command"
+    assert golden.verdict(want, copy.deepcopy(want)) == "identical bytes"
+    got = copy.deepcopy(want)
+    record = got["files"]["bundle.json"]
+    record["sha256"] = "0" * 64
+    record["numbers"] = [v * (1 + 1e-13) for v in record["numbers"]]
+    assert golden.verdict(want, got) == "within REL_TOL/ABS_TOL, bytes changed: bundle.json"
+    i = next(i for i, v in enumerate(record["numbers"]) if abs(v) > 1e-3)
+    record["numbers"][i] *= 1 + 1e-11
+    expected = want["files"]["bundle.json"]["numbers"][i]
+    assert golden.verdict(want, got) == (
+        f"out of tolerance: bundle.json: number {i} is {record['numbers'][i]!r}, expected {expected!r}"
+    )
