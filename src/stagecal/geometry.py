@@ -22,9 +22,10 @@ DEFAULT_BETA_RESOLUTION = 1024
 # Largest beta_resolution; the numeric beta is already within 2.3e-8 of the
 # closed form at this size. Here compute_beta allocates an 805 MB zeroed
 # panel map but writes only its lit window (about 48 MB at half extent 0.6),
-# and the diffuse integral holds one 64-row block of weights (4 MB).
-# compute_beta(0.6, 4096) took about 0.9 s with a 357 MB peak RSS in one
-# process (2-core Xeon, numpy 2.4.6).
+# and the frontal diffuse integral weighs only the half of each 64-row block
+# that faces +z (2 MB of weights). compute_beta(0.6, 4096) took 0.41-0.48 s
+# with a 357 MB peak RSS as the first call in a process (2-core Xeon,
+# numpy 2.4.6).
 MAX_BETA_RESOLUTION = 4096
 
 
@@ -49,8 +50,8 @@ def as_direction(v) -> np.ndarray:
 
 
 # Rows of the map weighted and summed per step of diffuse_convolve: its
-# temporaries are (_ROW_BLOCK, w) weights and a (_ROW_BLOCK, w, 3) float64
-# slice of the map, never (h, w) arrays.
+# temporaries are at most (_ROW_BLOCK, w) weights and a (_ROW_BLOCK, w, 3)
+# float64 slice of the map, never (h, w) arrays.
 _ROW_BLOCK = 64
 
 
@@ -63,10 +64,16 @@ def diffuse_convolve(env: EnvMap, n) -> np.ndarray:
     discretization error.
 
     The map is summed _ROW_BLOCK rows at a time into a float64 total, each
-    block against its own weights. A float32 block is widened before its
-    einsum; widening is exact, so a float32 map sums bit for bit as its
-    float64 widening. einsum's own loop does the sum, not a BLAS call whose
-    split may depend on the thread count.
+    block against its own weights. As sin(theta) > 0, a texel of column x
+    faces n when facing[x] > -cos(theta) * n[1] / sin(theta), so only the
+    span of columns passing that test for some row of the block, less a
+    margin of 1e-12 / sin(theta) (hundreds of times the rounding of either
+    side, so no positive weight is dropped), is weighted and widened;
+    the rest weigh +0.0 and adding their zero products would not change the
+    total, so the sum keeps its bits. A block facing away sums an empty span.
+    A float32 block is widened before its einsum; widening is exact, so a
+    float32 map sums bit for bit as its float64 widening. einsum's own loop
+    does the sum, not a BLAS call whose split may depend on the thread count.
     """
     n = as_direction(n)
     h, w = env.height, env.width
@@ -74,13 +81,15 @@ def diffuse_convolve(env: EnvMap, n) -> np.ndarray:
     azimuth = 2.0 * np.pi * (np.arange(w) + 0.5) / w - np.pi
     sin_t, cos_t = np.sin(theta)[:, None], np.cos(theta)[:, None]
     sin_a, cos_a = np.sin(azimuth), np.cos(azimuth)
+    facing = sin_a * n[0] + cos_a * n[2]  # dir . n = sin(theta) * facing + cos(theta) * n[1]
     scale = (2.0 * np.pi / w) * (np.pi / h) / np.pi
     total = np.zeros(3)
     for r in range(0, h, _ROW_BLOCK):
         rows = slice(r, r + _ROW_BLOCK)
         s = sin_t[rows]
-        weight = np.maximum(0.0, s * sin_a * n[0] + cos_t[rows] * n[1] + s * cos_a * n[2]) * s * scale
-        total += np.einsum("yx,yxc->c", weight, env.data[rows].astype(np.float64, copy=False))
+        cols = _span(facing > (-cos_t[rows] * n[1] / s).min() - 1e-12 / s.min())
+        weight = np.maximum(0.0, s * sin_a[cols] * n[0] + cos_t[rows] * n[1] + s * cos_a[cols] * n[2]) * s * scale
+        total += np.einsum("yx,yxc->c", weight, env.data[rows, cols].astype(np.float64, copy=False))
     return total
 
 
@@ -130,7 +139,8 @@ def build_panel_env(half_extent: float, resolution: int) -> EnvMap:
 
     # theta clip bounds evaluated at each lit column's clipped midpoint
     mid = 0.5 * (lo[cols] + hi[cols])
-    t_top = np.arctan(1.0 / (half_extent * np.cos(mid)))
+    with np.errstate(over="ignore"):  # a subnormal half extent: arctan(inf) is pi/2 exactly
+        t_top = np.arctan(1.0 / (half_extent * np.cos(mid)))
 
     theta_edges = d_theta * np.arange(resolution + 1)
     t_min = t_top.min()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stagecal.geometry import (
+    _ROW_BLOCK,
     FRONTAL,
     EnvMap,
     build_panel_env,
@@ -89,6 +90,60 @@ class TestDiffuseConvolve:
     def test_non_unit_normal_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             diffuse_convolve(uniform_env(64, [1, 1, 1]), [0, 0, 2])
+
+
+def all_columns_convolve(env, n):
+    """diffuse_convolve as it was before it skipped columns: every block weighs all w columns."""
+    h, w = env.height, env.width
+    theta = np.pi * (np.arange(h) + 0.5) / h
+    azimuth = 2.0 * np.pi * (np.arange(w) + 0.5) / w - np.pi
+    sin_t, cos_t = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    sin_a, cos_a = np.sin(azimuth), np.cos(azimuth)
+    scale = (2.0 * np.pi / w) * (np.pi / h) / np.pi
+    total = np.zeros(3)
+    for r in range(0, h, _ROW_BLOCK):
+        rows = slice(r, r + _ROW_BLOCK)
+        s = sin_t[rows]
+        weight = np.maximum(0.0, s * sin_a * n[0] + cos_t[rows] * n[1] + s * cos_a * n[2]) * s * scale
+        total += np.einsum("yx,yxc->c", weight, env.data[rows].astype(np.float64, copy=False))
+    return total
+
+
+# +-y face a pole, so whole row blocks face away; -z and +-x put the facing
+# arc against or across the +-pi seam, so the span is the whole width
+AXIS_NORMALS = [np.array(v, float) for v in np.vstack([np.eye(3), -np.eye(3)])]
+unit_normals = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) > 1e-3)
+    .map(lambda v: v / np.linalg.norm(v))
+)
+
+
+@st.composite
+def env_maps(draw):
+    """A 64-256 row map: random float32 or float64 radiance, or a panel map."""
+    resolution = draw(st.integers(64, 256))
+    kind = draw(st.sampled_from(["float32", "float64", "panel"]))
+    if kind == "panel":
+        return build_panel_env(draw(st.floats(0.05, 5.0)), resolution)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return EnvMap(rng.uniform(0.0, 8.0, (resolution, 2 * resolution, 3)).astype(kind))
+
+
+class TestFacingColumns:
+    """Columns facing away from n weigh +0.0, so leaving them out keeps every bit of the sum."""
+
+    @pytest.mark.parametrize("n", AXIS_NORMALS, ids=["+x", "+y", "+z", "-x", "-y", "-z"])
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(env=env_maps())
+    def test_axis_normals_sum_as_all_columns(self, n, env):
+        assert diffuse_convolve(env, n).tobytes() == all_columns_convolve(env, n).tobytes()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(env=env_maps(), n=unit_normals)
+    def test_unit_normals_sum_as_all_columns(self, env, n):
+        assert diffuse_convolve(env, n).tobytes() == all_columns_convolve(env, n).tobytes()
 
 
 class TestPanelEnv:
@@ -209,6 +264,11 @@ class TestAllocationBounds:
         # a float32 map is widened a row block at a time, never as a whole
         env = EnvMap(np.ones((self.RES, 2 * self.RES, 3), np.float32))
         assert self.peak(lambda: diffuse_convolve(env, FRONTAL)) < 0.5 * self.PLANE
+
+    def test_diffuse_convolve_widens_only_the_facing_columns(self):
+        # a frontal call widens the half of each float32 row block that faces +z
+        env = EnvMap(np.ones((self.RES, 2 * self.RES, 3), np.float32))
+        assert self.peak(lambda: diffuse_convolve(env, FRONTAL)) < 0.2 * self.PLANE
 
     def test_build_panel_env(self):
         assert self.peak(lambda: build_panel_env(0.6, self.RES)) <= 1.25 * self.MAP
