@@ -32,6 +32,10 @@ TRIM_FRACTION = 0.1
 # Elements per as_array tile: keeps its temporaries small however large the image.
 _TILE = 1 << 16
 
+# Each float's bit pattern as an unsigned integer, and that of +inf: a finite
+# non-negative float's pattern is below it; NaN, +inf and a set sign bit are not.
+_INF_BITS = {np.dtype(np.float32): (np.uint32, 0x7F800000), np.dtype(np.float64): (np.uint64, 0x7FF << 52)}
+
 
 def as_array(value, shape: tuple, name: str, nonneg: bool = False) -> np.ndarray:
     """`value` as a finite float64 array of `shape`, and >= 0 with `nonneg`.
@@ -51,14 +55,23 @@ def _float64(value, name: str) -> np.ndarray:
 
 
 def _checked(a: np.ndarray, shape: tuple, name: str, nonneg: bool) -> np.ndarray:
-    """`a` itself, once its shape and components pass as_array's checks."""
+    """`a` itself, once its shape and components pass as_array's checks.
+
+    The components are read in memory order, negative strides flipped so that
+    no view is copied. A non-negative check of float32 or float64 first takes
+    one maximum over the bit patterns, which is below that of +inf exactly when
+    every component is finite and non-negative with a clear sign bit. Anything
+    else, -0.0 included, takes the exact pass of tile minima and maxima, where
+    only a failing tile pays for the masks that find the first culprit.
+    """
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
         want = str(shape).replace("None", "n")
         raise ValueError(f"{name} must have shape {want}, got {a.shape}")
-    # one pass of tile min/max (NaN fails every comparison) in memory order, negative strides
-    # flipped so no view is copied; only a failing tile pays for the masks that find the culprit
     flat = a[tuple(slice(None, None, -1 if s < 0 else 1) for s in a.strides)].ravel(order="K")
-    for start in range(0, flat.size, _TILE):
+    bits = _INF_BITS.get(a.dtype) if nonneg else None
+    if bits is not None and flat.view(bits[0]).max(initial=0) < bits[1]:
+        return a
+    for start in range(0, flat.size, _TILE):  # NaN fails every comparison
         tile = flat[start : start + _TILE]
         lo, hi = tile.min(), tile.max()
         if not (hi < np.inf and (lo >= 0 if nonneg else lo > -np.inf)):
@@ -162,12 +175,13 @@ def _is_convex(corners: np.ndarray) -> bool:
 def trimmed_mean(values: np.ndarray) -> np.ndarray:
     """Per-channel mean of (..., 3) values after dropping the top and bottom TRIM_FRACTION.
 
-    Each channel is copied once into its own contiguous row and sorted there
+    The channels are copied once into one contiguous row each and sorted there
     at the values' own precision, which orders float32 values as their exact
-    float64 widening would. Only the kept part of each row is widened, and
-    it is averaged in float64 along the row, so a float32 input gives the
-    same bits as its float64 widening. Zeros average to +0.0, whatever their
-    signs. The input is left as it is.
+    float64 widening would. The kept part of each row is then widened, one
+    channel at a time through one reused float64 row, and averaged along it
+    (numpy's pairwise sum), so a float32 input gives the same bits as its
+    float64 widening. Zeros average to +0.0, whatever their signs. The input
+    is left as it is.
     """
     values = np.asarray(values)
     n = values.size // 3
@@ -177,10 +191,17 @@ def trimmed_mean(values: np.ndarray) -> np.ndarray:
     rows.reshape(3, *values.shape[:-1])[...] = np.moveaxis(values, -1, 0)
     rows.sort(axis=1)
     kept = rows[:, k : n - k]
-    first = kept[:, 0]
-    # constant channels pass through exactly instead of accruing summation ulps;
+    wide = np.empty(kept.shape[1])
+    means = np.empty(3)
+    for channel, row in enumerate(kept):
+        # a constant channel passes through exactly instead of accruing summation ulps
+        if row[0] == row[-1]:
+            means[channel] = row[0]
+        else:
+            wide[...] = row
+            means[channel] = wide.mean()
     # + 0.0 turns the -0.0 numpy's sort may hand back for all-zero rows into +0.0
-    return np.where(first == kept[:, -1], first, kept.astype(np.float64, copy=False).mean(axis=1)) + 0.0
+    return means + 0.0
 
 
 def _bilinear_point(corners: np.ndarray, u, v) -> np.ndarray:
@@ -300,13 +321,15 @@ def render_comparison_chart(target: ChartSamples, measured: ChartSamples, white_
     if target.white(white_index)[1] > 0 and measured.white(white_index)[1] > 0:
         measured = normalize_green_white(target, measured, white_index)
     patch_size = 48
-    img = chart_image(target.patches, patch_size)
     radius = patch_size * 0.33
     yy, xx = np.mgrid[0:patch_size, 0:patch_size]
     circle = (xx + 0.5 - patch_size / 2) ** 2 + (yy + 0.5 - patch_size / 2) ** 2 <= radius**2
-    inside = np.tile(circle, (CHART_ROWS, CHART_COLS))
-    img[inside] = chart_image(measured.patches, patch_size)[inside]
-    return LinearImage(img)
+    # (chart row, pixel row, chart column, pixel column, channel), drawn in one pass
+    cells = (CHART_ROWS, 1, CHART_COLS, 1, 3)
+    img = np.where(
+        circle[None, :, None, :, None], measured.patches.reshape(cells), target.patches.reshape(cells)
+    )
+    return LinearImage(img.reshape(CHART_ROWS * patch_size, CHART_COLS * patch_size, 3))
 
 
 # --- file formats -----------------------------------------------------------
@@ -328,6 +351,9 @@ def read_pfm(path) -> np.ndarray:
             scale = float(f.readline())
         except ValueError as exc:
             raise ValueError(f"{path}: malformed PFM header: {exc}") from None
+        # the scale's sign gives the byte order; zero, NaN and an infinity give none
+        if not 0.0 < abs(scale) < np.inf:
+            raise ValueError(f"{path}: malformed PFM header: scale must be finite and non-zero, got {scale}")
         if width < 0 or height < 0:
             raise ValueError(f"{path}: negative PFM dimensions {width} x {height}")
         # checked before mapping, so a short payload fails with this message
@@ -366,12 +392,14 @@ def _png_chunk(tag: bytes, payload: bytes) -> bytes:
 
 def write_png16(path, image: LinearImage) -> None:
     """Write a 16-bit RGB PNG, encoding scene-linear data with 1/2.4."""
-    encoded = np.clip(image.data ** (1 / 2.4), 0.0, 1.0)
-    pixels = np.round(encoded * 65535.0).astype(">u2")
-    h, w = pixels.shape[:2]
-    rows = pixels.tobytes()
-    stride = w * 6
-    raw = b"".join(b"\x00" + rows[i * stride : (i + 1) * stride] for i in range(h))
+    encoded = image.data ** (1 / 2.4)
+    np.clip(encoded, 0.0, 1.0, out=encoded)
+    encoded *= 65535.0
+    np.round(encoded, out=encoded)
+    h, w = encoded.shape[:2]
+    # each row is filter byte 0 followed by its big-endian 16-bit samples
+    raw = np.zeros((h, 1 + w * 6), np.uint8)
+    raw[:, 1:].view(">u2").reshape(h, w, 3)[...] = encoded
     ihdr = struct.pack(">IIBBBBB", w, h, 16, 2, 0, 0, 0)
     with open(path, "wb") as f:
         f.write(b"\x89PNG\r\n\x1a\n")

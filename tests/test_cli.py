@@ -457,6 +457,16 @@ class TestErrorPaths:
         assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 1
         assert _one_error_line(capsys) == f"error: stage primaries: {path}: malformed PFM header: {reason}"
 
+    def test_pfm_scale_without_a_byte_order_fails_its_stage(self, fixtures, tmp_path, capsys):
+        # read big-endian, the little-endian payload would be tiny legal values and solve would exit 0
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path)
+        path = fixture_dir / "primaries.pfm"
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"\n-1.0\n", b"\n0\n", 1))
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 1
+        reason = "malformed PFM header: scale must be finite and non-zero, got 0.0"
+        assert _one_error_line(capsys) == f"error: stage primaries: {path}: {reason}"
+
     def test_pfm_that_cannot_be_mapped_is_an_input_error(self, fixtures, tmp_path, capsys, monkeypatch):
         # a file that opens but refuses mmap, as a device file may: exit 2 like any OSError
         def refuse(*args, **kwargs):

@@ -170,6 +170,52 @@ class TestTiledCheck:
         assert as_array(values, (None, 3), "v") is values
 
 
+# bit patterns injected into a checked image: -0.0, tiny negatives, +inf, -inf, and NaNs
+# with the sign bit set, quiet with a payload, and signalling
+_CHECK_BITS = {
+    np.float32: [0x80000000, 0x80000001, 0xBF800000, 0x7F800000, 0xFF800000, 0xFFC00000, 0x7FC00001, 0x7F800001],
+    np.float64: [
+        0x8000000000000000, 0x8000000000000001, 0xBFF0000000000000, 0x7FF0000000000000,
+        0xFFF0000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+    ],
+}
+_CHECK_LAYOUTS = {
+    "c-order": lambda base: base[::2, ::2].copy(),
+    "row-flipped": lambda base: base[::-1],
+    "strided": lambda base: base[1::2, ::2],
+}
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    layout=st.sampled_from(sorted(_CHECK_LAYOUTS)),
+    height=st.integers(1, 6),
+    width=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    inject=st.lists(st.integers(0, 7), max_size=3),
+)
+def test_linear_image_accepts_exactly_the_finite_non_negative_arrays(dtype, layout, height, width, seed, inject):
+    rng = np.random.default_rng(seed)
+    finfo = np.finfo(dtype)
+    pool = np.array([0.0, finfo.smallest_subnormal, finfo.tiny / 3, finfo.tiny, finfo.max, 0.5], dtype)
+    base = np.where(
+        rng.random((2 * height, 2 * width, 3)) < 0.5,
+        rng.choice(pool, (2 * height, 2 * width, 3)),
+        rng.random((2 * height, 2 * width, 3)),
+    ).astype(dtype)
+    image = _CHECK_LAYOUTS[layout](base)
+    bits = image.view(np.uint32 if dtype == np.float32 else np.uint64)
+    for which in inject:
+        bits[tuple(int(rng.integers(n)) for n in image.shape)] = _CHECK_BITS[dtype][which]
+    if (np.isfinite(image) & (image >= 0)).all():
+        assert LinearImage(image).data is image
+        return
+    with pytest.raises(ValueError) as info:
+        LinearImage(image)
+    assert str(info.value) == reference_check_message(image, "image", True)
+
+
 EYE = np.eye(3)
 RGB = np.array([0.5, 0.4, 0.3])
 SRL = SRLSet(np.full((24, 3, 3), 0.1))
@@ -448,6 +494,18 @@ class TestSampleRoi:
             sample_roi(img, roi)
         assert np.array_equal(sample_roi(img, (0.0, 0, 4.0, 4)), np.zeros(3))
 
+    def test_float32_roi_widens_one_channel_at_a_time(self):
+        # the (3, n) float32 copy is 11.4 MiB and one widened kept row 6.1 MiB;
+        # widening all three kept rows at once would peak at 29.8 MiB
+        image = LinearImage(np.random.default_rng(20).random((1000, 1000, 3), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            sample_roi(image, (0, 0, 1000, 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
 
 class TestTrimmedMean:
     def test_matches_plain_mean_without_outliers(self):
@@ -499,27 +557,57 @@ class TestTrimmedMean:
 _TRIM_VALUES = np.array([-0.0, 0.0, 1e-45, 0.1, 0.5, 2.0, 3e38], dtype=np.float32)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(
-    n=st.integers(1, 400),
-    seed=st.integers(0, 2**32 - 1),
-    constant=st.lists(st.sampled_from([None, 0, 1, 4]), min_size=3, max_size=3),
-)
-def test_float32_trimmed_mean_matches_the_widened_float64_path(n, seed, constant):
+def trim_sample(n, seed, constant, dtype=np.float32):
+    """(n, 3) values of `dtype`, half of them from _TRIM_VALUES; a channel with
+    a `constant` kind other than None holds one value, zeros of either sign for 0."""
     rng = np.random.default_rng(seed)
     values = np.where(
         rng.random((n, 3)) < 0.5,
         rng.choice(_TRIM_VALUES, (n, 3)),
-        rng.random((n, 3), dtype=np.float32),
-    ).astype(np.float32)
+        rng.random((n, 3), dtype=dtype),
+    ).astype(dtype)
     for channel, kind in enumerate(constant):
         if kind is not None:
-            # one value throughout; zeros may still differ in sign
             pool = _TRIM_VALUES[:2] if kind == 0 else _TRIM_VALUES[kind : kind + 1]
             values[:, channel] = rng.choice(pool, n)
+    return values
+
+
+_TRIM_CONSTANT = st.lists(st.sampled_from([None, 0, 1, 4]), min_size=3, max_size=3)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1), constant=_TRIM_CONSTANT)
+def test_float32_trimmed_mean_matches_the_widened_float64_path(n, seed, constant):
+    values = trim_sample(n, seed, constant)
     got, want = trimmed_mean(values), trimmed_mean(values.astype(np.float64))
     assert got.dtype == want.dtype == np.float64
     assert got.tobytes() == want.tobytes()
+
+
+def three_channel_trimmed_mean(values):
+    """trimmed_mean widening the kept part of all three sorted rows at once, as one (3, m) array."""
+    values = np.asarray(values)
+    n = values.size // 3
+    k = int(n * TRIM_FRACTION)
+    rows = np.empty((3, n), values.dtype)
+    rows.reshape(3, *values.shape[:-1])[...] = np.moveaxis(values, -1, 0)
+    rows.sort(axis=1)
+    kept = rows[:, k : n - k]
+    first = kept[:, 0]
+    return np.where(first == kept[:, -1], first, kept.astype(np.float64, copy=False).mean(axis=1)) + 0.0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 400) | st.sampled_from([8191, 8192, 8193, 20011, 123457]),
+    seed=st.integers(0, 2**32 - 1),
+    constant=_TRIM_CONSTANT,
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_trimmed_mean_matches_the_three_channel_widening(n, seed, constant, dtype):
+    values = trim_sample(n, seed, constant, dtype)
+    assert trimmed_mean(values).tobytes() == three_channel_trimmed_mean(values).tobytes()
 
 
 class TestChartSamples:
@@ -677,6 +765,16 @@ class TestFileFormats:
             f.write(b"\x00" * 5)
         assert np.array_equal(read_pfm(path), data)
 
+    @pytest.mark.parametrize("scale", ["0", "-0", "nan", "inf", "1e400", "-inf"])
+    def test_pfm_rejects_a_zero_or_non_finite_scale(self, tmp_path, scale):
+        # the scale's sign is the byte order: none of these names one, and a little-endian
+        # 0.5 read big-endian would be 8.8e-44, which passes the image check
+        path = tmp_path / "img.pfm"
+        path.write_bytes(f"PF\n1 1\n{scale}\n".encode() + np.full(3, 0.5, "<f4").tobytes())
+        reason = f"scale must be finite and non-zero, got {float(scale)}"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed PFM header: {reason}")):
+            read_pfm(path)
+
     def test_pfm_rejects_non_color(self, tmp_path):
         path = tmp_path / "bad.pfm"
         path.write_bytes(b"Pf\n2 2\n-1.0\n" + b"\x00" * 16)
@@ -763,6 +861,45 @@ def png16_pixels(path, height, width):
     rows = np.frombuffer(zlib.decompress(blob[start : start + length]), np.uint8).reshape(height, -1)
     assert (rows[:, 0] == 0).all()
     return np.frombuffer(rows[:, 1:].tobytes(), ">u2").reshape(height, width, 3).astype(np.uint16)
+
+
+def gathered_comparison_chart(target, measured, white_index):
+    """render_comparison_chart as two full chart images and a boolean gather of the circles."""
+    if target.white(white_index)[1] > 0 and measured.white(white_index)[1] > 0:
+        measured = normalize_green_white(target, measured, white_index)
+    img = chart_image(target.patches, 48)
+    yy, xx = np.mgrid[0:48, 0:48]
+    inside = np.tile((xx + 0.5 - 24) ** 2 + (yy + 0.5 - 24) ** 2 <= (48 * 0.33) ** 2, (4, 6))
+    img[inside] = chart_image(measured.patches, 48)[inside]
+    return img
+
+
+def joined_png16_rows(data):
+    """write_png16's IDAT payload as the join of one filter byte and one row of samples per row."""
+    pixels = np.round(np.clip(data ** (1 / 2.4), 0.0, 1.0) * 65535.0).astype(">u2")
+    return b"".join(b"\x00" + row.tobytes() for row in pixels)
+
+
+_CHART_VALUES = st.sampled_from([0.0, 1e-300, 0.18, 0.9, 1.0, 3.5, 1e5]) | st.floats(0.0, 2.0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    target=hnp.arrays(np.float64, (24, 3), elements=_CHART_VALUES),
+    measured=hnp.arrays(np.float64, (24, 3), elements=_CHART_VALUES),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_chart_and_png_match_the_gathered_and_joined_encodings(tmp_path_factory, target, measured, dtype):
+    chart = render_comparison_chart(ChartSamples(target), ChartSamples(measured), 18)
+    want = gathered_comparison_chart(ChartSamples(target), ChartSamples(measured), 18)
+    assert chart.data.shape == want.shape and chart.data.tobytes() == want.tobytes()
+    data = np.minimum(chart.data, 2.0).astype(dtype)  # past 1.0 every value encodes as 65535
+    path = tmp_path_factory.mktemp("png") / "chart.png"
+    write_png16(path, LinearImage(data))
+    blob = path.read_bytes()
+    start = blob.index(b"IDAT") + 4
+    (length,) = struct.unpack(">I", blob[start - 8 : start - 4])
+    assert zlib.decompress(blob[start : start + length]) == joined_png16_rows(data)
 
 
 def pfm_bytes(width, height, dtype, payload=b""):
