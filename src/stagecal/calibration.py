@@ -132,10 +132,6 @@ class GamutCounter:
         self.total = 0
         self.out_of_gamut = 0
 
-    @property
-    def fraction(self) -> float:
-        return self.out_of_gamut / self.total if self.total else 0.0
-
 
 def build_sl(red, green, blue) -> np.ndarray:
     """Stack the camera's view of the three stage primaries as columns."""
@@ -216,12 +212,10 @@ def solve_q(predicted, targets: ChartSamples, weights=None) -> np.ndarray:
     sw = np.sqrt(weights)[:, None]
     wx = predicted * sw
     wt = targets.patches * sw
-    s = np.linalg.svd(wx, compute_uv=False)
-    rank = int((s > s[0] * Q_SPREAD_RCOND).sum()) if s[0] > 0 else 0
-
     q = np.eye(3)
     for r in range(3):
-        delta, *_ = np.linalg.lstsq(wx, wt[:, r] - wx[:, r], rcond=Q_SPREAD_RCOND)
+        # the rank counts singular values above Q_SPREAD_RCOND of the largest (0 for a zero wx)
+        delta, _, rank, _ = np.linalg.lstsq(wx, wt[:, r] - wx[:, r], rcond=Q_SPREAD_RCOND)
         q[r] += delta
 
     if rank < 3:

@@ -379,7 +379,7 @@ def run_solve(config: PipelineConfig):
             "cond_SL": condition_number(sl),
             "cond_Q": condition_number(q),
             "residual": residual,
-            "out_of_gamut_fraction": counter.fraction,
+            "out_of_gamut_fraction": counter.out_of_gamut / counter.total,
             "negative_clamped_components": clamped,
             "n_available": n is not None,
         }
@@ -617,10 +617,9 @@ def _run(args) -> int:
             beta = compute_beta(args.half_extent, args.resolution)
         print(repr(beta))
         return 0
-    if args.command == "chart-error":
-        print(run_chart_error(args.target, args.measured, args.white_index))
-        return 0
-    raise AssertionError(f"unhandled command {args.command}")
+    # the subparsers are required, so the one command left is chart-error
+    print(run_chart_error(args.target, args.measured, args.white_index))
+    return 0
 
 
 def main(argv=None) -> int:

@@ -292,19 +292,6 @@ def sample_roi(image: LinearImage, roi: tuple[int, int, int, int]) -> np.ndarray
     return trimmed_mean(image.data[y : y + h, x : x + w])
 
 
-def normalize_green_white(reference: ChartSamples, subject: ChartSamples, white_index: int) -> ChartSamples:
-    """Rescale subject so its white patch's green channel matches the reference's.
-
-    One scalar is applied to all channels of all patches, so relative colors
-    are untouched; only the global exposure difference is removed.
-    """
-    ref_g = reference.white(white_index)[1]
-    sub_g = subject.white(white_index)[1]
-    if ref_g <= 0 or sub_g <= 0:
-        raise ValueError("white patch green channel must be > 0 in both charts")
-    return ChartSamples(subject.patches * (ref_g / sub_g))
-
-
 def chart_image(patches, patch_size: int) -> np.ndarray:
     """A (24, 3) chart drawn as patch_size squares in row-major order, 6 across and 4 down."""
     rows = as_array(patches, (CHART_PATCHES, 3), "patches").reshape(CHART_ROWS, CHART_COLS, 3)
@@ -314,12 +301,13 @@ def chart_image(patches, patch_size: int) -> np.ndarray:
 def render_comparison_chart(target: ChartSamples, measured: ChartSamples, white_index: int) -> LinearImage:
     """Draw target values as 48-pixel squares with measured values as inset circles.
 
-    The measured chart is exposure-matched to the target on the white patch's
-    green channel; where that green is zero (fully degenerate lighting) it is
-    drawn unscaled.
+    The measured chart is exposure-matched to the target by one scalar on
+    every channel of every patch, which brings the white patch's green channel
+    to the target's; where either green is zero (fully degenerate lighting) it
+    is drawn unscaled.
     """
-    if target.white(white_index)[1] > 0 and measured.white(white_index)[1] > 0:
-        measured = normalize_green_white(target, measured, white_index)
+    ref_g, sub_g = target.white(white_index)[1], measured.white(white_index)[1]
+    scale = ref_g / sub_g if ref_g > 0 and sub_g > 0 else 1.0
     patch_size = 48
     radius = patch_size * 0.33
     yy, xx = np.mgrid[0:patch_size, 0:patch_size]
@@ -327,7 +315,7 @@ def render_comparison_chart(target: ChartSamples, measured: ChartSamples, white_
     # (chart row, pixel row, chart column, pixel column, channel), drawn in one pass
     cells = (CHART_ROWS, 1, CHART_COLS, 1, 3)
     img = np.where(
-        circle[None, :, None, :, None], measured.patches.reshape(cells), target.patches.reshape(cells)
+        circle[None, :, None, :, None], (measured.patches * scale).reshape(cells), target.patches.reshape(cells)
     )
     return LinearImage(img.reshape(CHART_ROWS * patch_size, CHART_COLS * patch_size, 3))
 

@@ -1,4 +1,5 @@
 import os
+import re
 import threading
 import time
 import warnings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from stagecal.calibration import (
     _TILE_PIXELS,
+    Q_SPREAD_RCOND,
     CalibrationBundle,
     GamutCounter,
     SRLSet,
@@ -27,7 +29,7 @@ from stagecal.calibration import (
     transform_content,
 )
 from stagecal.imaging import ChartSamples
-from stagecal.spectral import brute_force_q
+from stagecal.spectral import brute_force_q, make_scene, oracle_calibration
 
 # non-negative, like a camera's view of three primaries, with cond(SL) < 100
 well_conditioned_sl = (
@@ -255,6 +257,25 @@ class TestSolveQ:
         with pytest.raises(ValueError, match="rank"):
             solve_q(predicted, targets)
 
+    @pytest.mark.parametrize("scenario, seed", [("broad", 3), ("rgb-led", 0), ("monochromatic", 0), ("identity", 0)])
+    def test_patch_order_moves_q_by_rounding_only(self, scenario, seed):
+        # the chart's order is a labelling: permuting predicted rows, targets and
+        # weights together may move Q only by rounding, here bounded by 4 ulps of
+        # max|Q| per unit of the design's condition over the singular values kept
+        calib = oracle_calibration(make_scene(seed, scenario), 0.311)
+        predicted = predict_lit_chart(calib.srl, solve_m(calib.sl), calib.w_avg, 0.311)
+        targets = calib.targets.patches
+        rng = np.random.default_rng(16)
+        weights = rng.uniform(0.5, 2.0, 24)
+        q = solve_q(predicted, calib.targets, weights)
+        s = np.linalg.svd(predicted * np.sqrt(weights)[:, None], compute_uv=False)
+        kept = s[s > s[0] * Q_SPREAD_RCOND]
+        bound = 4 * (kept[0] / kept[-1]) * np.spacing(np.abs(q).max())
+        for _ in range(20):
+            order = rng.permutation(24)
+            moved = solve_q(predicted[order], ChartSamples(targets[order]), weights[order])
+            assert np.abs(moved - q).max() <= bound
+
     def test_weight_validation(self, random_q_fixture):
         rng = np.random.default_rng(13)
         sl, m, srl, w_avg, targets, beta = random_q_fixture(rng)
@@ -278,6 +299,11 @@ class TestSolveN:
 
     def test_ill_conditioned_unavailable(self):
         q = np.diag([1.0, 1.0, 1e-5])  # cond 1e5 > default limit 1e4
+        assert solve_n(np.eye(3), q) is None
+
+    def test_singular_q_has_infinite_condition_and_no_n(self):
+        q = np.diag([1.0, 1.0, 0.0])
+        assert condition_number(q) == float("inf")
         assert solve_n(np.eye(3), q) is None
 
     def test_identities_on_random_fixtures(self, random_sl):
@@ -349,7 +375,6 @@ class TestTransformContent:
         assert np.allclose(out, [0.0, 0.4, 1.0], atol=1e-15)
         assert counter.out_of_gamut == 1
         assert counter.total == 2
-        assert counter.fraction == 0.5
 
     def test_in_frustum_falls_back_to_m(self):
         bundle = simple_bundle(m=np.diag([0.5, 0.5, 0.5]), n=None)
@@ -377,6 +402,11 @@ class TestTransformContent:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             transform_content(np.zeros(3), "sideways", simple_bundle())
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (5, 2)])
+    def test_trailing_axis_other_than_rgb_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"trailing RGB axis, got shape {shape}")):
+            transform_content(np.zeros(shape), "post", simple_bundle())
 
 
 def reference_transform(pixels, mode, bundle, counter=None):

@@ -9,6 +9,8 @@ import mmap
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +162,33 @@ class TestDeterminism:
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
+class TestExposure:
+    """Scaling every capture by a power of two changes only M and N, by its inverse."""
+
+    @pytest.mark.parametrize("scenario", ["broad", "rgb-led", "monochromatic"])
+    @pytest.mark.parametrize("k", [-3, 4])
+    def test_power_of_two_exposure_scales_m_and_n_only(self, fixtures, tmp_path, scenario, k):
+        fx = fixtures[scenario]
+        fixture_dir = shutil.copytree(fx["dir"], tmp_path / "fixture")
+        for name in ("primaries", "chart_red", "chart_green", "chart_blue", "black"):
+            path = fixture_dir / f"{name}.pfm"
+            write_pfm(path, read_pfm(path) * np.float32(2.0**k))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(fixture_dir / "config.json"), "--output-dir", str(out)]) == fx["code"]
+        base = fx["config"].output_dir
+        want, got = (json.loads((d / "bundle.json").read_text()) for d in (base, out))
+        assert np.array_equal(np.array(got["M"]), np.array(want["M"]) * 2.0**-k)
+        if want["N"] is None:
+            assert got["N"] is None
+        else:
+            assert np.array_equal(np.array(got["N"]), np.array(want["N"]) * 2.0**-k)
+        for key in ("Q", "beta", "black_offset"):
+            assert got[key] == want[key], key
+        # the displayed_* charts are not equivariant: the panel clamp is in absolute units
+        for name in ("lit_m_only.csv", "lit_m_q.csv"):
+            assert (out / name).read_bytes() == (base / name).read_bytes(), name
+
+
 class TestSimulate:
     def test_matches_solve_prediction_bit_exactly(self, fixtures, tmp_path):
         fx = fixtures["broad"]
@@ -234,6 +263,31 @@ class TestErrorsAndUtilities:
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize("what", ["missing", "device"])
+    @pytest.mark.parametrize("command", ["solve", "simulate", "chart-error --target", "chart-error --measured"])
+    def test_path_that_is_not_a_file_exits_2_at_once(self, fixtures, tmp_path, capsys, command, what):
+        # a device is no file: reading /dev/zero would never end, so it is rejected unread
+        bad = str(tmp_path / "none") if what == "missing" else "/dev/zero"
+        config = str(fixtures["broad"]["dir"] / "config.json")
+        targets = str(fixtures["broad"]["dir"] / "targets.csv")
+        argv = {
+            "solve": ["solve", "--config", bad],
+            "simulate": ["simulate", "--config", config, "--bundle", bad],
+            "chart-error --target": ["chart-error", "--target", bad, "--measured", targets],
+            "chart-error --measured": ["chart-error", "--target", targets, "--measured", bad],
+        }[command]
+        assert main(argv) == 2
+        line = _one_error_line(capsys)
+        assert line.endswith(f" not found: {bad}"), line
+
+    def test_module_entry_point_runs_a_command(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(stagecal.__file__).parents[1])}
+        argv = [sys.executable, "-m", "stagecal.cli", "beta", "--resolution", "64"]
+        result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert 0.30 < float(result.stdout) < 0.32
 
     def test_flag_overrides_file(self, fixtures, tmp_path, capsys):
         # raising the Q condition limit turns the monochromatic soft failure

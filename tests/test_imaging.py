@@ -37,7 +37,6 @@ from stagecal.imaging import (
     check_beta,
     chart_image,
     extract_chart,
-    normalize_green_white,
     read_chart_csv,
     read_pfm,
     render_comparison_chart,
@@ -626,17 +625,23 @@ class TestChartSamples:
             ChartSamples(np.zeros((24, 3))).white(index)
 
 
+def drawn_measured(target, measured, white_index):
+    """The measured chart as render_comparison_chart draws it: its 24 circle centers."""
+    img = render_comparison_chart(target, measured, white_index)
+    return img.data[24::48, 24::48].reshape(24, 3)
+
+
 class TestNormalizeGreenWhite:
+    """render_comparison_chart's exposure match on the white patch's green channel."""
+
     def test_identity(self):
         chart = ChartSamples(np.random.default_rng(4).uniform(0.1, 1.0, (24, 3)))
-        out = normalize_green_white(chart, chart, 18)
-        assert np.allclose(out.patches, chart.patches, atol=1e-15)
+        assert np.array_equal(drawn_measured(chart, chart, 18), chart.patches)
 
     def test_scalar_cancellation(self):
         ref = ChartSamples(np.random.default_rng(5).uniform(0.1, 1.0, (24, 3)))
         subject = ChartSamples(0.5 * ref.patches)
-        out = normalize_green_white(ref, subject, 18)
-        assert np.allclose(out.patches, ref.patches, atol=1e-12)
+        assert np.allclose(drawn_measured(ref, subject, 18), ref.patches, atol=1e-12)
 
     def test_explicit_scale(self):
         rng = np.random.default_rng(6)
@@ -644,26 +649,28 @@ class TestNormalizeGreenWhite:
         sub_p = rng.uniform(0.1, 1.0, (24, 3))
         ref_p[18, 1] = 0.4
         sub_p[18, 1] = 0.1
-        out = normalize_green_white(ChartSamples(ref_p), ChartSamples(sub_p), 18)
-        assert np.array_equal(out.patches, sub_p * 4.0)
+        drawn = drawn_measured(ChartSamples(ref_p), ChartSamples(sub_p), 18)
+        assert np.array_equal(drawn, sub_p * 4.0)
         # another white index reads another patch's green
         ref_p[5, 1], sub_p[5, 1] = 0.3, 0.6
-        out = normalize_green_white(ChartSamples(ref_p), ChartSamples(sub_p), 5)
-        assert np.array_equal(out.patches, sub_p * 0.5)
+        drawn = drawn_measured(ChartSamples(ref_p), ChartSamples(sub_p), 5)
+        assert np.array_equal(drawn, sub_p * 0.5)
 
     def test_white_green_matches_reference(self):
         rng = np.random.default_rng(7)
         ref = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
         sub = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
-        out = normalize_green_white(ref, sub, 18)
-        assert abs(out.white(18)[1] - ref.white(18)[1]) < 1e-12
+        assert abs(drawn_measured(ref, sub, 18)[18, 1] - ref.white(18)[1]) < 1e-12
 
-    def test_zero_green_rejected(self):
-        good = ChartSamples(np.full((24, 3), 0.5))
-        bad_p = np.full((24, 3), 0.5)
-        bad_p[18, 1] = 0.0
-        with pytest.raises(ValueError, match="green"):
-            normalize_green_white(good, ChartSamples(bad_p), 18)
+    def test_overflowing_scale_fails_the_image_check(self):
+        target = np.full((24, 3), 0.5)
+        target[18, 1] = 1e300
+        measured = np.full((24, 3), 0.5)
+        measured[18, 1] = 1e-300
+        # 1e300 / 1e-300 overflows to inf, which no drawn pixel may hold
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="image has a non-finite component"):
+                render_comparison_chart(ChartSamples(target), ChartSamples(measured), 18)
 
 
 class TestComparisonChart:
@@ -827,6 +834,23 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=rf"chart\.csv, line 5: {reason}"):
             read_chart_csv(path)
 
+    def test_chart_csv_skips_a_blank_line(self, tmp_path):
+        path = self._chart_csv(tmp_path / "chart.csv", range(24))
+        path.write_text(path.read_text().replace("12,", "\n  \n12,"))
+        assert np.array_equal(read_chart_csv(path).patches, np.full((24, 3), 0.5))
+
+    def test_chart_csv_missing_a_patch_rejected(self, tmp_path):
+        path = self._chart_csv(tmp_path / "chart.csv", range(23))
+        with pytest.raises(ValueError, match=r"chart\.csv: expected 24 patches, got 23$"):
+            read_chart_csv(path)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 2, 4), (1, 2, 3, 1)])
+    def test_write_pfm_rejects_data_other_than_h_w_3(self, tmp_path, shape):
+        path = tmp_path / "img.pfm"
+        with pytest.raises(ValueError, match=re.escape(f"expected (h, w, 3) data, got {shape}")):
+            write_pfm(path, np.zeros(shape))
+        assert not path.exists()
+
     def test_chart_csv_keeps_negative_zero(self, tmp_path):
         # the reader keeps a value as written, the sign of a zero included
         path = self._chart_csv(tmp_path / "chart.csv", range(24))
@@ -865,12 +889,12 @@ def png16_pixels(path, height, width):
 
 def gathered_comparison_chart(target, measured, white_index):
     """render_comparison_chart as two full chart images and a boolean gather of the circles."""
-    if target.white(white_index)[1] > 0 and measured.white(white_index)[1] > 0:
-        measured = normalize_green_white(target, measured, white_index)
+    ref_g, sub_g = target.white(white_index)[1], measured.white(white_index)[1]
+    scale = ref_g / sub_g if ref_g > 0 and sub_g > 0 else 1.0
     img = chart_image(target.patches, 48)
     yy, xx = np.mgrid[0:48, 0:48]
     inside = np.tile((xx + 0.5 - 24) ** 2 + (yy + 0.5 - 24) ** 2 <= (48 * 0.33) ** 2, (4, 6))
-    img[inside] = chart_image(measured.patches, 48)[inside]
+    img[inside] = chart_image(measured.patches * scale, 48)[inside]
     return img
 
 

@@ -117,6 +117,10 @@ class TestOracleScene:
         assert np.array_equal(a.illuminant, b.illuminant)
         assert np.array_equal(a.reflectances, b.reflectances)
 
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(ValueError, match="unknown scenario 'nope'; expected one of"):
+            make_scene(0, "nope")
+
     def test_neutral_row_flat(self):
         scene = make_scene(0, "broad")
         for i, value in enumerate(NEUTRAL_REFLECTANCES):
