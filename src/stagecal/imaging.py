@@ -307,7 +307,9 @@ def render_comparison_chart(target: ChartSamples, measured: ChartSamples, white_
     is drawn unscaled.
     """
     ref_g, sub_g = target.white(white_index)[1], measured.white(white_index)[1]
-    scale = ref_g / sub_g if ref_g > 0 and sub_g > 0 else 1.0
+    # a ratio past the float range is inf, which the image check rejects
+    with np.errstate(over="ignore"):
+        scale = ref_g / sub_g if ref_g > 0 and sub_g > 0 else 1.0
     patch_size = 48
     radius = patch_size * 0.33
     yy, xx = np.mgrid[0:patch_size, 0:patch_size]

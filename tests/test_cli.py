@@ -674,7 +674,7 @@ class TestErrorPaths:
         "value, line",
         [("inf", "error: stage beta: half_extent must be positive and finite, got inf"),
          ("nan", "error: stage beta: half_extent must be positive and finite, got nan"),
-         ("1e6", "error: stage beta: beta must be in (0, 1], got 1.0001003801184138 for half_extent 1000000.0"),
+         ("1e6", "error: stage beta: beta must be in (0, 1], got 1.000100380118413 for half_extent 1000000.0"),
          # 1 / (half_extent * cos) overflows to inf, with no numpy warning before the error
          ("5e-324", "error: stage beta: beta must be in (0, 1], got 0.0 for half_extent 5e-324")],
     )

@@ -9,6 +9,7 @@ from stagecal.geometry import (
     _ROW_BLOCK,
     FRONTAL,
     EnvMap,
+    _panel_window,
     build_panel_env,
     compute_beta,
     diffuse_convolve,
@@ -209,6 +210,21 @@ class TestComputeBeta:
         assert all(b2 >= b1 for b1, b2 in zip(betas, betas[1:]))
         assert all(0.0 < b <= 1.0 for b in betas)
 
+    # reference: the whole map's frontal convolution; summing the window
+    # alone changes only the rounding order
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(half_extent=st.floats(0.05, 5.0), resolution=st.integers(64, 512))
+    def test_matches_whole_map_convolution(self, half_extent, resolution):
+        env = build_panel_env(half_extent, resolution)
+        rows, cols = _panel_window(half_extent, resolution)[:2]
+        outside = np.ones((env.height, env.width), bool)
+        outside[rows, cols] = False
+        # every texel left out of the window is +0.0, so no coverage is dropped
+        left_out = env.data[outside]
+        assert left_out.tobytes() == bytes(left_out.nbytes)
+        expected = diffuse_convolve(env, FRONTAL)[1]
+        np.testing.assert_allclose(compute_beta(half_extent, resolution), expected, rtol=1e-13, atol=0.0)
+
     def test_beta_above_one_rejected(self):
         # a panel this wide covers the frontal hemisphere, and the texel grid overshoots 1
         with pytest.raises(ValueError, match=r"beta must be in \(0, 1\], got 1\.0001"):
@@ -275,6 +291,14 @@ class TestAllocationBounds:
 
     def test_compute_beta(self):
         assert self.peak(lambda: compute_beta(0.6, self.RES)) <= 1.5 * self.MAP
+
+    def test_panel_scratch_is_one_window_array(self):
+        # coverage and weights are computed in place: beyond the map, each call
+        # holds one window-sized float64 array at a time
+        rows, cols = _panel_window(0.6, self.RES)[:2]
+        window = (rows.stop - rows.start) * (cols.stop - cols.start) * 8
+        assert self.peak(lambda: build_panel_env(0.6, self.RES)) < self.MAP + 1.5 * window
+        assert self.peak(lambda: compute_beta(0.6, self.RES)) < self.MAP + 1.5 * window
 
 
 class TestWAvg:
