@@ -111,15 +111,11 @@ class CalibrationBundle:
         for key in ("M", "Q", "N", "beta", "black_offset"):
             if key not in doc:
                 raise ValueError(f'missing key "{key}"')
-        beta = doc["beta"]
-        # type(), not isinstance(): JSON true parses to a bool, which is an int
-        if type(beta) not in (int, float):
-            raise ValueError(f"beta must be a JSON number, got {reprlib.repr(beta)}")
         return cls(
             m=doc["M"],
             q=doc["Q"],
             n=doc["N"],
-            beta=beta,
+            beta=doc["beta"],
             black_offset=doc["black_offset"],
             diagnostics=doc.get("diagnostics", {}),
         )

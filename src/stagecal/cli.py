@@ -63,6 +63,7 @@ from .imaging import (
     chart_image,
     check_white_index,
     extract_chart,
+    is_real,
     read_chart_csv,
     read_pfm,
     render_comparison_chart,
@@ -141,10 +142,8 @@ def _require(doc: dict, key: str, where: str):
 
 
 def _is_number(value, kind: type) -> bool:
-    """A finite JSON number; an integer (kind int) takes no fractional part."""
-    # type(), not isinstance(): JSON true parses to a bool, which is an int
-    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
-    return finite and (kind is float or value == int(value))
+    """A finite real number by is_real's rule; an integer (kind int) takes no fractional part."""
+    return is_real(value) and abs(value) <= sys.float_info.max and (kind is float or value == int(value))
 
 
 def _scalar(doc: dict, key: str, kind: type, default, where: str = "config"):
@@ -518,8 +517,8 @@ def run_oracle(seed: int, scenario: str, outdir) -> Path:
     return outdir
 
 
-def run_simulate(config: PipelineConfig, bundle_path, variant: str, outdir=None):
-    """Re-predict the lit chart from a saved bundle; writes CSV and PNG."""
+def run_simulate(config: PipelineConfig, bundle_path, variant: str):
+    """Re-predict the lit chart from a saved bundle; writes CSV and PNG into config.output_dir."""
     bundle_path = Path(bundle_path)
     if not bundle_path.is_file():
         raise ConfigError(f"bundle file not found: {bundle_path}")
@@ -530,12 +529,12 @@ def run_simulate(config: PipelineConfig, bundle_path, variant: str, outdir=None)
 
     srl, targets, w_avg = load_inputs(config)
     name = {"m-only": "lit_m_only", "m-q": "lit_m_q"}[variant]
-    outdir = Path(outdir) if outdir is not None else config.output_dir
+    out = config.output_dir
     with _stage("simulate"):
         predicted = predict_lit_chart(srl, bundle.m, w_avg, bundle.beta)
         chart, _ = clamp_chart(predicted if variant == "m-only" else predicted @ bundle.q.T)
-        outdir.mkdir(parents=True, exist_ok=True)
-        csv_path, png_path = _write_chart(outdir, f"simulated_{name}", targets, chart, config.white_index)
+        out.mkdir(parents=True, exist_ok=True)
+        csv_path, png_path = _write_chart(out, f"simulated_{name}", targets, chart, config.white_index)
     return chart, csv_path, png_path
 
 
@@ -594,18 +593,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     """Run one parsed command; returns its exit code."""
+    if args.command in ("solve", "simulate"):
+        # every solve flag but --config and --output-dir is a config key of the same name
+        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config", "output_dir")}
+        config = load_config(args.config, overrides if args.command == "solve" else None)
+        if args.output_dir is not None:  # relative to the current directory, not to the config's
+            config = replace(config, output_dir=Path(args.output_dir))
     if args.command == "solve":
-        # every solve flag besides --config is a config key of the same name
-        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-        config = load_config(args.config, overrides)
         _, _, code = run_solve(config)
         if code != 0:
             warnings.warn("N unavailable, in-frustum fallback N := M")
         print(f"wrote {config.output_dir}")
         return code
     if args.command == "simulate":
-        config = load_config(args.config)
-        _, csv_path, png_path = run_simulate(config, args.bundle, args.variant, args.output_dir)
+        _, csv_path, png_path = run_simulate(config, args.bundle, args.variant)
         print(f"wrote {csv_path} and {png_path}")
         return 0
     if args.command == "oracle":

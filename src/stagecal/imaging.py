@@ -8,6 +8,7 @@ charts as CSV.
 from __future__ import annotations
 
 import mmap
+import numbers
 import os
 import reprlib
 import struct
@@ -37,19 +38,31 @@ _TILE = 1 << 16
 _INF_BITS = {np.dtype(np.float32): (np.uint32, 0x7F800000), np.dtype(np.float64): (np.uint64, 0x7FF << 52)}
 
 
+def is_real(value) -> bool:
+    """Whether `value` is a real number: not a bool, though Python counts True as 1, and not a string."""
+    # isinstance(), not type(): numpy's real scalars count; JSON true parses to a bool, which is an int
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def as_array(value, shape: tuple, name: str, nonneg: bool = False) -> np.ndarray:
     """`value` as a finite float64 array of `shape`, and >= 0 with `nonneg`.
 
     A None in `shape` matches any length. Anything else raises ValueError
     naming `name`: non-numeric input, the wrong shape, or the index of the
-    first non-finite (or, with `nonneg`, negative) component.
+    first non-finite (or, with `nonneg`, negative) component. Each element of
+    a list or tuple, and a bare bool or string, must pass is_real (`[true, 1]`
+    and `["1.5"]` do not); an ndarray's elements convert as numpy converts them.
     """
     return _checked(_float64(value, name), shape, name, nonneg)
 
 
 def _float64(value, name: str) -> np.ndarray:
     try:
-        return np.asarray(value, dtype=np.float64)
+        a = np.asarray(value, dtype=np.float64)
+        # numpy reads true as 1.0 and "1.5" as 1.5, so these are read element by element
+        if isinstance(value, (list, tuple, bool, str)) and not all(map(is_real, np.asarray(value, object).flat)):
+            raise TypeError
+        return a
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
         raise ValueError(f"{name} must be numeric, got {reprlib.repr(value)}") from exc
 
@@ -119,7 +132,9 @@ def check_white_index(white_index: int) -> int:
 
 
 def check_beta(beta: float, context: str = "") -> float:
-    """`beta` itself if 0 < beta <= 1; ValueError (ending in `context`) otherwise, NaN included."""
+    """`beta` itself if is_real(beta) and 0 < beta <= 1; ValueError (ending in `context`) otherwise, NaN included."""
+    if not is_real(beta):
+        raise ValueError(f"beta must be a number, got {reprlib.repr(beta)}{context}")
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta}{context}")
     return beta

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stagecal.cli import main as stagecal_main
+from stagecal.cli import CHANNELS, ORACLE_PATCH_PIXELS, ORACLE_PRIMARY_BLOCK, main as stagecal_main
 
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 REL_TOL = 1e-12
@@ -53,8 +53,6 @@ CAPTURE_W, CAPTURE_H = 384, 216
 CHART_BOX = (24, 18, 360, 198)  # 6x4 cells of 56x45 pixels
 ENV_H = 32
 NOISE = 0.02
-ORACLE_PATCH, ORACLE_BLOCK = 16, 32  # stagecal.cli's oracle layout
-CHANNELS = ("red", "green", "blue")
 
 _NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?(?![\w.])")
 
@@ -172,14 +170,14 @@ def build_capture_fixture(src: Path, dst: Path) -> None:
             img[y0 + r * ph : y0 + (r + 1) * ph, x0 + c * pw : x0 + (c + 1) * pw] = value
         return img
 
-    centers = [((j // 6) * ORACLE_PATCH + ORACLE_PATCH // 2, (j % 6) * ORACLE_PATCH + ORACLE_PATCH // 2)
-               for j in range(24)]
+    ps = ORACLE_PATCH_PIXELS
+    centers = [((j // 6) * ps + ps // 2, (j % 6) * ps + ps // 2) for j in range(24)]
     dst.mkdir(parents=True)
-    band, half = CAPTURE_W // 3, ORACLE_BLOCK // 2
+    band, half = CAPTURE_W // 3, ORACLE_PRIMARY_BLOCK // 2
     oracle_primaries = _read_pfm(src / "primaries.pfm")
     primaries = np.zeros((CAPTURE_H, CAPTURE_W, 3))
     for c in range(3):
-        primaries[:, c * band : (c + 1) * band] = oracle_primaries[half, c * ORACLE_BLOCK + half]
+        primaries[:, c * band : (c + 1) * band] = oracle_primaries[half, c * ORACLE_PRIMARY_BLOCK + half]
     _write_pfm(dst / "primaries.pfm", noisy(primaries))
     for name in CHANNELS:
         oracle_chart = _read_pfm(src / f"chart_{name}.pfm")

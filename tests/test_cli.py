@@ -248,6 +248,22 @@ class TestSimulate:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_relative_output_dir_flag_is_relative_to_the_current_directory(fixtures, tmp_path, monkeypatch, capsys,
+                                                                       command):
+    # a relative output_dir in the config resolves against the config's directory; the flag does not
+    fixture_dir = _copy_fixture(fixtures["broad"], tmp_path)
+    argv = [command, "--config", str(fixture_dir / "config.json"), "--output-dir", "results"]
+    if command == "simulate":
+        argv += ["--bundle", str(fixtures["broad"]["config"].output_dir / "bundle.json")]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    written = "bundle.json" if command == "solve" else "simulated_lit_m_q.csv"
+    assert (tmp_path / "results" / written).is_file()
+    assert not (fixture_dir / "results").exists()
+    assert capsys.readouterr().out.startswith("wrote results")
+
+
 class TestErrorsAndUtilities:
     def test_missing_input_exit_2(self, fixtures, tmp_path, capsys):
         # a missing file is an input error: exit 2, and no "stage" prefix
@@ -576,8 +592,15 @@ class TestErrorPaths:
         "doc, reason",
         [([], "expected a JSON object, got []"),
          ("x", "expected a JSON object, got 'x'"),
-         ({"beta": None}, "beta must be a JSON number, got None"),
-         ({"beta": "0.3"}, "beta must be a JSON number, got '0.3'")],
+         ({"beta": None}, "beta must be a number, got None"),
+         ({"beta": "0.3"}, "beta must be a number, got '0.3'"),
+         # an array element follows the same rule as beta
+         ({"M": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]},
+          "M must be numeric, got [[True, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+         ({"M": [["1", 0, 0], [0, 1, 0], [0, 0, 1]]},
+          "M must be numeric, got [['1', 0, 0], [0, 1, 0], [0, 0, 1]]"),
+         ({"black_offset": [0, 0, True]}, "black_offset must be numeric, got [0, 0, True]"),
+         ({"black_offset": ["0", 0, 0]}, "black_offset must be numeric, got ['0', 0, 0]")],
     )
     def test_simulate_malformed_bundle_is_an_input_error(self, fixtures, tmp_path, capsys, doc, reason):
         fx = fixtures["broad"]
@@ -808,6 +831,17 @@ class TestErrorPaths:
             (["weights"], [1.0, 1.0] + [0.0] * 22, "config: need at least 3"),
             (["w_avg"], {"mode": "env_map", "path": "primaries.pfm", "facing": [0, 0, 2]},
              "w_avg.facing: direction must be"),
+            # an array element is a number by the rule a scalar follows: not a bool, not a string
+            (["channel_charts", "red", "corners"], [[0, False], [96, 0], [96, 64], [0, 64]],
+             "channel_charts.red: corners"),
+            (["channel_charts", "red", "corners"], [["0", 0], [96, 0], [96, 64], [0, 64]],
+             "channel_charts.red: corners"),
+            (["weights"], [True] + [1.0] * 23, "config: weights"),
+            (["weights"], ["1"] + [1.0] * 23, "config: weights"),
+            (["w_avg"], {"mode": "white_patch", "rgb": [True, 1, 1]}, "w_avg: rgb"),
+            (["w_avg"], {"mode": "white_patch", "rgb": ["1", 1, 1]}, "w_avg: rgb"),
+            (["w_avg"], {"mode": "env_map", "path": "primaries.pfm", "facing": [0, 0, True]}, "w_avg: facing"),
+            (["w_avg"], {"mode": "env_map", "path": "primaries.pfm", "facing": [0, 0, "1"]}, "w_avg: facing"),
         ],
         ids=["weights-text", "weights-5", "weights-negative", "corners-text", "corners-3", "rgb-text",
              "rgb-past-float-range", "facing-text", "roi-text", "roi-3", "black-roi-text", "roi-fraction", "roi-bool",
@@ -815,7 +849,9 @@ class TestErrorPaths:
              "channel-charts-number", "channel-number", "targets-number", "targets-csv-number",
              "targets-image-number", "chart-image-number", "primaries-image-number", "env-path-number",
              "black-image-number", "output-dir-number", "output-dir-null", "corners-not-convex",
-             "inset-0.6", "white-index-30", "weights-2-positive", "facing-not-unit"],
+             "inset-0.6", "white-index-30", "weights-2-positive", "facing-not-unit", "corners-bool",
+             "corners-string", "weights-bool", "weights-string", "rgb-bool", "rgb-string", "facing-bool",
+             "facing-string"],
     )
     def test_malformed_config_array_or_section(self, fixtures, tmp_path, capsys, path, value, named):
         fixture_dir = _copy_fixture_with(fixtures["broad"], tmp_path, path, value)
@@ -894,23 +930,26 @@ _DELETE = object()
 _NUMBERS = st.sampled_from([0, -1, 0.5, 3, 1e300, -1e-300, 10**30, float("nan"), float("inf")])
 _SCALES = st.sampled_from([-1, 0, 0.5, 1e6, 1e300])
 _WRONG_TYPES = st.sampled_from([None, True, "x", {}, []])
+# not numbers, though numpy reads them as 1.0 in an array
+_NOT_NUMBERS = st.sampled_from([True, "1"])
 
 
 def _mutants(value):
-    """One-field mutations of a config value: type, shape, sign, NaN and bounds."""
+    """One-field mutations of a config value: type, shape, sign, NaN and bounds,
+    and a list element that is a bool or a numeric string."""
     common = [st.just(_DELETE), _WRONG_TYPES, _NUMBERS]
     if isinstance(value, list):
         flat = np.asarray(value, dtype=float)
 
         def with_element(i, x):
-            out = flat.copy()
+            out = flat.astype(object)  # holds a bool or a string as it is
             out.flat[i] = x
             return out.tolist()
 
         return st.one_of(
             *common,
             st.sampled_from([value[:-1], value + value[-1:], [value]]),
-            st.builds(with_element, st.integers(0, flat.size - 1), _NUMBERS),
+            st.builds(with_element, st.integers(0, flat.size - 1), st.one_of(_NUMBERS, _NOT_NUMBERS)),
             _SCALES.map(lambda k: (flat * k).tolist()),
         )
     if isinstance(value, str):
@@ -937,12 +976,20 @@ def test_one_mutated_config_field_exits_0_1_or_2(mutation_bases, data):
         section[path[-1]] = value
     config = fixture_dir / "mutated.json"
     config.write_text(json.dumps(doc))
-    _assert_exit_contract(["solve", "--config", str(config)])
+    code = _assert_exit_contract(["solve", "--config", str(config)])
+    # every config array is read at load, and an element that is not a number fails there
+    if isinstance(value, list) and any(isinstance(x, (bool, str)) for x in _leaves(value)):
+        assert code == 2
 
 
-def _assert_exit_contract(argv):
-    """Run a command: it exits 0, 1 or 2 without raising, and stderr holds
-    only one-line warnings and, when the command fails, one error line, last."""
+def _leaves(value):
+    """The elements of nested lists that are not lists themselves."""
+    return [x for v in value for x in _leaves(v)] if isinstance(value, list) else [value]
+
+
+def _assert_exit_contract(argv) -> int:
+    """Run a command and return its exit code: 0, 1 or 2, without raising, with
+    stderr holding only one-line warnings and, on failure, one error line, last."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -956,6 +1003,7 @@ def _assert_exit_contract(argv):
         assert "warning: N unavailable, in-frustum fallback N := M" in lines
     else:
         assert len(errors) == 1 and lines[-1] == errors[0], lines
+    return code
 
 
 @pytest.fixture(scope="module")

@@ -294,6 +294,13 @@ def test_checked_inputs_reject_malformed_values(case):
     rejects(np.ones(longer), "must have shape")
     rejects(good[..., None], "must have shape")
     rejects("x", "must be numeric")
+    # numpy's scalars are real numbers; a bool or a numeric string is not, bare or as an element
+    leaves = np.fromiter(good.flat, object).reshape(good.shape)
+    call(leaves.tolist())
+    for element in (True, "1"):
+        rejects(element, "must be numeric")
+        leaves.flat[0] = element
+        rejects(leaves.tolist(), "must be numeric")
     # as_direction([nan, 0, 1]) and w_avg_from_white([nan, 1, 1]) among them
     bad = good.copy()
     bad.flat[0] = np.nan
@@ -314,12 +321,14 @@ BETA_CHECKS = {
 }
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, 1.5, float("nan")], ids=str)
+@pytest.mark.parametrize("value", [0.0, -1.0, 1.5, float("nan"), True], ids=str)
 @pytest.mark.parametrize("case", BETA_CHECKS, ids=str)
 def test_beta_outside_zero_to_one_rejected(case, value):
     call = BETA_CHECKS[case]
     call(1.0)  # the upper end is included
-    with pytest.raises(ValueError, match=re.escape(f"beta must be in (0, 1], got {value}")):
+    # True is not a number, though Python counts it as 1
+    message = "beta must be a number, got True" if value is True else f"beta must be in (0, 1], got {value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         call(value)
 
 
@@ -632,52 +641,9 @@ def drawn_measured(target, measured, white_index):
     return img.data[24::48, 24::48].reshape(24, 3)
 
 
-class TestNormalizeGreenWhite:
-    """render_comparison_chart's exposure match on the white patch's green channel."""
-
-    def test_identity(self):
-        chart = ChartSamples(np.random.default_rng(4).uniform(0.1, 1.0, (24, 3)))
-        assert np.array_equal(drawn_measured(chart, chart, 18), chart.patches)
-
-    def test_scalar_cancellation(self):
-        ref = ChartSamples(np.random.default_rng(5).uniform(0.1, 1.0, (24, 3)))
-        subject = ChartSamples(0.5 * ref.patches)
-        assert np.allclose(drawn_measured(ref, subject, 18), ref.patches, atol=1e-12)
-
-    def test_explicit_scale(self):
-        rng = np.random.default_rng(6)
-        ref_p = rng.uniform(0.1, 1.0, (24, 3))
-        sub_p = rng.uniform(0.1, 1.0, (24, 3))
-        ref_p[18, 1] = 0.4
-        sub_p[18, 1] = 0.1
-        drawn = drawn_measured(ChartSamples(ref_p), ChartSamples(sub_p), 18)
-        assert np.array_equal(drawn, sub_p * 4.0)
-        # another white index reads another patch's green
-        ref_p[5, 1], sub_p[5, 1] = 0.3, 0.6
-        drawn = drawn_measured(ChartSamples(ref_p), ChartSamples(sub_p), 5)
-        assert np.array_equal(drawn, sub_p * 0.5)
-
-    def test_white_green_matches_reference(self):
-        rng = np.random.default_rng(7)
-        ref = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
-        sub = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
-        assert abs(drawn_measured(ref, sub, 18)[18, 1] - ref.white(18)[1]) < 1e-12
-
-    def test_overflowing_scale_fails_the_image_check(self):
-        target = np.full((24, 3), 0.5)
-        target[18, 1] = 1e300
-        measured = np.full((24, 3), 0.5)
-        measured[18, 1] = 1e-300
-        # 1e300 / 1e-300 overflows to inf, which no drawn pixel may hold; the
-        # image check alone reports it, with no overflow warning ahead of it
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="image has a non-finite component"):
-                render_comparison_chart(ChartSamples(target), ChartSamples(measured), 18)
-        assert caught == []
-
-
 class TestComparisonChart:
+    """chart_image, and render_comparison_chart's exposure match on the white patch's green channel."""
+
     def test_chart_image_draws_row_major_squares(self):
         patches = np.random.default_rng(15).uniform(0.0, 1.0, (24, 3))
         img = chart_image(patches, 5)
@@ -731,6 +697,43 @@ class TestComparisonChart:
         # only a zero green is drawn unscaled; a white index off the chart raises
         with pytest.raises(ValueError, match="white_index must be in"):
             render_comparison_chart(target, ChartSamples(patches), 24)
+
+    def test_scalar_cancellation(self):
+        ref = ChartSamples(np.random.default_rng(5).uniform(0.1, 1.0, (24, 3)))
+        subject = ChartSamples(0.5 * ref.patches)
+        assert np.allclose(drawn_measured(ref, subject, 18), ref.patches, atol=1e-12)
+
+    def test_explicit_scale(self):
+        rng = np.random.default_rng(6)
+        ref_p = rng.uniform(0.1, 1.0, (24, 3))
+        sub_p = rng.uniform(0.1, 1.0, (24, 3))
+        ref_p[18, 1] = 0.4
+        sub_p[18, 1] = 0.1
+        drawn = drawn_measured(ChartSamples(ref_p), ChartSamples(sub_p), 18)
+        assert np.array_equal(drawn, sub_p * 4.0)
+        # another white index reads another patch's green
+        ref_p[5, 1], sub_p[5, 1] = 0.3, 0.6
+        drawn = drawn_measured(ChartSamples(ref_p), ChartSamples(sub_p), 5)
+        assert np.array_equal(drawn, sub_p * 0.5)
+
+    def test_white_green_matches_reference(self):
+        rng = np.random.default_rng(7)
+        ref = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
+        sub = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
+        assert abs(drawn_measured(ref, sub, 18)[18, 1] - ref.white(18)[1]) < 1e-12
+
+    def test_overflowing_scale_fails_the_image_check(self):
+        target = np.full((24, 3), 0.5)
+        target[18, 1] = 1e300
+        measured = np.full((24, 3), 0.5)
+        measured[18, 1] = 1e-300
+        # 1e300 / 1e-300 overflows to inf, which no drawn pixel may hold; the
+        # image check alone reports it, with no overflow warning ahead of it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="image has a non-finite component"):
+                render_comparison_chart(ChartSamples(target), ChartSamples(measured), 18)
+        assert caught == []
 
 
 class TestFileFormats:
