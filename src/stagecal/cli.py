@@ -63,7 +63,7 @@ from .imaging import (
     chart_image,
     check_white_index,
     extract_chart,
-    is_real,
+    is_number,
     read_chart_csv,
     read_pfm,
     render_comparison_chart,
@@ -141,14 +141,9 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _is_number(value, kind: type) -> bool:
-    """A finite real number by is_real's rule; an integer (kind int) takes no fractional part."""
-    return is_real(value) and abs(value) <= sys.float_info.max and (kind is float or value == int(value))
-
-
 def _scalar(doc: dict, key: str, kind: type, default, where: str = "config"):
     value = doc.get(key, default)
-    if _is_number(value, kind):
+    if is_number(value, kind):
         return kind(value)
     noun = "an integer" if kind is int else "a finite number"
     raise ConfigError(f"{where}: {key} must be {noun}, got {value!r}")
@@ -163,9 +158,9 @@ def _cond_limit(doc: dict, key: str, default: float) -> float:
 
 
 def _roi(doc: dict, key: str, where: str) -> tuple:
-    """An (x, y, w, h) pixel region: four integers, by _scalar's rule, x, y >= 0 and w, h >= 1."""
+    """An (x, y, w, h) pixel region: four integers by is_number's rule, x, y >= 0 and w, h >= 1."""
     value = _require(doc, key, where)
-    if not (isinstance(value, list) and len(value) == 4 and all(_is_number(v, int) for v in value)):
+    if not (isinstance(value, list) and len(value) == 4 and all(is_number(v, int) for v in value)):
         raise ConfigError(f"{where}: {key} must be 4 integers (x, y, w, h), got {value!r}")
     x, y, w, h = (int(v) for v in value)
     if x < 0 or y < 0 or w < 1 or h < 1:
@@ -205,8 +200,8 @@ def _chart_source(doc: dict, base: Path, where: str) -> ChartSource:
     return ChartSource(image=_path(doc, "image", base, where), grid=grid)
 
 
-def load_config(path, overrides: dict | None = None) -> PipelineConfig:
-    """Parse a pipeline config JSON; CLI flag overrides win over file values."""
+def load_config(path) -> PipelineConfig:
+    """Parse and check a pipeline config JSON: every setting comes from the file."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -214,8 +209,6 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         doc = json.loads(path.read_text())
     except (ValueError, RecursionError) as exc:  # bad JSON, an int over 4300 digits, or too deep nesting
         raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
-    if overrides:
-        doc.update({k: v for k, v in overrides.items() if v is not None})
     base = path.parent
 
     primaries = _section(doc, "primaries", "config")
@@ -309,9 +302,7 @@ def _extract(source: ChartSource) -> ChartSamples:
 def load_inputs(config: PipelineConfig):
     """Read the per-channel charts, the targets and w_avg; returns (srl, targets, w_avg)."""
     with _stage("channel_charts"):
-        charts = [_extract(config.channel_charts[c]) for c in CHANNELS]
-    with _stage("build_srl"):
-        srl = build_srl(*charts)
+        srl = build_srl(*(_extract(config.channel_charts[c]) for c in CHANNELS))
     with _stage("targets"):
         if isinstance(config.targets, ChartSource):
             targets = _extract(config.targets)
@@ -330,9 +321,7 @@ def load_inputs(config: PipelineConfig):
 def run_solve(config: PipelineConfig):
     """Execute every pipeline stage; returns (bundle, report, exit_code)."""
     with _stage("primaries"):
-        primary_rgb = _sample_rois(config.primaries_image, *(config.primary_rois[c] for c in CHANNELS))
-    with _stage("build_sl"):
-        sl = build_sl(*primary_rgb)
+        sl = build_sl(*_sample_rois(config.primaries_image, *(config.primary_rois[c] for c in CHANNELS)))
     with _stage("solve_m"):
         m = solve_m(sl, config.cond_limit_sl)
 
@@ -356,23 +345,22 @@ def run_solve(config: PipelineConfig):
         b_camera = np.zeros(3)
         black_offset = np.zeros(3)
 
-    with _stage("bundle"):
+    with _stage("report"):
         pipeline = CalibrationBundle(m=m, q=q, n=n, beta=beta, black_offset=black_offset)
         no_black = CalibrationBundle(m=m, q=q, n=n, beta=beta, black_offset=np.zeros(3))
-
-    with _stage("report"):
-        (lit_m_only, clamped), (lit_m_q, more) = clamp_chart(predicted), clamp_chart(predicted @ q.T)
-        clamped += more
         counter = GamutCounter()
-        displayed = {}
+        # each chart as the camera records it, before negatives are clamped
+        unclamped = {"lit_m_only": predicted, "lit_m_q": predicted @ q.T}
         for name, bundle_variant, use_counter in (
             ("displayed_no_black_level", no_black, None),
             ("displayed_with_black_level", pipeline, counter),
         ):
             panel = transform_content(targets.patches, "in_frustum", bundle_variant, use_counter)
-            recorded = panel @ sl.T + b_camera
-            displayed[name], extra = clamp_chart(recorded @ q.T)
-            clamped += extra
+            unclamped[name] = (panel @ sl.T + b_camera) @ q.T
+        all_charts, clamped = {}, 0
+        for name, values in unclamped.items():
+            all_charts[name], count = clamp_chart(values)
+            clamped += count
 
         diagnostics = {
             "cond_SL": condition_number(sl),
@@ -383,8 +371,6 @@ def run_solve(config: PipelineConfig):
             "n_available": n is not None,
         }
         bundle = replace(pipeline, diagnostics=diagnostics)
-
-        all_charts = {"lit_m_only": lit_m_only, "lit_m_q": lit_m_q, **displayed}
         errors = {
             name: dict(zip("rgb", chart_error(targets, chart, config.white_index).tolist()))
             for name, chart in all_charts.items()
@@ -561,12 +547,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the full calibration pipeline")
     solve.add_argument("--config", required=True)
     solve.add_argument("--output-dir", default=None)
-    solve.add_argument("--half-extent", type=float, default=None)
-    solve.add_argument("--beta-resolution", type=int, default=None)
-    solve.add_argument("--cond-limit-sl", type=float, default=None)
-    solve.add_argument("--cond-limit-q", type=float, default=None)
-    solve.add_argument("--white-reflectance", type=float, default=None)
-    solve.add_argument("--white-index", type=int, default=None)
 
     simulate = sub.add_parser("simulate", help="simulate the lit chart from a saved bundle")
     simulate.add_argument("--config", required=True)
@@ -594,9 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     """Run one parsed command; returns its exit code."""
     if args.command in ("solve", "simulate"):
-        # every solve flag but --config and --output-dir is a config key of the same name
-        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config", "output_dir")}
-        config = load_config(args.config, overrides if args.command == "solve" else None)
+        config = load_config(args.config)
         if args.output_dir is not None:  # relative to the current directory, not to the config's
             config = replace(config, output_dir=Path(args.output_dir))
     if args.command == "solve":

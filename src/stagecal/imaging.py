@@ -12,6 +12,7 @@ import numbers
 import os
 import reprlib
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -42,6 +43,11 @@ def is_real(value) -> bool:
     """Whether `value` is a real number: not a bool, though Python counts True as 1, and not a string."""
     # isinstance(), not type(): numpy's real scalars count; JSON true parses to a bool, which is an int
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_number(value, kind: type) -> bool:
+    """A finite real number by is_real's rule; an integer (kind int) takes no fractional part."""
+    return is_real(value) and abs(value) <= sys.float_info.max and (kind is float or value == int(value))
 
 
 def as_array(value, shape: tuple, name: str, nonneg: bool = False) -> np.ndarray:
@@ -299,7 +305,7 @@ def extract_chart(image: LinearImage, grid: ChartGridSpec) -> ChartSamples:
 
 def sample_roi(image: LinearImage, roi: tuple[int, int, int, int]) -> np.ndarray:
     """Trimmed-mean RGB of an axis-aligned (x, y, w, h) region of whole pixels."""
-    if not all(float(v).is_integer() for v in roi):
+    if not all(is_number(v, int) for v in roi):
         raise ValueError(f"ROI {roi} has a component that is not a whole number of pixels")
     x, y, w, h = (int(v) for v in roi)
     if w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > image.width or y + h > image.height:

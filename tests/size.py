@@ -1,0 +1,60 @@
+"""Print the package's size three ways, so that every change reports it alike.
+
+    PYTHONPATH=src python tests/size.py
+
+- `src lines`: lines of every `src/stagecal/*.py`, as `wc -l` counts them;
+- `settable values`: function parameters with a default, plus dataclass
+  fields, counted with `ast`: each is a value a caller may leave out;
+- `flags`: the options of each `stagecal` command, read from its parser.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+from pathlib import Path
+
+from stagecal.cli import _build_parser
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "stagecal"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def settable_values(tree: ast.Module) -> int:
+    """Parameters with a default plus dataclass fields in one module."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(item, ast.AnnAssign) for item in node.body)
+    return count
+
+
+def flags() -> dict:
+    """Command name -> number of its options, --help not counted."""
+    commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: sum(bool(a.option_strings) and a.dest != "help" for a in parser._actions)
+        for name, parser in commands.choices.items()
+    }
+
+
+def main() -> None:
+    files = sorted(SRC.glob("*.py"))
+    lines = sum(path.read_bytes().count(b"\n") for path in files)
+    values = sum(settable_values(ast.parse(path.read_text())) for path in files)
+    print(f"src lines: {lines}")
+    print(f"settable values: {values}")
+    print("flags: " + ", ".join(f"{name} {n}" for name, n in flags().items()))
+
+
+if __name__ == "__main__":
+    main()

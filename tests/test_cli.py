@@ -305,18 +305,12 @@ class TestErrorsAndUtilities:
         assert result.stderr == ""
         assert 0.30 < float(result.stdout) < 0.32
 
-    def test_flag_overrides_file(self, fixtures, tmp_path, capsys):
+    def test_raised_q_condition_limit_gives_a_full_solve(self, fixtures, tmp_path, capsys):
         # raising the Q condition limit turns the monochromatic soft failure
         # into a (numerically dubious but permitted) full solve
-        fx = fixtures["monochromatic"]
-        code = main(
-            [
-                "solve",
-                "--config", str(fx["dir"] / "config.json"),
-                "--output-dir", str(tmp_path / "forced"),
-                "--cond-limit-q", "1e30",
-            ]
-        )
+        fixture_dir = _copy_fixture(fixtures["monochromatic"], tmp_path, cond_limit_q=1e30)
+        code = main(["solve", "--config", str(fixture_dir / "config.json"),
+                     "--output-dir", str(tmp_path / "forced")])
         assert code == 0
         # the oracle's bounce light exceeds the black-level flag: one line, no raw warning
         (line,) = capsys.readouterr().err.splitlines()
@@ -410,8 +404,8 @@ class TestErrorPaths:
     def test_beta_above_one_fails_its_stage(self, fixtures, tmp_path, capsys):
         # a 1e6 half extent integrates to beta = 1 + 4e-7, which compute_beta rejects
         out = tmp_path / "out"
-        argv = ["solve", "--config", str(fixtures["broad"]["dir"] / "config.json"),
-                "--output-dir", str(out), "--half-extent", "1e6"]
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, half_extent=1e6)
+        argv = ["solve", "--config", str(fixture_dir / "config.json"), "--output-dir", str(out)]
         assert main(argv) == 1
         assert _one_error_line(capsys).startswith("error: stage beta: beta must be in (0, 1]")
         assert not out.exists()
@@ -677,9 +671,6 @@ class TestErrorPaths:
         argv = ["solve", "--config", str(fixture_dir / "config.json")]
         assert main(argv) == 2
         assert _one_error_line(capsys) == f"error: config: {key} must be >= 1, got {float(value)!r}"
-        # a flag override is checked by the same rule
-        assert main(argv[:3] + ["--" + key.replace("_", "-"), str(value)]) == 2
-        assert _one_error_line(capsys) == f"error: config: {key} must be >= 1, got {float(value)!r}"
 
     def test_condition_limit_of_one_is_allowed(self, fixtures, tmp_path):
         fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, cond_limit_sl=1, cond_limit_q=1)
@@ -717,8 +708,8 @@ class TestErrorPaths:
         assert _one_error_line(capsys) == "error: config: white_index must be in [0, 24), got 30"
 
     def test_solve_beta_resolution_above_bound_fails_its_stage(self, fixtures, tmp_path, capsys):
-        argv = ["solve", "--config", str(fixtures["broad"]["dir"] / "config.json"),
-                "--output-dir", str(tmp_path / "out"), "--beta-resolution", "100000"]
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, beta_resolution=100000)
+        argv = ["solve", "--config", str(fixture_dir / "config.json"), "--output-dir", str(tmp_path / "out")]
         assert main(argv) == 1
         assert _one_error_line(capsys) == "error: stage beta: resolution must be <= 4096, got 100000"
 
@@ -768,7 +759,7 @@ class TestErrorPaths:
         assert load_config(fixture_dir / "config.json").black_level[1] == (0, 0, 16, 16)
 
     def test_warnings_printed_before_a_stage_error(self, fixtures, tmp_path, capsys, monkeypatch):
-        # the black level warns, then a non-finite N fails the bundle stage;
+        # the black level warns, then a non-finite N fails the report stage;
         # solve_n never returns one, so this stand-in does
         monkeypatch.setattr("stagecal.cli.solve_n", lambda m, q, cond_limit: np.full((3, 3), np.nan))
         argv = ["solve", "--config", str(fixtures["monochromatic"]["dir"] / "config.json"),
@@ -776,7 +767,7 @@ class TestErrorPaths:
         assert main(argv) == 1
         warning, error = capsys.readouterr().err.splitlines()
         assert warning.startswith("warning: black level [")
-        assert error == "error: stage bundle: N has a non-finite component at index (0, 0): nan"
+        assert error == "error: stage report: N has a non-finite component at index (0, 0): nan"
 
     def test_beta_out_of_range_fails_where_the_chart_is_predicted(self, fixtures, tmp_path, capsys,
                                                                    monkeypatch):
@@ -1189,6 +1180,18 @@ def test_readme_cli_block_lists_exactly_the_parser_flags():
         for name, sub in commands.choices.items()
     }
     assert documented and documented == parsed
+
+
+def test_size_script_prints_lines_settable_values_and_flags():
+    env = {**os.environ, "PYTHONPATH": str(Path(stagecal.__file__).parents[1])}
+    argv = [sys.executable, str(Path(__file__).with_name("size.py"))]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines, values, flags = result.stdout.splitlines()
+    newlines = sum(path.read_bytes().count(b"\n") for path in Path(stagecal.__file__).parent.glob("*.py"))
+    assert lines == f"src lines: {newlines}"
+    assert re.fullmatch(r"settable values: \d+", values), values
+    assert flags == "flags: solve 2, simulate 4, oracle 3, beta 2, chart-error 3"
 
 
 def test_readme_config_schema_lists_exactly_the_oracle_config_keys(fixtures):

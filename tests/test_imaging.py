@@ -496,12 +496,15 @@ class TestSampleRoi:
         with pytest.raises(ValueError):
             sample_roi(img, (8, 8, 5, 5))
 
-    @pytest.mark.parametrize("roi", [(0.5, 0, 4, 4), (0, -1e-300, 4, 4), (0, 0, 4, np.nan), (0, 0, np.inf, 4)])
+    # config ROIs are checked by the same rule: a string, a bool or None is no
+    # number, and an integer past the float range is not a finite one
+    @pytest.mark.parametrize("roi", [(0.5, 0, 4, 4), (0, -1e-300, 4, 4), (0, 0, 4, np.nan), (0, 0, np.inf, 4),
+                                     ("1", 0, True, 1), (10**400, 0, 1, 1), (None, 0, 1, 1)])
     def test_fractional_component_rejected(self, roi):
-        img = LinearImage(np.zeros((10, 10, 3)))
-        with pytest.raises(ValueError, match="not a whole number of pixels"):
+        img = LinearImage(np.zeros((16, 16, 3)))
+        with pytest.raises(ValueError, match=r"^ROI \(.* not a whole number of pixels"):
             sample_roi(img, roi)
-        assert np.array_equal(sample_roi(img, (0.0, 0, 4.0, 4)), np.zeros(3))
+        assert np.array_equal(sample_roi(img, (0.0, 0, 16.0, 16)), np.zeros(3))
 
     def test_float32_roi_widens_one_channel_at_a_time(self):
         # the (3, n) float32 copy is 11.4 MiB and one widened kept row 6.1 MiB;
