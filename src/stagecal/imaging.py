@@ -1,8 +1,8 @@
 """Linear image I/O, transfer-function handling, and chart patch sampling.
 
 Everything here works in scene-linear RGB. Encoded (display-referred) values
-exist only on the way out, inside write_png16. Float images travel as PFM;
-charts as CSV.
+exist only on the way out: _encode16 turns linear values into 16-bit codes,
+which write_png16 writes as they are. Float images travel as PFM; charts as CSV.
 """
 
 from __future__ import annotations
@@ -39,6 +39,19 @@ _TILE = 1 << 16
 _INF_BITS = {np.dtype(np.float32): (np.uint32, 0x7F800000), np.dtype(np.float64): (np.uint64, 0x7FF << 52)}
 
 
+class _ShortRepr(reprlib.Repr):
+    """reprlib's abbreviated repr, which also stands in for an int too long to print in decimal."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            return f"<{x.bit_length()}-bit int>"
+
+
+_short_repr = _ShortRepr().repr
+
+
 def is_real(value) -> bool:
     """Whether `value` is a real number: not a bool, though Python counts True as 1, and not a string."""
     # isinstance(), not type(): numpy's real scalars count; JSON true parses to a bool, which is an int
@@ -70,7 +83,7 @@ def _float64(value, name: str) -> np.ndarray:
             raise TypeError
         return a
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
-        raise ValueError(f"{name} must be numeric, got {reprlib.repr(value)}") from exc
+        raise ValueError(f"{name} must be numeric, got {_short_repr(value)}") from exc
 
 
 def _checked(a: np.ndarray, shape: tuple, name: str, nonneg: bool) -> np.ndarray:
@@ -140,7 +153,7 @@ def check_white_index(white_index: int) -> int:
 def check_beta(beta: float, context: str = "") -> float:
     """`beta` itself if is_real(beta) and 0 < beta <= 1; ValueError (ending in `context`) otherwise, NaN included."""
     if not is_real(beta):
-        raise ValueError(f"beta must be a number, got {reprlib.repr(beta)}{context}")
+        raise ValueError(f"beta must be a number, got {_short_repr(beta)}{context}")
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta}{context}")
     return beta
@@ -305,8 +318,15 @@ def extract_chart(image: LinearImage, grid: ChartGridSpec) -> ChartSamples:
 
 def sample_roi(image: LinearImage, roi: tuple[int, int, int, int]) -> np.ndarray:
     """Trimmed-mean RGB of an axis-aligned (x, y, w, h) region of whole pixels."""
+    must = f"ROI {_short_repr(roi)} must be 4 whole numbers (x, y, w, h)"
+    try:
+        sized = len(roi) == 4
+    except TypeError:  # None, a number, an iterator
+        sized = False
+    if not sized:
+        raise ValueError(must)
     if not all(is_number(v, int) for v in roi):
-        raise ValueError(f"ROI {roi} has a component that is not a whole number of pixels")
+        raise ValueError(f"{must}: a component is not a whole number of pixels")
     x, y, w, h = (int(v) for v in roi)
     if w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > image.width or y + h > image.height:
         raise ValueError(f"ROI {roi} outside image bounds")
@@ -319,28 +339,57 @@ def chart_image(patches, patch_size: int) -> np.ndarray:
     return rows.repeat(patch_size, axis=0).repeat(patch_size, axis=1)
 
 
-def render_comparison_chart(target: ChartSamples, measured: ChartSamples, white_index: int) -> LinearImage:
-    """Draw target values as 48-pixel squares with measured values as inset circles.
+def _comparison_colors(target: ChartSamples, measured: ChartSamples, white_index: int) -> np.ndarray:
+    """The comparison chart's (2, 24, 3) color table: the target, then the exposure-matched measured chart.
 
-    The measured chart is exposure-matched to the target by one scalar on
-    every channel of every patch, which brings the white patch's green channel
-    to the target's; where either green is zero (fully degenerate lighting) it
-    is drawn unscaled.
+    One scalar on every channel of every measured patch brings the white
+    patch's green channel to the target's; where either green is zero (fully
+    degenerate lighting) the measured chart is left unscaled. The table passes
+    the image check, so an overflowing scale raises ValueError naming its entry.
     """
     ref_g, sub_g = target.white(white_index)[1], measured.white(white_index)[1]
-    # a ratio past the float range is inf, which the image check rejects
-    with np.errstate(over="ignore"):
+    # a ratio or a scaled value past the float range is inf, and 0 * inf is NaN: the image check rejects both
+    with np.errstate(over="ignore", invalid="ignore"):
         scale = ref_g / sub_g if ref_g > 0 and sub_g > 0 else 1.0
+        colors = np.stack([target.patches, measured.patches * scale])
+    return _checked(colors, (2, CHART_PATCHES, 3), "image", nonneg=True)
+
+
+def render_comparison_chart(target: ChartSamples, measured: ChartSamples, white_index: int) -> np.ndarray:
+    """The comparison chart as (192, 288, 3) uint16 display codes, for write_png16.
+
+    Target values are drawn as 48-pixel squares, with the exposure-matched
+    measured values (see _comparison_colors) as inset circles. Encoding is
+    element by element and drawing only selects values, so the chart's 48
+    colors are encoded once each and then laid out: the codes are those of the
+    drawn linear image encoded pixel by pixel.
+    """
+    codes = _encode16(_comparison_colors(target, measured, white_index))
     patch_size = 48
     radius = patch_size * 0.33
     yy, xx = np.mgrid[0:patch_size, 0:patch_size]
     circle = (xx + 0.5 - patch_size / 2) ** 2 + (yy + 0.5 - patch_size / 2) ** 2 <= radius**2
-    # (chart row, pixel row, chart column, pixel column, channel), drawn in one pass
-    cells = (CHART_ROWS, 1, CHART_COLS, 1, 3)
-    img = np.where(
-        circle[None, :, None, :, None], (measured.patches * scale).reshape(cells), target.patches.reshape(cells)
-    )
-    return LinearImage(img.reshape(CHART_ROWS * patch_size, CHART_COLS * patch_size, 3))
+    # which samples of a chart row's 48 pixel rows lie inside a circle: (48, 6 * 48 * 3)
+    inside = np.tile(circle.repeat(3, axis=1), CHART_COLS)
+    # the target (0) and measured (1) codes of each chart row, each repeated across its square: (2, 4, 1, 864)
+    rows = codes.reshape(2, CHART_ROWS, CHART_COLS, 1, 3).repeat(patch_size, axis=3).reshape(2, CHART_ROWS, 1, -1)
+    chart = np.empty((CHART_ROWS, patch_size, inside.shape[1]), np.uint16)  # (chart row, pixel row, sample)
+    chart[...] = rows[0]
+    np.copyto(chart, rows[1], where=inside)
+    return chart.reshape(CHART_ROWS * patch_size, CHART_COLS * patch_size, 3)
+
+
+def _encode16(linear: np.ndarray) -> np.ndarray:
+    """Scene-linear values as 16-bit display codes: x ** (1/2.4), clipped to [0, 1], scaled by 65535, rounded.
+
+    Element by element at the input's float precision, so encoding an
+    image's distinct colors gives the codes of encoding each of its pixels.
+    """
+    encoded = linear ** (1 / 2.4)
+    np.clip(encoded, 0.0, 1.0, out=encoded)
+    encoded *= 65535.0
+    np.round(encoded, out=encoded)
+    return encoded.astype(np.uint16)
 
 
 # --- file formats -----------------------------------------------------------
@@ -401,16 +450,15 @@ def _png_chunk(tag: bytes, payload: bytes) -> bytes:
     )
 
 
-def write_png16(path, image: LinearImage) -> None:
-    """Write a 16-bit RGB PNG, encoding scene-linear data with 1/2.4."""
-    encoded = image.data ** (1 / 2.4)
-    np.clip(encoded, 0.0, 1.0, out=encoded)
-    encoded *= 65535.0
-    np.round(encoded, out=encoded)
-    h, w = encoded.shape[:2]
+def write_png16(path, codes: np.ndarray) -> None:
+    """Write (h, w, 3) uint16 codes, such as _encode16 returns, as a 16-bit RGB PNG, every row unfiltered."""
+    if not isinstance(codes, np.ndarray) or codes.dtype != np.uint16 or codes.ndim != 3 or codes.shape[2] != 3:
+        got = f"{codes.dtype} of shape {codes.shape}" if isinstance(codes, np.ndarray) else _short_repr(codes)
+        raise ValueError(f"expected (h, w, 3) uint16 codes, got {got}")
+    h, w = codes.shape[:2]
     # each row is filter byte 0 followed by its big-endian 16-bit samples
     raw = np.zeros((h, 1 + w * 6), np.uint8)
-    raw[:, 1:].view(">u2").reshape(h, w, 3)[...] = encoded
+    raw[:, 1:].view(">u2").reshape(h, w, 3)[...] = codes
     ihdr = struct.pack(">IIBBBBB", w, h, 16, 2, 0, 0, 0)
     with open(path, "wb") as f:
         f.write(b"\x89PNG\r\n\x1a\n")

@@ -18,7 +18,7 @@ from stagecal.geometry import (
     w_avg_from_env,
     w_avg_from_white,
 )
-from stagecal.imaging import LinearImage, write_pfm
+from stagecal.imaging import ChartSamples, LinearImage, render_comparison_chart, write_pfm, write_png16
 
 # differential-element-to-rectangle form factor, summed over the four corner
 # rectangles (independent closed form, frozen)
@@ -257,7 +257,7 @@ class TestComputeBeta:
 
 
 class TestAllocationBounds:
-    """Peak traced allocation at resolution 1024, against the arrays each call must hold."""
+    """Peak traced allocation against the arrays each call must hold: resolution 1024, and one comparison chart."""
 
     RES = 1024
     PLANE = RES * 2 * RES * 8  # one (h, w) float64 array
@@ -299,6 +299,19 @@ class TestAllocationBounds:
         window = (rows.stop - rows.start) * (cols.stop - cols.start) * 8
         assert self.peak(lambda: build_panel_env(0.6, self.RES)) < self.MAP + 1.5 * window
         assert self.peak(lambda: compute_beta(0.6, self.RES)) < self.MAP + 1.5 * window
+
+    def test_comparison_png_holds_no_float_chart_image(self, tmp_path):
+        # the chart's 48 colors are encoded before they are laid out, so writing
+        # its PNG stays below one (192, 288, 3) float64 image
+        rng = np.random.default_rng(25)
+        target, measured = ChartSamples(rng.uniform(0, 1, (24, 3))), ChartSamples(rng.uniform(0, 1, (24, 3)))
+        path = tmp_path / "comparison.png"
+
+        def write():
+            write_png16(path, render_comparison_chart(target, measured, 18))
+
+        write()  # first-call allocations (imports, caches) are not the chart's
+        assert self.peak(write) < 192 * 288 * 3 * 8
 
 
 class TestWAvg:

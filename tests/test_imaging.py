@@ -30,6 +30,8 @@ from stagecal.imaging import (
     _TILE,
     TRIM_FRACTION,
     _bilinear_point,
+    _comparison_colors,
+    _encode16,
     _pixels_in_quads,
     ChartGridSpec,
     ChartSamples,
@@ -506,6 +508,14 @@ class TestSampleRoi:
             sample_roi(img, roi)
         assert np.array_equal(sample_roi(img, (0.0, 0, 16.0, 16)), np.zeros(3))
 
+    # a library caller's ROI of the wrong length, no sequence at all, or an
+    # integer too long to print in decimal is named in the message
+    @pytest.mark.parametrize("roi", [(0, 0, 1), (0, 0, 1, 1, 1), None, (10**5000, 0, 1, 1)])
+    def test_roi_not_four_whole_numbers_rejected(self, roi):
+        img = LinearImage(np.zeros((16, 16, 3)))
+        with pytest.raises(ValueError, match=r"^ROI .* must be 4 whole numbers \(x, y, w, h\)"):
+            sample_roi(img, roi)
+
     def test_float32_roi_widens_one_channel_at_a_time(self):
         # the (3, n) float32 copy is 11.4 MiB and one widened kept row 6.1 MiB;
         # widening all three kept rows at once would peak at 29.8 MiB
@@ -639,9 +649,14 @@ class TestChartSamples:
 
 
 def drawn_measured(target, measured, white_index):
-    """The measured chart as render_comparison_chart draws it: its 24 circle centers."""
-    img = render_comparison_chart(target, measured, white_index)
-    return img.data[24::48, 24::48].reshape(24, 3)
+    """The measured chart as render_comparison_chart draws it, before encoding: its color table's second row."""
+    return _comparison_colors(target, measured, white_index)[1]
+
+
+def chart_cell(codes, j):
+    """The 48x48 cell of patch j in a comparison chart's codes."""
+    r, c = divmod(j, 6)
+    return codes[r * 48 : (r + 1) * 48, c * 48 : (c + 1) * 48]
 
 
 class TestComparisonChart:
@@ -660,22 +675,21 @@ class TestComparisonChart:
 
     def test_equal_inputs_uniform_cells(self):
         chart = ChartSamples(np.random.default_rng(8).uniform(0.1, 1.0, (24, 3)))
-        img = render_comparison_chart(chart, chart, 18)
+        codes = render_comparison_chart(chart, chart, 18)
+        assert codes.dtype == np.uint16 and codes.shape == (192, 288, 3)
+        want = _encode16(chart.patches)
         for j in range(24):
-            r, c = divmod(j, 6)
-            cell = img.data[r * 48 : (r + 1) * 48, c * 48 : (c + 1) * 48]
-            assert np.array_equal(cell, np.broadcast_to(chart.patches[j], cell.shape))
+            cell = chart_cell(codes, j)
+            assert np.array_equal(cell, np.broadcast_to(want[j], cell.shape))
 
     def test_normalization_cancels_global_scale(self):
         patches = np.random.default_rng(9).uniform(0.1, 0.5, (24, 3))
         patches[18] = 0.5  # gray white patch
         target = ChartSamples(patches)
         measured = ChartSamples(2.0 * patches)
-        img = render_comparison_chart(target, measured, 18)
-        for j in range(24):
-            r, c = divmod(j, 6)
-            cell = img.data[r * 48 : (r + 1) * 48, c * 48 : (c + 1) * 48]
-            assert np.abs(cell - target.patches[j]).max() < 1e-12
+        colors = _comparison_colors(target, measured, 18)
+        assert colors.shape == (2, 24, 3) and np.array_equal(colors[0], patches)
+        assert np.abs(colors[1] - patches).max() < 1e-12
 
     def test_circle_centers_carry_measured(self):
         rng = np.random.default_rng(10)
@@ -683,20 +697,18 @@ class TestComparisonChart:
         patches = rng.uniform(0.1, 1.0, (24, 3))
         patches[18, 1] = target.white(18)[1]  # same exposure: the match scales by exactly 1
         measured = ChartSamples(patches)
-        img = render_comparison_chart(target, measured, 18)
-        for j in range(24):
-            r, c = divmod(j, 6)
-            center = img.data[r * 48 + 24, c * 48 + 24]
-            assert np.array_equal(center, measured.patches[j])
+        assert np.array_equal(drawn_measured(target, measured, 18), patches)
+        codes = render_comparison_chart(target, measured, 18)
+        centers, corners = codes[24::48, 24::48].reshape(24, 3), codes[::48, ::48].reshape(24, 3)
+        assert np.array_equal(centers, _encode16(patches))
+        assert np.array_equal(corners, _encode16(target.patches))
 
     def test_zero_green_white_drawn_unscaled(self):
         rng = np.random.default_rng(14)
         target = ChartSamples(rng.uniform(0.1, 1.0, (24, 3)))
         patches = rng.uniform(0.1, 1.0, (24, 3))
         patches[18, 1] = 0.0  # no exposure to match against
-        img = render_comparison_chart(target, ChartSamples(patches), 18)
-        centers = img.data[24::48, 24::48].reshape(24, 3)
-        assert np.array_equal(centers, patches)
+        assert np.array_equal(drawn_measured(target, ChartSamples(patches), 18), patches)
         # only a zero green is drawn unscaled; a white index off the chart raises
         with pytest.raises(ValueError, match="white_index must be in"):
             render_comparison_chart(target, ChartSamples(patches), 24)
@@ -730,11 +742,12 @@ class TestComparisonChart:
         target[18, 1] = 1e300
         measured = np.full((24, 3), 0.5)
         measured[18, 1] = 1e-300
-        # 1e300 / 1e-300 overflows to inf, which no drawn pixel may hold; the
-        # image check alone reports it, with no overflow warning ahead of it
+        # 1e300 / 1e-300 overflows to inf, which no drawn color may hold; the
+        # image check of the color table alone reports it, naming the first
+        # scaled measured entry, with no overflow warning ahead of it
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="image has a non-finite component"):
+            with pytest.raises(ValueError, match=re.escape("image has a non-finite component at index (1, 0, 0): inf")):
                 render_comparison_chart(ChartSamples(target), ChartSamples(measured), 18)
         assert caught == []
 
@@ -869,49 +882,71 @@ class TestFileFormats:
 
     def test_png16_payload(self, tmp_path):
         rng = np.random.default_rng(13)
-        img = LinearImage(rng.uniform(0.0, 1.2, (5, 4, 3)))
+        linear = rng.uniform(0.0, 1.2, (5, 4, 3))
         path = tmp_path / "out.png"
-        write_png16(path, img)
+        write_png16(path, _encode16(linear))
         blob = path.read_bytes()
         assert blob[:8] == b"\x89PNG\r\n\x1a\n"
         w, h, depth, color = struct.unpack(">IIBB", blob[16:26])
         assert (w, h, depth, color) == (4, 5, 16, 2)
-        expect = np.round(np.clip(img.data ** (1 / 2.4), 0, 1) * 65535).astype(np.uint16)
+        expect = np.round(np.clip(linear ** (1 / 2.4), 0, 1) * 65535).astype(np.uint16)
         assert np.array_equal(png16_pixels(path, 5, 4), expect)
 
     def test_png16_encodes_with_gamma_2_4(self, tmp_path):
         # scene-linear v**2.4 encodes back to v on a dense grid of 16-bit codes
         v = np.linspace(0.0, 1.0, 64).reshape(4, -1)[..., None].repeat(3, axis=-1)
         path = tmp_path / "ramp.png"
-        write_png16(path, LinearImage(v**2.4))
+        write_png16(path, _encode16(v**2.4))
         assert np.array_equal(png16_pixels(path, 4, 16), np.round(v * 65535))
+
+    @pytest.mark.parametrize(
+        "codes, got",
+        [
+            (np.zeros((2, 3, 3)), "float64 of shape (2, 3, 3)"),
+            (np.zeros((2, 3, 3), np.float32), "float32 of shape (2, 3, 3)"),
+            (np.zeros((2, 3, 3), ">u2"), ">u2 of shape (2, 3, 3)"),
+            (np.zeros((2, 3), np.uint16), "uint16 of shape (2, 3)"),
+            (np.zeros((2, 3, 4), np.uint16), "uint16 of shape (2, 3, 4)"),
+            ([[[0, 0, 0]]], "[[[0, 0, 0]]]"),
+        ],
+    )
+    def test_png16_takes_only_h_w_3_uint16_codes(self, tmp_path, codes, got):
+        path = tmp_path / "out.png"
+        with pytest.raises(ValueError, match=re.escape(f"expected (h, w, 3) uint16 codes, got {got}")):
+            write_png16(path, codes)
+        assert not path.exists()
 
 
 def png16_pixels(path, height, width):
     """Decode a 16-bit RGB PNG by hand: one IDAT chunk, filter byte 0 on every row."""
-    blob = path.read_bytes()
-    start = blob.index(b"IDAT") + 4
-    (length,) = struct.unpack(">I", blob[start - 8 : start - 4])
-    rows = np.frombuffer(zlib.decompress(blob[start : start + length]), np.uint8).reshape(height, -1)
+    rows = np.frombuffer(idat_payload(path), np.uint8).reshape(height, -1)
     assert (rows[:, 0] == 0).all()
     return np.frombuffer(rows[:, 1:].tobytes(), ">u2").reshape(height, width, 3).astype(np.uint16)
 
 
 def gathered_comparison_chart(target, measured, white_index):
-    """render_comparison_chart as two full chart images and a boolean gather of the circles."""
+    """render_comparison_chart before encoding, as two full linear chart images and a boolean gather of the circles."""
     ref_g, sub_g = target.white(white_index)[1], measured.white(white_index)[1]
     scale = ref_g / sub_g if ref_g > 0 and sub_g > 0 else 1.0
     img = chart_image(target.patches, 48)
     yy, xx = np.mgrid[0:48, 0:48]
     inside = np.tile((xx + 0.5 - 24) ** 2 + (yy + 0.5 - 24) ** 2 <= (48 * 0.33) ** 2, (4, 6))
-    img[inside] = chart_image(measured.patches * scale, 48)[inside]
+    # not chart_image, which rejects the non-finite values an overflowing scale draws
+    img[inside] = (measured.patches * scale).reshape(4, 6, 3).repeat(48, axis=0).repeat(48, axis=1)[inside]
     return img
 
 
-def joined_png16_rows(data):
-    """write_png16's IDAT payload as the join of one filter byte and one row of samples per row."""
-    pixels = np.round(np.clip(data ** (1 / 2.4), 0.0, 1.0) * 65535.0).astype(">u2")
-    return b"".join(b"\x00" + row.tobytes() for row in pixels)
+def joined_png16_rows(codes):
+    """write_png16's IDAT payload as the join of one filter byte and one row of big-endian samples per row."""
+    return b"".join(b"\x00" + row.astype(">u2").tobytes() for row in codes)
+
+
+def idat_payload(path):
+    """The decompressed payload of a PNG's one IDAT chunk."""
+    blob = path.read_bytes()
+    start = blob.index(b"IDAT") + 4
+    (length,) = struct.unpack(">I", blob[start - 8 : start - 4])
+    return zlib.decompress(blob[start : start + length])
 
 
 _CHART_VALUES = st.sampled_from([0.0, 1e-300, 0.18, 0.9, 1.0, 3.5, 1e5]) | st.floats(0.0, 2.0)
@@ -921,19 +956,40 @@ _CHART_VALUES = st.sampled_from([0.0, 1e-300, 0.18, 0.9, 1.0, 3.5, 1e5]) | st.fl
 @given(
     target=hnp.arrays(np.float64, (24, 3), elements=_CHART_VALUES),
     measured=hnp.arrays(np.float64, (24, 3), elements=_CHART_VALUES),
+    white_index=st.sampled_from([18, 5]),
+)
+def test_chart_and_png_match_the_gathered_and_joined_encodings(tmp_path_factory, target, measured, white_index):
+    target, measured = ChartSamples(target), ChartSamples(measured)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drawn = gathered_comparison_chart(target, measured, white_index)
+    if not np.isfinite(drawn).all():  # a scaled measured value past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^image has a non-finite component at index \(1, "):
+                render_comparison_chart(target, measured, white_index)
+        return
+    # encoding the 48 colors and laying them out gives the codes of encoding every drawn pixel
+    codes = render_comparison_chart(target, measured, white_index)
+    want = _encode16(drawn)
+    assert codes.dtype == np.uint16 and codes.shape == want.shape == (192, 288, 3)
+    assert codes.tobytes() == want.tobytes()
+    path = tmp_path_factory.mktemp("png") / "chart.png"
+    write_png16(path, codes)
+    assert idat_payload(path) == joined_png16_rows(codes)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    data=hnp.arrays(np.float64, (3, 5, 3), elements=_CHART_VALUES),
     dtype=st.sampled_from([np.float32, np.float64]),
 )
-def test_chart_and_png_match_the_gathered_and_joined_encodings(tmp_path_factory, target, measured, dtype):
-    chart = render_comparison_chart(ChartSamples(target), ChartSamples(measured), 18)
-    want = gathered_comparison_chart(ChartSamples(target), ChartSamples(measured), 18)
-    assert chart.data.shape == want.shape and chart.data.tobytes() == want.tobytes()
-    data = np.minimum(chart.data, 2.0).astype(dtype)  # past 1.0 every value encodes as 65535
-    path = tmp_path_factory.mktemp("png") / "chart.png"
-    write_png16(path, LinearImage(data))
-    blob = path.read_bytes()
-    start = blob.index(b"IDAT") + 4
-    (length,) = struct.unpack(">I", blob[start - 8 : start - 4])
-    assert zlib.decompress(blob[start : start + length]) == joined_png16_rows(data)
+def test_encode16_is_the_gamma_2_4_code_at_the_input_precision(data, dtype):
+    data = np.minimum(data, 2.0).astype(dtype)  # past 1.0 every value encodes as 65535
+    want = np.round(np.clip(data ** (1 / 2.4), 0.0, 1.0) * 65535.0).astype(np.uint16)
+    codes = _encode16(data)
+    assert codes.dtype == np.uint16 and codes.tobytes() == want.tobytes()
+    # element by element: any slice encodes as the same slice of the whole
+    assert _encode16(data[1:, 2:]).tobytes() == codes[1:, 2:].tobytes()
 
 
 def pfm_bytes(width, height, dtype, payload=b""):
