@@ -155,7 +155,9 @@ def check_beta(beta: float, context: str = "") -> float:
     if not is_real(beta):
         raise ValueError(f"beta must be a number, got {_short_repr(beta)}{context}")
     if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta}{context}")
+        # str() of a numpy scalar, which reads as the number; a Python int may be too long for str()
+        shown = _short_repr(beta) if isinstance(beta, int) else beta
+        raise ValueError(f"beta must be in (0, 1], got {shown}{context}")
     return beta
 
 
@@ -318,15 +320,13 @@ def extract_chart(image: LinearImage, grid: ChartGridSpec) -> ChartSamples:
 
 def sample_roi(image: LinearImage, roi: tuple[int, int, int, int]) -> np.ndarray:
     """Trimmed-mean RGB of an axis-aligned (x, y, w, h) region of whole pixels."""
-    must = f"ROI {_short_repr(roi)} must be 4 whole numbers (x, y, w, h)"
     try:
         sized = len(roi) == 4
     except TypeError:  # None, a number, an iterator
         sized = False
-    if not sized:
-        raise ValueError(must)
-    if not all(is_number(v, int) for v in roi):
-        raise ValueError(f"{must}: a component is not a whole number of pixels")
+    if not sized or not all(is_number(v, int) for v in roi):
+        why = ": a component is not a whole number of pixels" if sized else ""
+        raise ValueError(f"ROI {_short_repr(roi)} must be 4 whole numbers (x, y, w, h){why}")
     x, y, w, h = (int(v) for v in roi)
     if w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > image.width or y + h > image.height:
         raise ValueError(f"ROI {roi} outside image bounds")

@@ -1,17 +1,17 @@
-"""Run bench/run.py from two checkouts in alternating pairs and write the paired results.
+"""Run the benchmark from two checkouts in alternating pairs and write the paired results.
 
     python tests/bench_pairs.py PARENT CHANGE --out BENCH_N.json --claim TEXT \\
-        [--what TEXT] [--workloads fixture-solve,content-4k,capture-solve] \\
-        [--pairs 10] [--seconds 30] [--seed 0] [--trace 0]
+        [--what TEXT] [--workloads W1,W2] [--pairs 10] [--seed 0] [--trace 0]
 
-PARENT and CHANGE are the roots of two checkouts. Pair i (1-based) runs every
-workload, in the order given, with seed SEED + i on both sides; odd pairs run
-PARENT first, even pairs CHANGE first. Each run is
-``python3 bench/run.py --workload W --seed N --seconds S --trace T`` from its
-checkout's root, one at a time. The output file holds what was compared, the
-command, the machine (from the first run's detail), the claim (name it before
-the runs), how the quartiles are taken, one summary per trace setting and
-every run. An existing output file keeps its runs, claim and description: the
+PARENT and CHANGE are the roots of two checkouts. The command, the run length
+and the default workloads (all of them, in the file's order) come from
+CHANGE's BENCHMARK.json. Pair i (1-based) runs every workload, in the order
+given, with seed SEED + i on both sides; odd pairs run PARENT first, even pairs
+CHANGE first. Each run is ``COMMAND --workload W --seed N --seconds
+RUN_SECONDS --trace T`` from its checkout's root, one at a time. The output
+file holds what was compared, the command, the machine (from the first run's
+detail), the claim (name it before the runs), how the quartiles are taken,
+one summary per trace setting and every run. An existing output file keeps its runs, claim and description: the
 new runs are added to them and everything is summarized again, so untraced and
 traced pairs can share one file. Nothing under bench/ is changed.
 """
@@ -36,10 +36,9 @@ def better_of(benchmark: dict) -> dict:
     return {m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One bench/run.py run from `root`: its return code, wall time, result and detail."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def run_once(root: Path, command: list, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark run from `root`: its return code, wall time, result and detail."""
+    cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)]
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     wall = time.perf_counter() - start
@@ -101,23 +100,24 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--claim", required=True)
     parser.add_argument("--what", default="")
-    parser.add_argument("--workloads", default="fixture-solve,content-4k,capture-solve")
+    parser.add_argument("--workloads", help="comma-separated; default every workload in BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    better = better_of(json.loads((roots["change"] / "BENCHMARK.json").read_text()))
+    benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    better = better_of(benchmark)
+    command, seconds = benchmark["command"], benchmark["run_seconds"]
+    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in benchmark["workloads"]]
     doc = json.loads(args.out.read_text()) if args.out.exists() else {
         "what": args.what, "command": "", "machine": None, "claim": args.claim, "quartiles": QUARTILES, "runs": []}
     # pairs are numbered on from those already run with the same trace setting
     first = 1 + max((r["pair"] for r in doc["runs"] if r["trace"] == args.trace), default=0)
     last = first + args.pairs - 1
-    workloads = args.workloads.split(",")
     doc["command"] = (doc["command"] + " " if doc["command"] else "") + (
-        f"python3 bench/run.py --workload W --seed N --seconds {args.seconds:g} --trace {args.trace}, run by "
+        f"{' '.join(command)} --workload W --seed N --seconds {seconds:g} --trace {args.trace}, run by "
         f"tests/bench_pairs.py from each checkout's root: pair i ({first}-{last}) uses seed {args.seed}+i on both "
         f"sides and runs {', '.join(workloads)} in that order; odd pairs run the parent first, even pairs the "
         "change first.")
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             for side in order:
                 seed = args.seed + pair
-                run = run_once(roots[side], workload, seed, args.seconds, args.trace)
+                run = run_once(roots[side], command, workload, seed, seconds, args.trace)
                 doc["runs"].append({"workload": workload, "pair": pair, "seed": seed, "side": side,
                                     "trace": args.trace, **run})
                 if doc["machine"] is None and run["detail"]:

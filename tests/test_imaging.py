@@ -78,6 +78,11 @@ class TestAsArray:
         with pytest.raises(ValueError, match="v must be numeric"):
             as_array({"a": 1}, (3,), "v")
 
+    def test_int_too_long_to_print_is_named_by_its_bit_length(self):
+        # str() of 10**5000 raises Python's int-to-string limit error
+        with pytest.raises(ValueError, match=re.escape("v must be numeric, got [<16610-bit int>, 1.0]")):
+            as_array([10**5000, 1.0], (2,), "v")
+
     def test_first_bad_index_in_plain_ints(self):
         values = np.zeros((2, 3, 3))
         values[1, 2, 0] = values[1, 2, 2] = -np.inf
@@ -332,6 +337,13 @@ def test_beta_outside_zero_to_one_rejected(case, value):
     message = "beta must be a number, got True" if value is True else f"beta must be in (0, 1], got {value}"
     with pytest.raises(ValueError, match=re.escape(message)):
         call(value)
+
+
+@pytest.mark.parametrize("value, shown", [(10**5000, "<16610-bit int>"), (2, "2")], ids=["10**5000", "2"])
+def test_beta_int_outside_zero_to_one_named_in_the_range_message(value, shown):
+    # str() of 10**5000 raises Python's int-to-string limit error
+    with pytest.raises(ValueError, match=re.escape(f"beta must be in (0, 1], got {shown} for w")):
+        check_beta(value, " for w")
 
 
 class TestLinearImage:
