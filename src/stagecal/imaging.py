@@ -34,6 +34,10 @@ TRIM_FRACTION = 0.1
 # Elements per as_array tile: keeps its temporaries small however large the image.
 _TILE = 1 << 16
 
+# Elements per chunk of the non-negative check's bit-pattern maximum (4 MiB of
+# float32): the pages of a read-only file mapping are released chunk by chunk.
+_CHUNK = 1 << 20
+
 # Each float's bit pattern as an unsigned integer, and that of +inf: a finite
 # non-negative float's pattern is below it; NaN, +inf and a set sign bit are not.
 _INF_BITS = {np.dtype(np.float32): (np.uint32, 0x7F800000), np.dtype(np.float64): (np.uint64, 0x7FF << 52)}
@@ -95,13 +99,25 @@ def _checked(a: np.ndarray, shape: tuple, name: str, nonneg: bool) -> np.ndarray
     every component is finite and non-negative with a clear sign bit. Anything
     else, -0.0 included, takes the exact pass of tile minima and maxima, where
     only a failing tile pays for the masks that find the first culprit.
+
+    That maximum is taken _CHUNK elements at a time. Where the components lie
+    in a read-only file mapping, such as read_pfm's of a native-order file,
+    each chunk's pages are dropped from the process (madvise MADV_DONTNEED)
+    once read: the file's page cache keeps them, and a later read maps them
+    again unchanged. So a checked capture keeps resident only the rows that
+    its stages go on to sample. Writable and anonymous memory is never
+    released, since there the kernel would discard writes or zero the data.
+    On 4K captures, `stagecal solve`'s peak RSS is then set in its
+    black_level stage (87.2 MB), by one ROI's rows and its trimmed_mean
+    scratch; the README's "Where the memory goes" gives the stages, and
+    ROADMAP items 2 (the beta map) and 9 (a cost table) the rest.
     """
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
         want = str(shape).replace("None", "n")
         raise ValueError(f"{name} must have shape {want}, got {a.shape}")
     flat = a[tuple(slice(None, None, -1 if s < 0 else 1) for s in a.strides)].ravel(order="K")
     bits = _INF_BITS.get(a.dtype) if nonneg else None
-    if bits is not None and flat.view(bits[0]).max(initial=0) < bits[1]:
+    if bits is not None and _max_releasing(flat.view(bits[0])) < bits[1]:
         return a
     for start in range(0, flat.size, _TILE):  # NaN fails every comparison
         tile = flat[start : start + _TILE]
@@ -111,6 +127,40 @@ def _checked(a: np.ndarray, shape: tuple, name: str, nonneg: bool) -> np.ndarray
                 _raise_at(a, ~np.isfinite(a), name, "non-finite")
             _raise_at(a, a < 0, name, "negative")
     return a
+
+
+def _max_releasing(flat: np.ndarray):
+    """The maximum of a 1-D contiguous `flat` (0 if empty), releasing its read pages as _checked describes."""
+    mapped = _read_only_map(flat)
+    top = 0
+    if mapped is not None:
+        origin = np.frombuffer(mapped, np.uint8).__array_interface__["data"][0]
+        offset = flat.__array_interface__["data"][0] - origin
+        released = offset - offset % mmap.PAGESIZE  # madvise takes a page-aligned start
+    for start in range(0, flat.size, _CHUNK):
+        stop = min(start + _CHUNK, flat.size)
+        top = max(top, flat[start:stop].max())
+        if mapped is not None:
+            # the pages read through by this chunk's end; the last chunk's final partial page too
+            end = offset + stop * flat.itemsize
+            if stop < flat.size:
+                end -= end % mmap.PAGESIZE
+            if end > released:
+                mapped.madvise(mmap.MADV_DONTNEED, released, end - released)
+                released = end
+    return top
+
+
+def _read_only_map(a: np.ndarray):
+    """The mmap.mmap that `a`'s memory belongs to, if that map is read-only and madvise can release it; else None."""
+    root = a
+    while not isinstance(root, mmap.mmap):
+        root = root.obj if isinstance(root, memoryview) else getattr(root, "base", None)
+        if root is None:
+            return None
+    if not hasattr(mmap, "MADV_DONTNEED") or np.frombuffer(root, np.uint8).flags.writeable:
+        return None
+    return root
 
 
 def _raise_at(a: np.ndarray, bad: np.ndarray, name: str, what: str):
@@ -211,30 +261,33 @@ def _is_convex(corners: np.ndarray) -> bool:
 def trimmed_mean(values: np.ndarray) -> np.ndarray:
     """Per-channel mean of (..., 3) values after dropping the top and bottom TRIM_FRACTION.
 
-    The channels are copied once into one contiguous row each and sorted there
-    at the values' own precision, which orders float32 values as their exact
-    float64 widening would. The kept part of each row is then widened, one
-    channel at a time through one reused float64 row, and averaged along it
-    (numpy's pairwise sum), so a float32 input gives the same bits as its
-    float64 widening. Zeros average to +0.0, whatever their signs. The input
-    is left as it is.
+    One channel at a time is copied into one reused contiguous row and sorted
+    there at the values' own precision, which orders float32 values as their
+    exact float64 widening would. The kept part of the row is then widened
+    into one reused float64 row and averaged along it (numpy's pairwise sum),
+    so a float32 input gives the same bits as its float64 widening. Zeros
+    average to +0.0, whatever their signs. The input is left as it is. For n
+    float32 values the scratch is those two rows, 4n + 6.4n bytes: 9.9 MiB
+    for the 1000×1000 ROI of a 4K solve's black_level stage, beside the
+    46 MiB of capture rows that ROI keeps resident, on the way to the
+    solve's 87.2 MB peak (see _checked).
     """
     values = np.asarray(values)
     n = values.size // 3
     k = int(n * TRIM_FRACTION)
-    # one contiguous row per channel sorts and sums faster than a strided column
-    rows = np.empty((3, n), values.dtype)
-    rows.reshape(3, *values.shape[:-1])[...] = np.moveaxis(values, -1, 0)
-    rows.sort(axis=1)
-    kept = rows[:, k : n - k]
-    wide = np.empty(kept.shape[1])
+    # a contiguous row sorts and sums faster than a strided column
+    row = np.empty(n, values.dtype)
+    wide = np.empty(n - 2 * k)
     means = np.empty(3)
-    for channel, row in enumerate(kept):
+    for channel in range(3):
+        row.reshape(values.shape[:-1])[...] = values[..., channel]
+        row.sort()
+        kept = row[k : n - k]
         # a constant channel passes through exactly instead of accruing summation ulps
-        if row[0] == row[-1]:
-            means[channel] = row[0]
+        if kept[0] == kept[-1]:
+            means[channel] = kept[0]
         else:
-            wide[...] = row
+            wide[...] = kept
             means[channel] = wide.mean()
     # + 0.0 turns the -0.0 numpy's sort may hand back for all-zero rows into +0.0
     return means + 0.0
@@ -396,11 +449,16 @@ def _encode16(linear: np.ndarray) -> np.ndarray:
 
 
 def read_pfm(path) -> np.ndarray:
-    """Read a 3-channel PFM file; returns (h, w, 3) float32, rows top-to-bottom.
+    """Read a 3-channel PFM file; returns (h, w, 3) float32, rows top-to-bottom, read-only.
 
     The values are the file's own, in native byte order; widening them to
-    float64 is exact. The payload is mapped copy-on-write, not copied: a write
-    to the result, such as a big-endian file's byte swap, never reaches the file.
+    float64 is exact. The payload is mapped, not copied. A native-order file is
+    mapped read-only, so LinearImage's check can release its pages as it reads
+    them and a checked capture keeps resident only the rows its stages sample;
+    _checked says which stage then sets a 4K solve's peak. A file in the other
+    byte order is mapped copy-on-write and swapped in place, which never
+    reaches the file, and is never released. Either way the array is
+    read-only: copy it to write to it.
     """
     with open(path, "rb") as f:
         magic = f.readline().strip()
@@ -419,13 +477,16 @@ def read_pfm(path) -> np.ndarray:
         # checked before mapping, so a short payload fails with this message
         if os.fstat(f.fileno()).st_size - f.tell() < width * height * 12:
             raise ValueError(f"{path}: truncated PFM payload")
+        dtype = np.dtype("<f4" if scale < 0 else ">f4")
         try:
-            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ if dtype.isnative else mmap.ACCESS_COPY)
         except OSError as exc:
             raise OSError(exc.errno, f"cannot map PFM file: {exc.strerror}", str(path)) from None
-        data = np.frombuffer(mapped, "<f4" if scale < 0 else ">f4", width * height * 3, f.tell())
-    data = data.reshape(height, width, 3)[::-1]  # PFM stores rows bottom-to-top
-    return data if data.dtype.isnative else data.byteswap(inplace=True).view(np.float32)
+        data = np.frombuffer(mapped, dtype, width * height * 3, f.tell())
+    if not dtype.isnative:
+        data = data.byteswap(inplace=True).view(np.float32)
+        data.flags.writeable = False
+    return data.reshape(height, width, 3)[::-1]  # PFM stores rows bottom-to-top
 
 
 def write_pfm(path, data: np.ndarray) -> None:

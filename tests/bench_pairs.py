@@ -10,7 +10,8 @@ given, with seed SEED + i on both sides; odd pairs run PARENT first, even pairs
 CHANGE first. Each run is ``COMMAND --workload W --seed N --seconds
 RUN_SECONDS --trace T`` from its checkout's root, one at a time. The output
 file holds what was compared, the command, the machine (from the first run's
-detail), the claim (name it before the runs), how the quartiles are taken,
+detail, plus the transparent-huge-page mode, null where the kernel reports
+none), the claim (name it before the runs), how the quartiles are taken,
 one summary per trace setting and every run. An existing output file keeps its runs, claim and description: the
 new runs are added to them and everything is summarized again, so untraced and
 traced pairs can share one file. Nothing under bench/ is changed.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 import time
@@ -29,11 +31,23 @@ import numpy as np
 
 SIDES = ("parent", "change")
 QUARTILES = "numpy.percentile 25/50/75 over each side's runs, one run per pair"
+# read, never written: numpy asks for huge pages on large arrays, which moves peak RSS by 2 MB steps
+THP_MODE = Path("/sys/kernel/mm/transparent_hugepage/enabled")
 
 
 def better_of(benchmark: dict) -> dict:
     """Metric name -> "lower" or "higher", from a BENCHMARK.json document."""
     return {m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
+
+
+def machine(detail: dict, thp_mode: Path = THP_MODE) -> dict:
+    """The machine record: a run detail's environment, plus the bracketed transparent-huge-page mode
+    in `thp_mode` ("always", "madvise" or "never"), or None when that file is absent."""
+    try:
+        match = re.search(r"\[(\w+)\]", thp_mode.read_text())
+    except FileNotFoundError:
+        match = None
+    return {**detail["detail"]["environment"], "transparent_hugepage": match.group(1) if match else None}
 
 
 def run_once(root: Path, command: list, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -130,7 +144,7 @@ def main(argv=None) -> int:
                 doc["runs"].append({"workload": workload, "pair": pair, "seed": seed, "side": side,
                                     "trace": args.trace, **run})
                 if doc["machine"] is None and run["detail"]:
-                    doc["machine"] = run["detail"]["detail"]["environment"]
+                    doc["machine"] = machine(run["detail"])
                 print(f"pair {pair} {workload} {side}: returncode {run['returncode']}, {run['wall_s']} s",
                       file=sys.stderr)
                 write(args.out, doc, better)

@@ -46,3 +46,11 @@ def test_a_run_without_a_result_counts_as_not_correct():
     summary = bench_pairs.summarize(runs, {})["w"]
     assert summary["pairs"] == 2 and summary["correct"] == {"parent": True, "change": False}
     assert summary["metrics"]["op_s.p50"]["change_better_pairs"] == "0/1"
+
+
+def test_machine_record_adds_the_transparent_huge_page_mode(tmp_path):
+    detail = {"detail": {"environment": {"nproc": 2}}}
+    thp = tmp_path / "enabled"
+    thp.write_text("always [madvise] never\n")
+    assert bench_pairs.machine(detail, thp) == {"nproc": 2, "transparent_hugepage": "madvise"}
+    assert bench_pairs.machine(detail, tmp_path / "absent") == {"nproc": 2, "transparent_hugepage": None}

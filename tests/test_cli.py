@@ -552,7 +552,7 @@ class TestErrorPaths:
     def test_bad_capture_value_names_the_file(self, fixtures, tmp_path, capsys, name, stage, value, reason):
         fixture_dir = _copy_fixture(fixtures["broad"], tmp_path)
         path = fixture_dir / name
-        data = read_pfm(path)
+        data = read_pfm(path).copy()  # read_pfm's array is read-only
         data[3, 5, 1] = value
         write_pfm(path, data)
         assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 1

@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import mmap
+import os
 import re
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import stagecal
 from stagecal.calibration import (
     CalibrationBundle,
     SRLSet,
@@ -27,6 +33,7 @@ from stagecal.calibration import (
 )
 from stagecal.geometry import EnvMap, as_direction, w_avg_from_white
 from stagecal.imaging import (
+    _CHUNK,
     _TILE,
     TRIM_FRACTION,
     _bilinear_point,
@@ -529,8 +536,8 @@ class TestSampleRoi:
             sample_roi(img, roi)
 
     def test_float32_roi_widens_one_channel_at_a_time(self):
-        # the (3, n) float32 copy is 11.4 MiB and one widened kept row 6.1 MiB;
-        # widening all three kept rows at once would peak at 29.8 MiB
+        # one float32 channel row is 3.8 MiB and one widened kept row 6.1 MiB;
+        # sorting all three channels in one (3, n) copy would peak at 17.5 MiB
         image = LinearImage(np.random.default_rng(20).random((1000, 1000, 3), dtype=np.float32))
         tracemalloc.start()
         try:
@@ -538,7 +545,7 @@ class TestSampleRoi:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 2**20
+        assert peak < 12 * 2**20
 
 
 class TestTrimmedMean:
@@ -1071,10 +1078,84 @@ def test_writing_into_read_pfm_result_leaves_the_file(tmp_path, dtype):
     path.write_bytes(pfm_bytes(4, 3, dtype, np.arange(36, dtype=dtype).tobytes()))
     before = path.read_bytes()
     data = read_pfm(path)
-    assert data.flags.writeable
-    data[...] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        data[...] = 7.0
     assert path.read_bytes() == before
     assert np.array_equal(read_pfm(path), np.flipud(np.arange(36.0).reshape(3, 4, 3)))
+
+
+def write_capture(path, dtype="<f4", width=3840):
+    """A random float32 capture of `width` whose payload spans three check chunks and part of a fourth."""
+    height = 3 * _CHUNK // (3 * width) + 7
+    values = np.random.default_rng(21).random((height, width, 3), dtype=np.float32)
+    path.write_bytes(pfm_bytes(width, height, dtype, np.flipud(values).astype(dtype).tobytes()))
+    return values
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB and madvise releases pages on Linux")
+def test_checked_capture_is_not_kept_resident(tmp_path):
+    width, height = 4096, 1024  # a 48 MiB payload
+    path = tmp_path / "big.pfm"
+    with open(path, "wb") as f:
+        f.write(pfm_bytes(width, height, "<f4"))
+        row = np.full(width * 3, 0.5, "<f4").tobytes()
+        for _ in range(height):
+            f.write(row)
+    # measured in a fork: a spawned process's peak starts at the test process's,
+    # a forked one's at its own size
+    script = (
+        "import os, resource, sys\n"
+        "from stagecal.imaging import LinearImage, read_pfm\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    LinearImage(read_pfm(sys.argv[1]))\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, flush=True)\n"
+        "    os._exit(0)\n"
+        "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(stagecal.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) * 1024 < width * height * 12 / 2
+
+
+@pytest.mark.parametrize("memory", ["copy-on-write file map", "private anonymous map", "array"])
+def test_check_keeps_what_was_written_to_writable_memory(tmp_path, memory):
+    # releasing these pages would bring back the file's bytes or zeros
+    path = tmp_path / "img.pfm"
+    values = write_capture(path)
+    if memory == "copy-on-write file map":
+        with open(path, "rb") as f:
+            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+        data = np.frombuffer(mapped, "<f4", values.size, path.stat().st_size - values.nbytes)
+    elif memory == "private anonymous map":
+        private = mmap.mmap(-1, values.nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        data = np.frombuffer(private, np.float32)
+    else:
+        data = np.empty(values.size, np.float32)
+    data[...] = 0.25
+    LinearImage(data.reshape(values.shape))
+    assert (data == 0.25).all()
+
+
+def test_sampling_a_released_capture_matches_an_in_memory_copy(tmp_path):
+    path = tmp_path / "img.pfm"
+    values = write_capture(path)
+    released, copy = LinearImage(read_pfm(path)), LinearImage(values)
+    height = values.shape[0]
+    grid = ChartGridSpec(np.array([[100.0, 20.0], [3700.0, 35.0], [3650.0, height - 10.0], [130.0, height - 30.0]]))
+    assert extract_chart(released, grid).patches.tobytes() == extract_chart(copy, grid).patches.tobytes()
+    for roi in [(0, 0, 3840, height), (17, 100, 900, 150)]:
+        assert sample_roi(released, roi).tobytes() == sample_roi(copy, roi).tobytes()
+
+
+def test_big_endian_capture_keeps_its_swapped_values_through_the_check(tmp_path):
+    path = tmp_path / "img.pfm"
+    values = write_capture(path, ">f4")
+    image = LinearImage(read_pfm(path))
+    assert image.data.dtype.isnative and image.data.tobytes() == values.tobytes()
 
 
 def test_tall_narrow_pfm_reads_and_checks_quickly(tmp_path):

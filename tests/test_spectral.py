@@ -13,14 +13,18 @@ from stagecal.calibration import (
     solve_n,
     solve_q,
 )
+from stagecal.geometry import compute_beta
 from stagecal.imaging import ChartSamples
 from stagecal.spectral import (
     DELTA_LAMBDA,
+    LED_BANDS,
     N_SAMPLES,
     NEUTRAL_REFLECTANCES,
     SCENARIOS,
     WAVELENGTHS,
     OracleScene,
+    _chart_reflectances,
+    _integrate,
     brute_force_q,
     default_camera,
     default_leds,
@@ -292,3 +296,51 @@ class TestBruteForceQ:
             f0 = q_objective(q, predicted, calib.targets)
             fb = q_objective(qb, predicted, calib.targets)
             assert f0 <= fb * (1 + 1e-9) + 1e-15
+
+
+class TestPaperClaims:
+    """The abstract's two claims on the oracle: narrow-band ("peaky") LEDs cause the color
+    shift that M alone leaves, and Q corrects materials other than the 24 it was fitted to.
+    Both errors are white-relative, as chart_error's, averaged over the channels."""
+
+    WHITE = 18
+
+    @staticmethod
+    def _solve(scene):
+        """M, Q, w_avg and the target white of `scene` at the default panel's beta, resolution 256."""
+        beta = compute_beta(resolution=256)
+        calib = oracle_calibration(scene, beta)
+        m = solve_m(calib.sl)
+        predicted = predict_lit_chart(calib.srl, m, calib.w_avg, beta)
+        return m, solve_q(predicted, calib.targets), calib, predicted
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_narrower_led_bands_raise_the_m_only_error_and_q_lowers_it(self, seed):
+        scene = make_scene(seed, "broad")
+        m_only, m_q = [], []
+        for fwhm in (160.0, 80.0, 40.0, 20.0, 10.0, 5.0):
+            leds = np.stack([make_gaussian_band(center, fwhm) for center, _ in LED_BANDS])
+            _, q, calib, predicted = self._solve(OracleScene(scene.camera, leds, scene.illuminant, scene.reflectances))
+            m_only.append(chart_error(calib.targets, clamp_chart(predicted)[0], self.WHITE).mean())
+            m_q.append(chart_error(calib.targets, clamp_chart(predicted @ q.T)[0], self.WHITE).mean())
+        assert all(wide < narrow for wide, narrow in zip(m_only, m_only[1:])), m_only
+        assert all(corrected < base for corrected, base in zip(m_q, m_only)), (m_q, m_only)
+
+    @pytest.mark.parametrize("scenario", ["broad", "rgb-led", "monochromatic"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_q_lowers_the_error_on_held_out_materials(self, scenario, seed):
+        scene = make_scene(seed, scenario)
+        m, q, calib, _ = self._solve(scene)
+        # 108 chromatic reflectances from the chart's own generator, drawn with another seed
+        rng = np.random.default_rng(1000 + seed)
+        held_out = np.concatenate([_chart_reflectances(rng)[: -len(NEUTRAL_REFLECTANCES)] for _ in range(6)])
+        targets = _integrate(scene.camera, scene.illuminant, held_out)
+        # each material's response to the three stage channels, lit by the M-corrected environment
+        srl = _integrate(scene.camera, scene.leds, held_out[:, None, :]).transpose(0, 2, 1)
+        predicted = srl @ (m @ calib.w_avg)
+        white = calib.targets.white(self.WHITE)
+
+        def error(values):
+            return (np.abs(np.maximum(values, 0.0) - targets).mean(axis=0) / white).mean()
+
+        assert error(predicted @ q.T) < error(predicted)
