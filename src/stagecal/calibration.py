@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import json
 import os
-import reprlib
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .imaging import CHART_PATCHES, ChartSamples, as_array, check_beta
+from .imaging import CHART_PATCHES, ChartSamples, as_array, check_beta, short_repr
 
 DEFAULT_COND_LIMIT_SL = 1e6
 DEFAULT_COND_LIMIT_Q = 1e4
@@ -107,7 +106,7 @@ class CalibrationBundle:
     def from_json(cls, text: str) -> "CalibrationBundle":
         doc = json.loads(text)
         if not isinstance(doc, dict):
-            raise ValueError(f"expected a JSON object, got {reprlib.repr(doc)}")
+            raise ValueError(f"expected a JSON object, got {short_repr(doc)}")
         for key in ("M", "Q", "N", "beta", "black_offset"):
             if key not in doc:
                 raise ValueError(f'missing key "{key}"')
@@ -321,7 +320,7 @@ def transform_content(pixels, mode: str, bundle: CalibrationBundle, counter: Gam
     if pixels.shape[-1] != 3:
         raise ValueError(f"pixels must have a trailing RGB axis, got shape {pixels.shape}")
     if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValueError(f"unknown mode {short_repr(mode)}")
     mat = {"out_of_frustum": bundle.m, "in_frustum": bundle.n_effective, "post": bundle.q}[mode]
     # Match pixels @ mat.T bit for bit. numpy multiplies a lone row (a (3,)
     # vector, or each pixel of a (..., 1, 3) stack) with gemv, which rounds

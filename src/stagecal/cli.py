@@ -61,6 +61,8 @@ from .imaging import (
     LinearImage,
     as_array,
     chart_image,
+    check_image,
+    check_roi,
     check_white_index,
     extract_chart,
     is_number,
@@ -68,6 +70,7 @@ from .imaging import (
     read_pfm,
     render_comparison_chart,
     sample_roi,
+    short_repr,
     write_chart_csv,
     write_pfm,
     write_png16,
@@ -98,7 +101,7 @@ def _stage(name: str):
 
 
 @contextmanager
-def _checked(where: str):
+def _config_errors(where: str):
     """Run a load-time check: a ValueError becomes ConfigError(f"{where}: {exc}")."""
     try:
         yield
@@ -129,7 +132,7 @@ class PipelineConfig:
     beta_resolution: int
     cond_limit_sl: float
     cond_limit_q: float
-    weights: np.ndarray | None
+    weights: np.ndarray           # all ones without a weights key
     black_level: tuple | None     # (path, roi)
     white_index: int
     output_dir: Path
@@ -141,53 +144,42 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _expect(ok: bool, value, where: str, key: str, rule: str):
+    """`value` itself if `ok`; else ConfigError(f"{where}: {key} must be {rule}, got ..."), the value abbreviated."""
+    if not ok:
+        raise ConfigError(f"{where}: {key} must be {rule}, got {short_repr(value)}")
+    return value
+
+
 def _scalar(doc: dict, key: str, kind: type, default, where: str = "config"):
     value = doc.get(key, default)
-    if is_number(value, kind):
-        return kind(value)
     noun = "an integer" if kind is int else "a finite number"
-    raise ConfigError(f"{where}: {key} must be {noun}, got {value!r}")
+    return kind(_expect(is_number(value, kind), value, where, key, noun))
 
 
 def _cond_limit(doc: dict, key: str, default: float) -> float:
     """A condition-number limit: a finite number >= 1, as every condition number is."""
     limit = _scalar(doc, key, float, default)
-    if limit < 1:
-        raise ConfigError(f"config: {key} must be >= 1, got {limit!r}")
-    return limit
+    return _expect(limit >= 1, limit, "config", key, ">= 1")
 
 
-def _roi(doc: dict, key: str, where: str) -> tuple:
-    """An (x, y, w, h) pixel region: four integers by is_number's rule, x, y >= 0 and w, h >= 1."""
+def _check_key(doc: dict, key: str, where: str, check, *args):
+    """check(doc[key], *args, key), for checks such as as_array and check_roi; a ValueError names `where`."""
     value = _require(doc, key, where)
-    if not (isinstance(value, list) and len(value) == 4 and all(is_number(v, int) for v in value)):
-        raise ConfigError(f"{where}: {key} must be 4 integers (x, y, w, h), got {value!r}")
-    x, y, w, h = (int(v) for v in value)
-    if x < 0 or y < 0 or w < 1 or h < 1:
-        raise ConfigError(f"{where}: {key} needs x, y >= 0 and w, h >= 1, got {value!r}")
-    return x, y, w, h
-
-
-def _array(doc: dict, key: str, shape: tuple, where: str) -> np.ndarray:
-    value = _require(doc, key, where)
-    with _checked(where):
-        return as_array(value, shape, key)
+    with _config_errors(where):
+        return check(value, *args, key)
 
 
 def _section(doc: dict, key: str, where: str) -> dict:
     """A required JSON-object section."""
     value = _require(doc, key, where)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: {key} must be a JSON object, got {value!r}")
-    return value
+    return _expect(isinstance(value, dict), value, where, key, "a JSON object")
 
 
 def _path(doc: dict, key: str, base: Path, where: str) -> Path:
     """An input file's path, relative to the config's directory; an absolute path replaces it."""
     value = _require(doc, key, where)
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}: {key} must be a path string, got {value!r}")
-    path = base / value
+    path = base / _expect(isinstance(value, str), value, where, key, "a path string")
     if not path.is_file():
         raise ConfigError(f"{where}: input file not found: {path}")
     return path
@@ -195,7 +187,7 @@ def _path(doc: dict, key: str, base: Path, where: str) -> Path:
 
 def _chart_source(doc: dict, base: Path, where: str) -> ChartSource:
     corners = _require(doc, "corners", where)
-    with _checked(where):
+    with _config_errors(where):
         grid = ChartGridSpec(corners, inset=_scalar(doc, "inset", float, DEFAULT_INSET, where))
     return ChartSource(image=_path(doc, "image", base, where), grid=grid)
 
@@ -213,7 +205,7 @@ def load_config(path) -> PipelineConfig:
 
     primaries = _section(doc, "primaries", "config")
     rois_doc = _section(primaries, "rois", "primaries")
-    rois = {c: _roi(rois_doc, c, "primaries.rois") for c in CHANNELS}
+    rois = {c: _check_key(rois_doc, c, "primaries.rois", check_roi) for c in CHANNELS}
     primaries_image = _path(primaries, "image", base, "primaries")
 
     charts_doc = _section(doc, "channel_charts", "config")
@@ -234,32 +226,29 @@ def load_config(path) -> PipelineConfig:
     mode = w_doc.get("mode")
     env_map = w_rgb = None
     if mode == "env_map":
-        with _checked("w_avg.facing"):
-            facing = as_direction(_array(w_doc, "facing", (3,), "w_avg"))
+        with _config_errors("w_avg.facing"):
+            facing = as_direction(_check_key(w_doc, "facing", "w_avg", as_array, (3,)))
         env_map = (_path(w_doc, "path", base, "w_avg"), facing)
     elif mode == "white_patch":
         if "rgb" in w_doc:
-            w_rgb = _array(w_doc, "rgb", (3,), "w_avg")
+            w_rgb = _check_key(w_doc, "rgb", "w_avg", as_array, (3,))
     else:
-        raise ConfigError(f"w_avg.mode must be 'white_patch' or 'env_map', got {mode!r}")
+        raise ConfigError(f"w_avg.mode must be 'white_patch' or 'env_map', got {short_repr(mode)}")
 
-    weights = doc.get("weights")
-    if weights is not None:
-        with _checked("config"):
-            weights = check_weights(weights)
+    with _config_errors("config"):
+        weights = check_weights(doc.get("weights"))
 
     black_level = None
     if doc.get("black_level") is not None:
         black_doc = _section(doc, "black_level", "config")
-        roi = _roi(black_doc, "roi", "black_level")
+        roi = _check_key(black_doc, "roi", "black_level", check_roi)
         black_level = (_path(black_doc, "image", base, "black_level"), roi)
 
-    with _checked("config"):
+    with _config_errors("config"):
         white_index = check_white_index(_scalar(doc, "white_index", int, DEFAULT_WHITE_INDEX))
 
     output_dir = doc.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"config: output_dir must be a path string, got {output_dir!r}")
+    _expect(isinstance(output_dir, str), output_dir, "config", "output_dir", "a path string")
 
     return PipelineConfig(
         primaries_image=primaries_image,
@@ -281,12 +270,7 @@ def load_config(path) -> PipelineConfig:
 
 
 def _read_image(path) -> LinearImage:
-    """The PFM capture at path; a value the image check rejects names the file."""
-    data = read_pfm(path)
-    try:
-        return LinearImage(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return check_image(LinearImage, read_pfm(path), path)
 
 
 def _sample_rois(path, *rois) -> list:
@@ -431,7 +415,7 @@ def _write_outputs(config, bundle, report, targets, charts) -> None:
 def run_oracle(seed: int, scenario: str, outdir) -> Path:
     """Generate a deterministic synthetic fixture directory for cmd solve."""
     if seed < 0:
-        raise ConfigError(f"oracle: seed must be >= 0, got {seed}")
+        raise ConfigError(f"oracle: seed must be >= 0, got {short_repr(seed)}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     scene = make_scene(seed, scenario)
@@ -526,7 +510,7 @@ def run_simulate(config: PipelineConfig, bundle_path, variant: str):
 
 def run_chart_error(target_csv, measured_csv, white_index: int) -> str:
     """The per-channel chart error as a JSON object of r, g and b."""
-    with _checked("config"):
+    with _config_errors("--white-index"):
         check_white_index(white_index)
     for p in (target_csv, measured_csv):
         if not Path(p).is_file():

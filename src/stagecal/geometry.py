@@ -14,18 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .imaging import WHITE_REFLECTANCE, LinearImage, as_array, check_beta, read_pfm
+from .imaging import WHITE_REFLECTANCE, LinearImage, as_array, check_beta, check_image, read_pfm, short_repr
 
 FRONTAL = np.array([0.0, 0.0, 1.0])
 
 DEFAULT_HALF_EXTENT = 0.6
 DEFAULT_BETA_RESOLUTION = 1024
-# Largest beta_resolution; the numeric beta is already within 2.3e-8 of the
-# closed form at this size. Here compute_beta allocates an 805 MB zeroed
-# panel map but writes and reads only its lit window (about 48 MB at half
-# extent 0.6), weighing that window's green coverage alone.
-# compute_beta(0.6, 4096) took 0.11-0.22 s (median 0.14 s over 9 runs) with
-# a 357 MB peak RSS as the first call in a process (2-core Xeon, numpy 2.4.6).
+# Largest beta_resolution, where beta is within 2.3e-8 of the closed form; compute_beta then zeroes a
+# (4096, 8192, 3) float64 panel map and uses only its lit window (README, "Where the memory goes").
 MAX_BETA_RESOLUTION = 4096
 
 
@@ -115,9 +111,9 @@ def _panel_window(half_extent: float, resolution: int):
     """
     _check_half_extent(half_extent)
     if resolution < 64:
-        raise ValueError(f"resolution must be >= 64, got {resolution}")
+        raise ValueError(f"resolution must be >= 64, got {short_repr(resolution)}")
     if resolution > MAX_BETA_RESOLUTION:
-        raise ValueError(f"resolution must be <= {MAX_BETA_RESOLUTION}, got {resolution}")
+        raise ValueError(f"resolution must be <= {MAX_BETA_RESOLUTION}, got {short_repr(resolution)}")
     width = 2 * resolution
     d_alpha = 2.0 * np.pi / width
 
@@ -235,8 +231,4 @@ def w_avg_from_white(white_patch, white_reflectance: float = WHITE_REFLECTANCE) 
 
 def read_env_pfm(path) -> EnvMap:
     """The PFM map at path; a value or shape the map check rejects names the file."""
-    data = read_pfm(path)
-    try:
-        return EnvMap(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return check_image(EnvMap, read_pfm(path), path)

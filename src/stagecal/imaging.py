@@ -31,9 +31,6 @@ WHITE_REFLECTANCE = 0.9
 DEFAULT_INSET = 0.25
 TRIM_FRACTION = 0.1
 
-# Elements per as_array tile: keeps its temporaries small however large the image.
-_TILE = 1 << 16
-
 # Elements per chunk of the non-negative check's bit-pattern maximum (4 MiB of
 # float32): the pages of a read-only file mapping are released chunk by chunk.
 _CHUNK = 1 << 20
@@ -42,9 +39,12 @@ _CHUNK = 1 << 20
 # non-negative float's pattern is below it; NaN, +inf and a set sign bit are not.
 _INF_BITS = {np.dtype(np.float32): (np.uint32, 0x7F800000), np.dtype(np.float64): (np.uint64, 0x7FF << 52)}
 
+# Longest line, newline included, of a PFM header or a chart CSV: a longer one is malformed, and is not read whole.
+_MAX_LINE = 256
+
 
 class _ShortRepr(reprlib.Repr):
-    """reprlib's abbreviated repr, which also stands in for an int too long to print in decimal."""
+    """How an error message repeats an outside value: repr() if short, else abbreviated; a too-long int is named."""
 
     def repr_int(self, x, level):
         try:
@@ -53,7 +53,7 @@ class _ShortRepr(reprlib.Repr):
             return f"<{x.bit_length()}-bit int>"
 
 
-_short_repr = _ShortRepr().repr
+short_repr = _ShortRepr().repr
 
 
 def is_real(value) -> bool:
@@ -87,7 +87,7 @@ def _float64(value, name: str) -> np.ndarray:
             raise TypeError
         return a
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
-        raise ValueError(f"{name} must be numeric, got {_short_repr(value)}") from exc
+        raise ValueError(f"{name} must be numeric, got {short_repr(value)}") from exc
 
 
 def _checked(a: np.ndarray, shape: tuple, name: str, nonneg: bool) -> np.ndarray:
@@ -97,8 +97,8 @@ def _checked(a: np.ndarray, shape: tuple, name: str, nonneg: bool) -> np.ndarray
     no view is copied. A non-negative check of float32 or float64 first takes
     one maximum over the bit patterns, which is below that of +inf exactly when
     every component is finite and non-negative with a clear sign bit. Anything
-    else, -0.0 included, takes the exact pass of tile minima and maxima, where
-    only a failing tile pays for the masks that find the first culprit.
+    else, -0.0 included, takes an exact whole-array min() and max(), which
+    allocate nothing; a failing array alone builds masks to find its culprit.
 
     That maximum is taken _CHUNK elements at a time. Where the components lie
     in a read-only file mapping, such as read_pfm's of a native-order file,
@@ -107,10 +107,6 @@ def _checked(a: np.ndarray, shape: tuple, name: str, nonneg: bool) -> np.ndarray
     again unchanged. So a checked capture keeps resident only the rows that
     its stages go on to sample. Writable and anonymous memory is never
     released, since there the kernel would discard writes or zero the data.
-    On 4K captures, `stagecal solve`'s peak RSS is then set in its
-    black_level stage (87.2 MB), by one ROI's rows and its trimmed_mean
-    scratch; the README's "Where the memory goes" gives the stages, and
-    ROADMAP items 2 (the beta map) and 9 (a cost table) the rest.
     """
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
         want = str(shape).replace("None", "n")
@@ -119,14 +115,13 @@ def _checked(a: np.ndarray, shape: tuple, name: str, nonneg: bool) -> np.ndarray
     bits = _INF_BITS.get(a.dtype) if nonneg else None
     if bits is not None and _max_releasing(flat.view(bits[0])) < bits[1]:
         return a
-    for start in range(0, flat.size, _TILE):  # NaN fails every comparison
-        tile = flat[start : start + _TILE]
-        lo, hi = tile.min(), tile.max()
-        if not (hi < np.inf and (lo >= 0 if nonneg else lo > -np.inf)):
-            if not np.isfinite(a).all():
-                _raise_at(a, ~np.isfinite(a), name, "non-finite")
-            _raise_at(a, a < 0, name, "negative")
-    return a
+    # 0 passes both tests and hides no failing extreme, so an empty array passes; NaN fails every comparison
+    lo, hi = flat.min(initial=0.0), flat.max(initial=0.0)
+    if hi < np.inf and (lo >= 0 if nonneg else lo > -np.inf):
+        return a
+    if not np.isfinite(a).all():
+        _raise_at(a, ~np.isfinite(a), name, "non-finite")
+    _raise_at(a, a < 0, name, "negative")
 
 
 def _max_releasing(flat: np.ndarray):
@@ -193,20 +188,42 @@ class LinearImage:
         return self.data.shape[0]
 
 
+def check_image(kind: type, data, path) -> LinearImage:
+    """kind(data), kind being LinearImage or a subclass, for data read from path; a rejected value names the file."""
+    try:
+        return kind(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def check_white_index(white_index: int) -> int:
     """`white_index` itself if it names a chart patch; ValueError otherwise."""
     if not 0 <= white_index < CHART_PATCHES:
-        raise ValueError(f"white_index must be in [0, {CHART_PATCHES}), got {white_index}")
+        raise ValueError(f"white_index must be in [0, {CHART_PATCHES}), got {short_repr(white_index)}")
     return white_index
+
+
+def check_roi(roi, name: str) -> tuple[int, int, int, int]:
+    """`roi` as (x, y, w, h): four integers by is_number's rule, x, y >= 0, w, h >= 1; else ValueError naming `name`."""
+    try:
+        sized = len(roi) == 4
+    except TypeError:  # None, a number, an iterator
+        sized = False
+    if not sized or not all(is_number(v, int) for v in roi):
+        raise ValueError(f"{name} must be 4 integers (x, y, w, h), got {short_repr(roi)}")
+    x, y, w, h = (int(v) for v in roi)
+    if x < 0 or y < 0 or w < 1 or h < 1:
+        raise ValueError(f"{name} needs x, y >= 0 and w, h >= 1, got {short_repr(roi)}")
+    return x, y, w, h
 
 
 def check_beta(beta: float, context: str = "") -> float:
     """`beta` itself if is_real(beta) and 0 < beta <= 1; ValueError (ending in `context`) otherwise, NaN included."""
     if not is_real(beta):
-        raise ValueError(f"beta must be a number, got {_short_repr(beta)}{context}")
+        raise ValueError(f"beta must be a number, got {short_repr(beta)}{context}")
     if not 0.0 < beta <= 1.0:
         # str() of a numpy scalar, which reads as the number; a Python int may be too long for str()
-        shown = _short_repr(beta) if isinstance(beta, int) else beta
+        shown = short_repr(beta) if isinstance(beta, int) else beta
         raise ValueError(f"beta must be in (0, 1], got {shown}{context}")
     return beta
 
@@ -267,10 +284,7 @@ def trimmed_mean(values: np.ndarray) -> np.ndarray:
     into one reused float64 row and averaged along it (numpy's pairwise sum),
     so a float32 input gives the same bits as its float64 widening. Zeros
     average to +0.0, whatever their signs. The input is left as it is. For n
-    float32 values the scratch is those two rows, 4n + 6.4n bytes: 9.9 MiB
-    for the 1000×1000 ROI of a 4K solve's black_level stage, beside the
-    46 MiB of capture rows that ROI keeps resident, on the way to the
-    solve's 87.2 MB peak (see _checked).
+    float32 values the scratch is those two rows, 4n + 6.4n bytes.
     """
     values = np.asarray(values)
     n = values.size // 3
@@ -372,17 +386,10 @@ def extract_chart(image: LinearImage, grid: ChartGridSpec) -> ChartSamples:
 
 
 def sample_roi(image: LinearImage, roi: tuple[int, int, int, int]) -> np.ndarray:
-    """Trimmed-mean RGB of an axis-aligned (x, y, w, h) region of whole pixels."""
-    try:
-        sized = len(roi) == 4
-    except TypeError:  # None, a number, an iterator
-        sized = False
-    if not sized or not all(is_number(v, int) for v in roi):
-        why = ": a component is not a whole number of pixels" if sized else ""
-        raise ValueError(f"ROI {_short_repr(roi)} must be 4 whole numbers (x, y, w, h){why}")
-    x, y, w, h = (int(v) for v in roi)
-    if w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > image.width or y + h > image.height:
-        raise ValueError(f"ROI {roi} outside image bounds")
+    """Trimmed-mean RGB of an axis-aligned (x, y, w, h) region of whole pixels, checked by check_roi."""
+    x, y, w, h = check_roi(roi, "ROI")
+    if x + w > image.width or y + h > image.height:
+        raise ValueError(f"ROI {short_repr(roi)} outside image bounds")
     return trimmed_mean(image.data[y : y + h, x : x + w])
 
 
@@ -454,24 +461,25 @@ def read_pfm(path) -> np.ndarray:
     The values are the file's own, in native byte order; widening them to
     float64 is exact. The payload is mapped, not copied. A native-order file is
     mapped read-only, so LinearImage's check can release its pages as it reads
-    them and a checked capture keeps resident only the rows its stages sample;
-    _checked says which stage then sets a 4K solve's peak. A file in the other
-    byte order is mapped copy-on-write and swapped in place, which never
-    reaches the file, and is never released. Either way the array is
-    read-only: copy it to write to it.
+    them and a checked capture keeps resident only the rows its stages sample.
+    A file in the other byte order is mapped copy-on-write and swapped in
+    place, which never reaches the file, and is never released. Either way
+    the array is read-only: copy it to write to it.
     """
     with open(path, "rb") as f:
-        magic = f.readline().strip()
+        lines = _lines(f, f"{path}: malformed PFM header: ")
+        magic = next(lines, b"").strip()
         if magic != b"PF":
-            raise ValueError(f"{path}: not a color PFM file (magic {magic!r})")
+            raise ValueError(f"{path}: not a color PFM file (magic {short_repr(magic)})")
+        size, scale = next(lines, b""), next(lines, b"")
         try:
-            width, height = (int(t) for t in f.readline().split())
-            scale = float(f.readline())
+            width, height = (_parse(int, t) for t in size.split())
+            scale = _parse(float, scale)
+            # the scale's sign gives the byte order; zero, NaN and an infinity give none
+            if not 0.0 < abs(scale) < np.inf:
+                raise ValueError(f"scale must be finite and non-zero, got {scale}")
         except ValueError as exc:
             raise ValueError(f"{path}: malformed PFM header: {exc}") from None
-        # the scale's sign gives the byte order; zero, NaN and an infinity give none
-        if not 0.0 < abs(scale) < np.inf:
-            raise ValueError(f"{path}: malformed PFM header: scale must be finite and non-zero, got {scale}")
         if width < 0 or height < 0:
             raise ValueError(f"{path}: negative PFM dimensions {width} x {height}")
         # checked before mapping, so a short payload fails with this message
@@ -487,6 +495,22 @@ def read_pfm(path) -> np.ndarray:
         data = data.byteswap(inplace=True).view(np.float32)
         data.flags.writeable = False
     return data.reshape(height, width, 3)[::-1]  # PFM stores rows bottom-to-top
+
+
+def _lines(f, where: str):
+    """Yield text or binary file `f`'s lines until f.read(0) ("" or b""); past _MAX_LINE, ValueError after `where`."""
+    for lineno, line in enumerate(iter(lambda: f.readline(_MAX_LINE + 1), f.read(0)), start=1):
+        if len(line) > _MAX_LINE:
+            raise ValueError(f"{where}line {lineno}: longer than {_MAX_LINE} characters")
+        yield line
+
+
+def _parse(kind: type, text):
+    """int(text) or float(text), text str or bytes; the ValueError abbreviates `text`, which Python's repeats whole."""
+    try:
+        return kind(text)
+    except ValueError as exc:  # Python's message is "<reason>: <repr of text>"
+        raise ValueError(f"{str(exc).partition(': ')[0]}: {short_repr(text)}") from None
 
 
 def write_pfm(path, data: np.ndarray) -> None:
@@ -514,7 +538,7 @@ def _png_chunk(tag: bytes, payload: bytes) -> bytes:
 def write_png16(path, codes: np.ndarray) -> None:
     """Write (h, w, 3) uint16 codes, such as _encode16 returns, as a 16-bit RGB PNG, every row unfiltered."""
     if not isinstance(codes, np.ndarray) or codes.dtype != np.uint16 or codes.ndim != 3 or codes.shape[2] != 3:
-        got = f"{codes.dtype} of shape {codes.shape}" if isinstance(codes, np.ndarray) else _short_repr(codes)
+        got = f"{codes.dtype} of shape {codes.shape}" if isinstance(codes, np.ndarray) else short_repr(codes)
         raise ValueError(f"expected (h, w, 3) uint16 codes, got {got}")
     h, w = codes.shape[:2]
     # each row is filter byte 0 followed by its big-endian 16-bit samples
@@ -541,15 +565,16 @@ def read_chart_csv(path) -> ChartSamples:
     seen = set()
     # a byte that is not UTF-8 decodes to U+FFFD, which fails its row's parse, naming the line
     with open(path, encoding="utf-8", errors="replace") as f:
-        header = f.readline().strip()
+        lines = _lines(f, f"{path}, ")
+        header = next(lines, "").strip()
         if header != "patch_index,r,g,b":
-            raise ValueError(f"{path}: unexpected chart CSV header {header!r}")
-        for lineno, line in enumerate(f, start=2):
+            raise ValueError(f"{path}: unexpected chart CSV header {short_repr(header)}")
+        for lineno, line in enumerate(lines, start=2):
             if not line.strip():
                 continue
             try:
                 idx_s, r, g, b = line.split(",")
-                idx, rgb = int(idx_s), (float(r), float(g), float(b))
+                idx, rgb = _parse(int, idx_s), (_parse(float, r), _parse(float, g), _parse(float, b))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
             if not 0 <= idx < CHART_PATCHES:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import SRLSet
-from .imaging import CHART_PATCHES, WHITE_REFLECTANCE, ChartSamples, as_array, check_beta
+from .imaging import CHART_PATCHES, WHITE_REFLECTANCE, ChartSamples, as_array, check_beta, short_repr
 
 WAVELENGTHS = np.arange(380.0, 781.0, 5.0)  # 81 samples
 N_SAMPLES = len(WAVELENGTHS)
@@ -138,7 +138,7 @@ def _scenario_illuminant(rng: np.random.Generator, scenario: str) -> np.ndarray:
         curve = np.zeros(N_SAMPLES)
         curve[int(np.argmin(np.abs(WAVELENGTHS - SODIUM_LINE_NM)))] = 1.0
         return curve
-    raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
+    raise ValueError(f"unknown scenario {short_repr(scenario)}; expected one of {SCENARIOS}")
 
 
 def _normalize_led_levels(camera: np.ndarray, leds: np.ndarray) -> np.ndarray:

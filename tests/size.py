@@ -3,6 +3,9 @@
     PYTHONPATH=src python tests/size.py
 
 - `src lines`: lines of every `src/stagecal/*.py`, as `wc -l` counts them;
+- `code lines`: those of the lines that hold part of a statement, counted
+  with `tokenize`: blank, comment and docstring lines are left out, so
+  deleting a comment does not count as deleting code;
 - `settable values`: function parameters with a default, plus dataclass
   fields, counted with `ast`: each is a value a caller may leave out;
 - `flags`: the options of each `stagecal` command, read from its parser.
@@ -12,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 from stagecal.cli import _build_parser
@@ -38,6 +43,22 @@ def settable_values(tree: ast.Module) -> int:
     return count
 
 
+def code_lines(source: str) -> int:
+    """Lines of `source` that hold a token of a statement other than a docstring."""
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {
+        (node.body[0].lineno, node.body[0].col_offset)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, documented) and ast.get_docstring(node, clean=False) is not None
+    }
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in layout and not (token.type == tokenize.STRING and token.start in docstrings):
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
+
+
 def flags() -> dict:
     """Command name -> number of its options, --help not counted."""
     commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -52,6 +73,7 @@ def main() -> None:
     lines = sum(path.read_bytes().count(b"\n") for path in files)
     values = sum(settable_values(ast.parse(path.read_text())) for path in files)
     print(f"src lines: {lines}")
+    print(f"code lines: {sum(code_lines(path.read_text()) for path in files)}")
     print(f"settable values: {values}")
     print("flags: " + ", ".join(f"{name} {n}" for name, n in flags().items()))
 

@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import errno
+import importlib.util
 import inspect
 import io
 import json
@@ -701,11 +702,20 @@ class TestErrorPaths:
         assert 0.999 < float(capsys.readouterr().out) <= 1.0
 
     def test_chart_error_white_index_out_of_range_is_a_config_error(self, fixtures, capsys):
-        # the range check solve makes at load, made before any stage runs
+        # the range check solve makes at load, made before any stage runs; chart-error reads no config
         targets = str(fixtures["broad"]["dir"] / "targets.csv")
         argv = ["chart-error", "--target", targets, "--measured", targets, "--white-index", "30"]
         assert main(argv) == 2
-        assert _one_error_line(capsys) == "error: config: white_index must be in [0, 24), got 30"
+        assert _one_error_line(capsys) == "error: --white-index: white_index must be in [0, 24), got 30"
+
+    @pytest.mark.parametrize("argv, code", [(["beta", "--resolution", "1" + "0" * 4000], 1),
+                                            (["chart-error", "--target", "t.csv", "--measured", "t.csv",
+                                              "--white-index", "1" + "0" * 4000], 2)],
+                             ids=["resolution", "white-index"])
+    def test_a_long_integer_flag_is_abbreviated_in_its_error_line(self, capsys, argv, code):
+        assert main(argv) == code
+        line = _one_error_line(capsys)
+        assert len(line) < 200 and line.endswith("got 100000000000000000...0000000000000000000"), line
 
     def test_solve_beta_resolution_above_bound_fails_its_stage(self, fixtures, tmp_path, capsys):
         fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, beta_resolution=100000)
@@ -777,6 +787,32 @@ class TestErrorPaths:
                 "--output-dir", str(tmp_path / "out")]
         assert main(argv) == 1
         assert _one_error_line(capsys) == "error: stage solve_q: beta must be in (0, 1], got 1.0000004"
+
+    @pytest.mark.parametrize("input_name", ["config-roi", "pfm-without-a-newline", "csv-without-a-newline",
+                                            "csv-field", "csv-field-under-the-line-limit"])
+    def test_a_long_bad_input_gives_one_short_error_line(self, fixtures, tmp_path, capsys, input_name):
+        fx = fixtures["broad"]
+        good_csv = str(fx["dir"] / "targets.csv")
+        if input_name == "config-roi":
+            fixture_dir = _copy_fixture_with(fx, tmp_path, ["primaries", "rois", "red"], list(range(100_000)))
+            argv, code = ["solve", "--config", str(fixture_dir / "config.json")], 2
+        elif input_name == "pfm-without-a-newline":
+            fixture_dir = _copy_fixture(fx, tmp_path)
+            (fixture_dir / "primaries.pfm").write_bytes(b"x" * 5_000_000)
+            argv, code = ["solve", "--config", str(fixture_dir / "config.json")], 1
+        else:
+            bad = tmp_path / "measured.csv"
+            lines = Path(good_csv).read_text().splitlines()
+            if input_name == "csv-without-a-newline":
+                bad.write_text("x" * 3_000_000)
+            else:
+                field = "x" * (3_000_000 if input_name == "csv-field" else 200)
+                bad.write_text("\n".join(lines[:4] + [f"3,0.5,{field},0.5"] + lines[5:]) + "\n")
+            argv, code = ["chart-error", "--target", good_csv, "--measured", str(bad)], 1
+        assert main(argv) == code
+        line = _one_error_line(capsys)
+        assert len(line.encode()) < 1024, line[:300]
+        assert "..." in line or "longer than 256 characters" in line, line
 
     def test_w_avg_must_be_an_object(self, fixtures, tmp_path, capsys):
         fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, w_avg="white_patch")
@@ -1187,11 +1223,33 @@ def test_size_script_prints_lines_settable_values_and_flags():
     argv = [sys.executable, str(Path(__file__).with_name("size.py"))]
     result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    lines, values, flags = result.stdout.splitlines()
+    lines, code, values, flags = result.stdout.splitlines()
     newlines = sum(path.read_bytes().count(b"\n") for path in Path(stagecal.__file__).parent.glob("*.py"))
     assert lines == f"src lines: {newlines}"
+    assert re.fullmatch(r"code lines: \d+", code) and int(code.split()[-1]) < newlines, code
     assert re.fullmatch(r"settable values: \d+", values), values
     assert flags == "flags: solve 2, simulate 4, oracle 3, beta 2, chart-error 3"
+
+
+def test_code_lines_leave_out_blank_comment_and_docstring_lines():
+    spec = importlib.util.spec_from_file_location("size", Path(__file__).with_name("size.py"))
+    size = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(size)
+    source = (
+        '"""A module docstring,\nover two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # a trailing comment\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """A function docstring."""\n'
+        '    note = """a string\nthat is data"""\n'
+        "    return (x +\n"
+        "            1)\n"
+    )
+    # import, def, the two lines of the data string and the two of the return statement
+    assert size.code_lines(source) == 6
 
 
 def test_readme_config_schema_lists_exactly_the_oracle_config_keys(fixtures):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -34,7 +34,6 @@ from stagecal.calibration import (
 from stagecal.geometry import EnvMap, as_direction, w_avg_from_white
 from stagecal.imaging import (
     _CHUNK,
-    _TILE,
     TRIM_FRACTION,
     _bilinear_point,
     _comparison_colors,
@@ -45,6 +44,7 @@ from stagecal.imaging import (
     LinearImage,
     as_array,
     check_beta,
+    check_roi,
     chart_image,
     extract_chart,
     read_chart_csv,
@@ -114,13 +114,17 @@ def reference_check_message(a, name, nonneg):
 
 
 class TestTiledCheck:
-    """as_array tests tiles of _TILE elements; a (_TILE + 1)-element array spans two."""
+    """as_array names the first bad component in row-major order, in any memory layout and at any position.
+
+    The class keeps the name of the tiled pass the check once took, so that its test ids stay; the
+    65,537-element inputs are the ones that spanned two of that pass's tiles.
+    """
 
     @pytest.mark.parametrize("nonneg", [False, True])
-    @pytest.mark.parametrize("at", [0, _TILE - 1, _TILE])
+    @pytest.mark.parametrize("at", [0, 65535, 65536])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
     def test_first_bad_component_matches_whole_array_check(self, bad, at, nonneg):
-        values = np.linspace(0.0, 1.0, _TILE + 1)
+        values = np.linspace(0.0, 1.0, 65537)
         values[at] = bad
         expected = reference_check_message(values, "v", nonneg)
         if expected is None:  # -1 without nonneg
@@ -132,11 +136,11 @@ class TestTiledCheck:
 
     @pytest.mark.parametrize(
         "marks",
-        [{0: -1.0, _TILE: np.nan}, {_TILE - 1: -2.0, _TILE: -1.0}, {5: np.inf, _TILE - 1: np.nan}],
+        [{0: -1.0, 65536: np.nan}, {65535: -2.0, 65536: -1.0}, {5: np.inf, 65535: np.nan}],
         ids=["negative-then-nan", "two-negatives", "inf-then-nan"],
     )
     def test_non_finite_reported_before_negative_anywhere(self, marks):
-        values = np.zeros(_TILE + 1)
+        values = np.zeros(65537)
         for i, v in marks.items():
             values[i] = v
         with pytest.raises(ValueError) as info:
@@ -144,8 +148,8 @@ class TestTiledCheck:
         assert str(info.value) == reference_check_message(values, "v", True)
 
     def test_index_is_in_row_major_order_for_any_memory_layout(self):
-        values = np.zeros((3, _TILE)).T  # column-major memory: flat order differs from index order
-        values[_TILE - 1, 0] = np.nan
+        values = np.zeros((3, 65536)).T  # column-major memory: flat order differs from index order
+        values[65535, 0] = np.nan
         values[1, 2] = np.nan
         with pytest.raises(ValueError, match=re.escape("at index (1, 2): nan")):
             as_array(values, (None, 3), "v")
@@ -175,11 +179,11 @@ class TestTiledCheck:
         assert str(got.value).startswith(f"image has a {what} component at index {at}:")
 
     def test_negative_zero_empty_and_identity(self):
-        zeros = np.full((_TILE + 1, 3), -0.0)
+        zeros = np.full((65537, 3), -0.0)
         assert as_array(zeros, (None, 3), "v", nonneg=True) is zeros
         empty = np.zeros((0, 3))
         assert as_array(empty, (None, 3), "v", nonneg=True) is empty
-        values = np.random.default_rng(18).uniform(0.0, 1.0, (2 * _TILE + 1, 3))
+        values = np.random.default_rng(18).uniform(0.0, 1.0, (131073, 3))
         assert as_array(values, (None, 3), "v", nonneg=True) is values
         assert as_array(values, (None, 3), "v") is values
 
@@ -523,7 +527,7 @@ class TestSampleRoi:
                                      ("1", 0, True, 1), (10**400, 0, 1, 1), (None, 0, 1, 1)])
     def test_fractional_component_rejected(self, roi):
         img = LinearImage(np.zeros((16, 16, 3)))
-        with pytest.raises(ValueError, match=r"^ROI \(.* not a whole number of pixels"):
+        with pytest.raises(ValueError, match=r"^ROI must be 4 integers \(x, y, w, h\), got \("):
             sample_roi(img, roi)
         assert np.array_equal(sample_roi(img, (0.0, 0, 16.0, 16)), np.zeros(3))
 
@@ -532,8 +536,30 @@ class TestSampleRoi:
     @pytest.mark.parametrize("roi", [(0, 0, 1), (0, 0, 1, 1, 1), None, (10**5000, 0, 1, 1)])
     def test_roi_not_four_whole_numbers_rejected(self, roi):
         img = LinearImage(np.zeros((16, 16, 3)))
-        with pytest.raises(ValueError, match=r"^ROI .* must be 4 whole numbers \(x, y, w, h\)"):
+        with pytest.raises(ValueError, match=r"^ROI must be 4 integers \(x, y, w, h\), got "):
             sample_roi(img, roi)
+
+    # a negative origin or an empty size breaks the ROI rule before any image bound is tested
+    @pytest.mark.parametrize("roi", [(-1, 0, 4, 4), (0, -3, 4, 4), (0, 0, 0, 4), (0, 0, 4, -2)])
+    def test_negative_origin_or_empty_size_breaks_the_roi_rule(self, roi):
+        img = LinearImage(np.zeros((16, 16, 3)))
+        with pytest.raises(ValueError) as info:
+            sample_roi(img, roi)
+        assert str(info.value) == f"ROI needs x, y >= 0 and w, h >= 1, got {roi}"
+
+    # a library ROI and a config ROI follow one rule, check_roi's, each named by its caller
+    @pytest.mark.parametrize("roi", [[0, 0, 0, 5], [0.5, 0, 4, 4], [0, 0, 4], "0004", None])
+    def test_one_rule_for_library_and_config_rois(self, roi):
+        with pytest.raises(ValueError) as config:
+            check_roi(roi, "red")
+        with pytest.raises(ValueError) as library:
+            sample_roi(LinearImage(np.zeros((16, 16, 3))), roi)
+        assert str(library.value).removeprefix("ROI ") == str(config.value).removeprefix("red ")
+
+    def test_long_roi_is_abbreviated_in_its_message(self):
+        with pytest.raises(ValueError) as info:
+            check_roi(list(range(100_000)), "red")
+        assert str(info.value) == "red must be 4 integers (x, y, w, h), got [0, 1, 2, 3, 4, 5, ...]"
 
     def test_float32_roi_widens_one_channel_at_a_time(self):
         # one float32 channel row is 3.8 MiB and one widened kept row 6.1 MiB;
@@ -824,6 +850,46 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=re.escape(f"{path}: malformed PFM header: {reason}")):
             read_pfm(path)
 
+    @pytest.mark.parametrize("line", [1, 2, 3])
+    def test_pfm_header_line_past_the_limit_is_malformed(self, tmp_path, line):
+        # 256 bytes, newline included, is the longest header line read; trailing spaces pad it
+        header = [b"PF", b"1 1", b"-1.0"]
+        header[line - 1] = header[line - 1].ljust(255)
+        path = tmp_path / "img.pfm"
+        path.write_bytes(b"\n".join(header) + b"\n" + np.full(3, 0.5, "<f4").tobytes())
+        assert read_pfm(path).tolist() == [[[0.5, 0.5, 0.5]]]
+        header[line - 1] += b" "
+        path.write_bytes(b"\n".join(header) + b"\n" + np.full(3, 0.5, "<f4").tobytes())
+        with pytest.raises(ValueError) as info:
+            read_pfm(path)
+        assert str(info.value) == f"{path}: malformed PFM header: line {line}: longer than 256 characters"
+
+    @pytest.mark.parametrize("header, reason", [
+        (b"PF\n1 " + b"9" * 100 + b"x\n-1.0\n",
+         "invalid literal for int() with base 10: b'99999999999...999999999999x'"),
+        (b"PF\n1 1\n-1." + b"0" * 100 + b"x\n", "could not convert string to float: b'-1.00000000...0000000000x\\n'"),
+    ], ids=["size", "scale"])
+    def test_pfm_unparsable_header_value_is_abbreviated(self, tmp_path, header, reason):
+        path = tmp_path / "img.pfm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError) as info:
+            read_pfm(path)
+        assert str(info.value) == f"{path}: malformed PFM header: {reason}"
+
+    def test_pfm_without_a_newline_is_rejected_unread(self, tmp_path):
+        # a file that is no PFM at all, such as a 5 MB blob without a newline
+        path = tmp_path / "blob.pfm"
+        path.write_bytes(b"x" * 5_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                read_pfm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"{path}: malformed PFM header: line 1: longer than 256 characters"
+        assert peak < 64 * 1024
+
     def test_pfm_rejects_non_color(self, tmp_path):
         path = tmp_path / "bad.pfm"
         path.write_bytes(b"Pf\n2 2\n-1.0\n" + b"\x00" * 16)
@@ -880,6 +946,35 @@ class TestFileFormats:
         path = self._chart_csv(tmp_path / "chart.csv", range(24))
         path.write_text(path.read_text().replace("12,", "\n  \n12,"))
         assert np.array_equal(read_chart_csv(path).patches, np.full((24, 3), 0.5))
+
+    def test_chart_csv_last_line_without_a_newline(self, tmp_path):
+        path = self._chart_csv(tmp_path / "chart.csv", range(24))
+        path.write_text(path.read_text().rstrip("\n"))
+        assert np.array_equal(read_chart_csv(path).patches, np.full((24, 3), 0.5))
+
+    @pytest.mark.parametrize("line", [1, 5, 25])
+    def test_chart_csv_line_past_the_limit_names_its_line(self, tmp_path, line):
+        # 256 characters, newline included, is the longest line read; trailing spaces pad it
+        path = self._chart_csv(tmp_path / "chart.csv", range(24))
+        lines = path.read_text().splitlines()
+        lines[line - 1] = lines[line - 1].ljust(255)
+        path.write_text("\n".join(lines) + "\n")
+        assert np.array_equal(read_chart_csv(path).patches, np.full((24, 3), 0.5))
+        lines[line - 1] += " "
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"chart\.csv, line {line}: longer than 256 characters$"):
+            read_chart_csv(path)
+
+    def test_chart_csv_long_field_or_header_is_abbreviated(self, tmp_path):
+        path = self._chart_csv(tmp_path / "chart.csv", range(24))
+        path.write_text(path.read_text().replace("3,0.5,0.5,0.5", "3,0.5," + "9" * 100 + "x,0.5"))
+        with pytest.raises(ValueError) as info:
+            read_chart_csv(path)
+        assert str(info.value) == f"{path}, line 5: could not convert string to float: '999999999999...999999999999x'"
+        path.write_text("p" * 200 + "\n")
+        with pytest.raises(ValueError) as info:
+            read_chart_csv(path)
+        assert str(info.value) == f"{path}: unexpected chart CSV header 'pppppppppppp...ppppppppppppp'"
 
     def test_chart_csv_missing_a_patch_rejected(self, tmp_path):
         path = self._chart_csv(tmp_path / "chart.csv", range(23))
@@ -1027,23 +1122,21 @@ def reference_read_pfm(path):
     return np.flipud(data).astype(np.float32)
 
 
-def block_rows(width):
-    return max(1, _TILE // width)
-
-
-# heights around one and two multiples of _TILE pixels, for a one-pixel and a 4K-wide image
-PFM_SHAPES = [
-    (width, height)
-    for width in (1, 3840)
-    for b in [block_rows(width)]
-    for height in (1, b - 1, b, b + 1, 2 * b + 1)
+# (width, height) pairs for a mapped read: one pixel, one-pixel columns up to past one
+# check chunk, odd widths whose rows straddle pages, and 4K width
+MAPPED_PFM_SHAPES = [
+    (1, 1), (1, 65535), (1, 65536), (1, 65537), (1, 131073), (3, 5), (7, 343), (341, 3), (3839, 17),
+    (3840, 1), (3840, 16), (3840, 17), (3840, 18), (3840, 35),
 ]
 
 
-# no shrink phase: the failing draw (shape, byte order, seed) is already small
-@pytest.mark.parametrize("width, height", PFM_SHAPES)
-@settings(derandomize=True, max_examples=4, deadline=None, phases=(Phase.explicit, Phase.generate))
+# The test keeps the name of the row-block reader that the mapped read replaced, so that its
+# ids stay. Every shape reads both byte orders; no shrink phase: a failing seed is already small.
+@pytest.mark.parametrize("width, height", MAPPED_PFM_SHAPES)
+@settings(derandomize=True, max_examples=2, deadline=None, phases=(Phase.explicit, Phase.generate))
 @given(dtype=st.sampled_from(["<f4", ">f4"]), seed=st.integers(0, 2**32 - 1))
+@example(dtype="<f4", seed=0)
+@example(dtype=">f4", seed=1)
 def test_streamed_read_pfm_matches_whole_payload_decode(tmp_path_factory, width, height, dtype, seed):
     # arbitrary bit patterns: NaN payloads, infinities, subnormals and -0.0 included
     bits = np.random.default_rng(seed).integers(0, 2**32, width * height * 3, dtype=np.uint32)
@@ -1176,8 +1269,10 @@ def test_tall_narrow_pfm_reads_and_checks_quickly(tmp_path):
     ids=["empty", "inside-first-block", "block-boundary", "inside-second-block", "end-of-first-block"],
 )
 def test_pfm_truncated_at_any_point(tmp_path, width, cut_rows, cut_bytes):
-    height = 2 * block_rows(width) + 1
-    rows = block_rows(width) if cut_rows == "block" else cut_rows
+    # a "block" is 65,536 pixels of whole rows, as the row-block reader that the mapped read replaced took them
+    block = {1: 65536, 3840: 17}[width]
+    height = 2 * block + 1
+    rows = block if cut_rows == "block" else cut_rows
     payload = np.ones(width * height * 3, dtype="<f4").tobytes()
     path = tmp_path / "cut.pfm"
     path.write_bytes(pfm_bytes(width, height, "<f4", payload[: rows * width * 12 + cut_bytes]))
