@@ -6,11 +6,19 @@ bundle, a machine-readable report, per-variant chart CSVs, and comparison
 PNGs into the output directory. Exit codes: 0 success, 1 solver failure
 (including the soft N-unavailable fallback, which still writes all outputs),
 2 input/config error.
+
+A missing input file is one rule for every command: `<flag or section>:
+input file not found: <path>`, naming the flag (`--config`, `--bundle`,
+`--target`, `--measured`) or the config section that gave the path. An error
+line repeats an outside value abbreviated, and so does a path too long for
+the system to name a file (`[Errno 36] File name too long: '...'`); any other
+system error names its path whole.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 import warnings
@@ -82,6 +90,17 @@ CHANNELS = ("red", "green", "blue")
 ORACLE_PATCH_PIXELS = 16
 ORACLE_PRIMARY_BLOCK = 32
 
+# The top-level settings, key -> (kind, default): load_config reads each one
+# and the oracle's config.json lists each one, so a default is written here only.
+SETTINGS = {
+    "white_reflectance": (float, WHITE_REFLECTANCE),
+    "half_extent": (float, DEFAULT_HALF_EXTENT),
+    "beta_resolution": (int, DEFAULT_BETA_RESOLUTION),
+    "cond_limit_sl": (float, DEFAULT_COND_LIMIT_SL),
+    "cond_limit_q": (float, DEFAULT_COND_LIMIT_Q),
+    "white_index": (int, DEFAULT_WHITE_INDEX),
+}
+
 
 class ConfigError(ValueError):
     """Bad or missing configuration / input files (exit code 2)."""
@@ -112,19 +131,13 @@ def _config_errors(where: str):
 
 
 @dataclass
-class ChartSource:
-    image: Path
-    grid: ChartGridSpec
-
-
-@dataclass
 class PipelineConfig:
     """A checked config: one field per choice, holding what the stages consume."""
 
     primaries_image: Path
     primary_rois: dict
-    channel_charts: dict          # channel -> ChartSource
-    targets: Path | ChartSource   # a chart CSV, or a photographed chart
+    channel_charts: dict          # channel -> (image path, ChartGridSpec)
+    targets: Path | tuple         # a chart CSV, or a photographed chart's (image path, ChartGridSpec)
     w_avg_rgb: np.ndarray | None  # explicit white patch value, optional
     env_map: tuple | None         # (path, unit facing); None takes w_avg from white
     white_reflectance: float
@@ -157,12 +170,6 @@ def _scalar(doc: dict, key: str, kind: type, default, where: str = "config"):
     return kind(_expect(is_number(value, kind), value, where, key, noun))
 
 
-def _cond_limit(doc: dict, key: str, default: float) -> float:
-    """A condition-number limit: a finite number >= 1, as every condition number is."""
-    limit = _scalar(doc, key, float, default)
-    return _expect(limit >= 1, limit, "config", key, ">= 1")
-
-
 def _check_key(doc: dict, key: str, where: str, check, *args):
     """check(doc[key], *args, key), for checks such as as_array and check_roi; a ValueError names `where`."""
     value = _require(doc, key, where)
@@ -176,32 +183,42 @@ def _section(doc: dict, key: str, where: str) -> dict:
     return _expect(isinstance(value, dict), value, where, key, "a JSON object")
 
 
-def _path(doc: dict, key: str, base: Path, where: str) -> Path:
-    """An input file's path, relative to the config's directory; an absolute path replaces it."""
-    value = _require(doc, key, where)
-    path = base / _expect(isinstance(value, str), value, where, key, "a path string")
+def _input_file(path, where: str) -> Path:
+    """`path` as a Path if it names a regular file; a device or a directory is no input file."""
+    path = Path(path)
     if not path.is_file():
         raise ConfigError(f"{where}: input file not found: {path}")
     return path
 
 
-def _chart_source(doc: dict, base: Path, where: str) -> ChartSource:
+def _read_json(path, flag: str, parse):
+    """parse(text) of the input file `path`, given by `flag`; a ValueError reads `invalid <flag's noun> <path>: ...`."""
+    path = _input_file(path, flag)
+    try:
+        return parse(path.read_text())
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int over 4300 digits, or too deep nesting
+        raise ConfigError(f"invalid {flag.removeprefix('--')} {path}: {exc}") from exc
+
+
+def _path(doc: dict, key: str, base: Path, where: str) -> Path:
+    """An input file's path, relative to the config's directory; an absolute path replaces it."""
+    value = _require(doc, key, where)
+    return _input_file(base / _expect(isinstance(value, str), value, where, key, "a path string"), where)
+
+
+def _chart_source(doc: dict, base: Path, where: str) -> tuple:
+    """A photographed chart: (image path, ChartGridSpec)."""
     corners = _require(doc, "corners", where)
     with _config_errors(where):
         grid = ChartGridSpec(corners, inset=_scalar(doc, "inset", float, DEFAULT_INSET, where))
-    return ChartSource(image=_path(doc, "image", base, where), grid=grid)
+    return _path(doc, "image", base, where), grid
 
 
 def load_config(path) -> PipelineConfig:
     """Parse and check a pipeline config JSON: every setting comes from the file."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except (ValueError, RecursionError) as exc:  # bad JSON, an int over 4300 digits, or too deep nesting
-        raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
-    base = path.parent
+    doc = _read_json(path, "--config", json.loads)
+    _expect(isinstance(doc, dict), doc, "config", "the top level", "a JSON object")
+    base = Path(path).parent
 
     primaries = _section(doc, "primaries", "config")
     rois_doc = _section(primaries, "rois", "primaries")
@@ -244,11 +261,14 @@ def load_config(path) -> PipelineConfig:
         roi = _check_key(black_doc, "roi", "black_level", check_roi)
         black_level = (_path(black_doc, "image", base, "black_level"), roi)
 
-    with _config_errors("config"):
-        white_index = check_white_index(_scalar(doc, "white_index", int, DEFAULT_WHITE_INDEX))
-
     output_dir = doc.get("output_dir", "out")
     _expect(isinstance(output_dir, str), output_dir, "config", "output_dir", "a path string")
+
+    settings = {key: _scalar(doc, key, kind, default) for key, (kind, default) in SETTINGS.items()}
+    for key in ("cond_limit_sl", "cond_limit_q"):  # >= 1, as every condition number is
+        _expect(settings[key] >= 1, settings[key], "config", key, ">= 1")
+    with _config_errors("config"):
+        check_white_index(settings["white_index"])
 
     return PipelineConfig(
         primaries_image=primaries_image,
@@ -257,15 +277,10 @@ def load_config(path) -> PipelineConfig:
         targets=targets,
         w_avg_rgb=w_rgb,
         env_map=env_map,
-        white_reflectance=_scalar(doc, "white_reflectance", float, WHITE_REFLECTANCE),
-        half_extent=_scalar(doc, "half_extent", float, DEFAULT_HALF_EXTENT),
-        beta_resolution=_scalar(doc, "beta_resolution", int, DEFAULT_BETA_RESOLUTION),
-        cond_limit_sl=_cond_limit(doc, "cond_limit_sl", DEFAULT_COND_LIMIT_SL),
-        cond_limit_q=_cond_limit(doc, "cond_limit_q", DEFAULT_COND_LIMIT_Q),
         weights=weights,
         black_level=black_level,
-        white_index=white_index,
         output_dir=base / output_dir,
+        **settings,
     )
 
 
@@ -279,19 +294,16 @@ def _sample_rois(path, *rois) -> list:
     return [sample_roi(image, roi) for roi in rois]
 
 
-def _extract(source: ChartSource) -> ChartSamples:
-    return extract_chart(_read_image(source.image), source.grid)
+def _extract(path, grid: ChartGridSpec) -> ChartSamples:
+    return extract_chart(_read_image(path), grid)
 
 
 def load_inputs(config: PipelineConfig):
     """Read the per-channel charts, the targets and w_avg; returns (srl, targets, w_avg)."""
     with _stage("channel_charts"):
-        srl = build_srl(*(_extract(config.channel_charts[c]) for c in CHANNELS))
+        srl = build_srl(*(_extract(*config.channel_charts[c]) for c in CHANNELS))
     with _stage("targets"):
-        if isinstance(config.targets, ChartSource):
-            targets = _extract(config.targets)
-        else:
-            targets = read_chart_csv(config.targets)
+        targets = read_chart_csv(config.targets) if isinstance(config.targets, Path) else _extract(*config.targets)
     with _stage("w_avg"):
         if config.env_map is not None:
             env_path, facing = config.env_map
@@ -384,32 +396,27 @@ def run_solve(config: PipelineConfig):
             },
         }
     with _stage("outputs"):
-        _write_outputs(config, bundle, report, targets, all_charts)
+        # a non-finite value in either JSON document raises ValueError here, before any write
+        documents = {
+            "bundle.json": bundle.to_json(),
+            "report.json": json.dumps(report, indent=2, sort_keys=True, allow_nan=False),
+        }
+        _write_charts(config.output_dir, targets, all_charts, config.white_index)
+        write_chart_csv(config.output_dir / "targets.csv", targets)
+        for name, text in documents.items():
+            (config.output_dir / name).write_text(text)
     return bundle, report, 0 if n is not None else 1
 
 
-def _write_chart(out: Path, name: str, targets: ChartSamples, chart: ChartSamples, white_index: int):
-    """Write `<name>.csv` and `comparison_<name>.png`; returns both paths."""
-    csv_path = out / f"{name}.csv"
-    png_path = out / f"comparison_{name}.png"
-    write_chart_csv(csv_path, chart)
-    write_png16(png_path, render_comparison_chart(targets, chart, white_index))
-    return csv_path, png_path
-
-
-def _write_outputs(config, bundle, report, targets, charts) -> None:
-    """Write every output; a non-finite value in either JSON document raises ValueError before any write."""
-    documents = {
-        "bundle.json": bundle.to_json(),
-        "report.json": json.dumps(report, indent=2, sort_keys=True, allow_nan=False),
-    }
-    out = config.output_dir
+def _write_charts(out: Path, targets: ChartSamples, charts: dict, white_index: int) -> list:
+    """Make `out`, then write each chart as `<name>.csv` and `comparison_<name>.png`; returns the paths in that order."""
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in documents.items():
-        (out / name).write_text(text)
-    write_chart_csv(out / "targets.csv", targets)
+    paths = []
     for name, chart in charts.items():
-        _write_chart(out, name, targets, chart, config.white_index)
+        paths += [out / f"{name}.csv", out / f"comparison_{name}.png"]
+        write_chart_csv(paths[-2], chart)
+        write_png16(paths[-1], render_comparison_chart(targets, chart, white_index))
+    return paths
 
 
 def run_oracle(seed: int, scenario: str, outdir) -> Path:
@@ -419,7 +426,8 @@ def run_oracle(seed: int, scenario: str, outdir) -> Path:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     scene = make_scene(seed, scenario)
-    beta = compute_beta(DEFAULT_HALF_EXTENT, DEFAULT_BETA_RESOLUTION)
+    defaults = {key: default for key, (_, default) in SETTINGS.items()}
+    beta = compute_beta(defaults["half_extent"], defaults["beta_resolution"])
     calib = oracle_calibration(scene, beta)
 
     ps = ORACLE_PATCH_PIXELS
@@ -449,8 +457,8 @@ def run_oracle(seed: int, scenario: str, outdir) -> Path:
             "seed": seed,
             "scenario": scenario,
             "beta": beta,
-            "half_extent": DEFAULT_HALF_EXTENT,
-            "beta_resolution": DEFAULT_BETA_RESOLUTION,
+            "half_extent": defaults["half_extent"],
+            "beta_resolution": defaults["beta_resolution"],
             "albedo": albedo,
         },
     )
@@ -474,14 +482,9 @@ def run_oracle(seed: int, scenario: str, outdir) -> Path:
         },
         "targets": {"csv": "targets.csv"},
         "w_avg": {"mode": "white_patch"},
-        "white_reflectance": WHITE_REFLECTANCE,
-        "half_extent": DEFAULT_HALF_EXTENT,
-        "beta_resolution": DEFAULT_BETA_RESOLUTION,
-        "cond_limit_sl": DEFAULT_COND_LIMIT_SL,
-        "cond_limit_q": DEFAULT_COND_LIMIT_Q,
         "black_level": {"image": "black.pfm", "roi": [0, 0, ps, ps]},
-        "white_index": DEFAULT_WHITE_INDEX,
         "output_dir": "out",
+        **defaults,
     }
     (outdir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True))
     return outdir
@@ -489,22 +492,13 @@ def run_oracle(seed: int, scenario: str, outdir) -> Path:
 
 def run_simulate(config: PipelineConfig, bundle_path, variant: str):
     """Re-predict the lit chart from a saved bundle; writes CSV and PNG into config.output_dir."""
-    bundle_path = Path(bundle_path)
-    if not bundle_path.is_file():
-        raise ConfigError(f"bundle file not found: {bundle_path}")
-    try:
-        bundle = CalibrationBundle.from_json(bundle_path.read_text())
-    except (ValueError, RecursionError) as exc:  # RecursionError: too deeply nested JSON
-        raise ConfigError(f"invalid bundle {bundle_path}: {exc}") from exc
-
+    bundle = _read_json(bundle_path, "--bundle", CalibrationBundle.from_json)
     srl, targets, w_avg = load_inputs(config)
-    name = {"m-only": "lit_m_only", "m-q": "lit_m_q"}[variant]
-    out = config.output_dir
+    name = "simulated_" + {"m-only": "lit_m_only", "m-q": "lit_m_q"}[variant]
     with _stage("simulate"):
         predicted = predict_lit_chart(srl, bundle.m, w_avg, bundle.beta)
         chart, _ = clamp_chart(predicted if variant == "m-only" else predicted @ bundle.q.T)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path, png_path = _write_chart(out, f"simulated_{name}", targets, chart, config.white_index)
+        csv_path, png_path = _write_charts(config.output_dir, targets, {name: chart}, config.white_index)
     return chart, csv_path, png_path
 
 
@@ -512,9 +506,7 @@ def run_chart_error(target_csv, measured_csv, white_index: int) -> str:
     """The per-channel chart error as a JSON object of r, g and b."""
     with _config_errors("--white-index"):
         check_white_index(white_index)
-    for p in (target_csv, measured_csv):
-        if not Path(p).is_file():
-            raise ConfigError(f"chart CSV not found: {p}")
+    target_csv, measured_csv = _input_file(target_csv, "--target"), _input_file(measured_csv, "--measured")
     with _stage("target"):
         target = read_chart_csv(target_csv)
     with _stage("measured"):
@@ -595,6 +587,8 @@ def main(argv=None) -> int:
             code = _run(args)
         except (ConfigError, OSError) as exc:
             code, error = 2, exc
+            if isinstance(exc, OSError) and exc.errno == errno.ENAMETOOLONG:  # abbreviated like any long input
+                error = f"[Errno {exc.errno}] {exc.strerror}: {short_repr(exc.filename)}"
         except StageError as exc:
             code, error = 1, exc
     for warning in caught:

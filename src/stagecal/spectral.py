@@ -79,19 +79,15 @@ class OracleScene:
     reflectances: np.ndarray  # (24, 81) chart patches, the neutral row last, white first
 
     def __post_init__(self):
-        camera = as_array(self.camera, (3, N_SAMPLES), "camera", nonneg=True)
-        leds = as_array(self.leds, (3, N_SAMPLES), "leds", nonneg=True)
-        illuminant = as_array(self.illuminant, (N_SAMPLES,), "illuminant", nonneg=True)
-        refl = as_array(self.reflectances, (CHART_PATCHES, N_SAMPLES), "reflectances", nonneg=True)
-        for name, curves in (("camera", camera), ("led", leds)):
+        shapes = {"camera": (3, N_SAMPLES), "leds": (3, N_SAMPLES), "illuminant": (N_SAMPLES,),
+                  "reflectances": (CHART_PATCHES, N_SAMPLES)}
+        for name, shape in shapes.items():
+            object.__setattr__(self, name, as_array(getattr(self, name), shape, name, nonneg=True))
+        for name, curves in (("camera", self.camera), ("led", self.leds)):
             if (curves.sum(axis=1) == 0).any():
                 raise ValueError(f"{name} curve is identically zero")
-        if (refl > 1).any():
+        if (self.reflectances > 1).any():
             raise ValueError("reflectances must lie in [0, 1]")
-        object.__setattr__(self, "camera", camera)
-        object.__setattr__(self, "leds", leds)
-        object.__setattr__(self, "illuminant", illuminant)
-        object.__setattr__(self, "reflectances", refl)
 
 
 def default_camera() -> np.ndarray:

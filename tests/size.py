@@ -5,7 +5,8 @@
 - `src lines`: lines of every `src/stagecal/*.py`, as `wc -l` counts them;
 - `code lines`: those of the lines that hold part of a statement, counted
   with `tokenize`: blank, comment and docstring lines are left out, so
-  deleting a comment does not count as deleting code;
+  deleting a comment does not count as deleting code; `code lines by module`
+  splits that count per file, so that a change shows where its lines went;
 - `settable values`: function parameters with a default, plus dataclass
   fields, counted with `ast`: each is a value a caller may leave out;
 - `flags`: the options of each `stagecal` command, read from its parser.
@@ -72,10 +73,12 @@ def main() -> None:
     files = sorted(SRC.glob("*.py"))
     lines = sum(path.read_bytes().count(b"\n") for path in files)
     values = sum(settable_values(ast.parse(path.read_text())) for path in files)
+    code = {path.stem: code_lines(path.read_text()) for path in files}
     print(f"src lines: {lines}")
-    print(f"code lines: {sum(code_lines(path.read_text()) for path in files)}")
+    print(f"code lines: {sum(code.values())}")
     print(f"settable values: {values}")
     print("flags: " + ", ".join(f"{name} {n}" for name, n in flags().items()))
+    print("code lines by module: " + ", ".join(f"{name} {n}" for name, n in code.items()))
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import stagecal
 from stagecal.calibration import CalibrationBundle, chart_error, predict_lit_chart
-from stagecal.cli import _build_parser, load_config, main, run_oracle, run_solve
+from stagecal.cli import SETTINGS, _build_parser, load_config, main, run_oracle, run_solve
 from stagecal.imaging import (
     ChartSamples,
     LinearImage,
@@ -64,9 +64,8 @@ def rebuild_srl(config):
 
     charts = []
     for channel in ("red", "green", "blue"):
-        src = config.channel_charts[channel]
-        img = LinearImage(read_pfm(src.image))
-        charts.append(extract_chart(img, src.grid))
+        path, grid = config.channel_charts[channel]
+        charts.append(extract_chart(LinearImage(read_pfm(path)), grid))
     return build_srl(*charts)
 
 
@@ -295,8 +294,8 @@ class TestErrorsAndUtilities:
             "chart-error --measured": ["chart-error", "--target", targets, "--measured", bad],
         }[command]
         assert main(argv) == 2
-        line = _one_error_line(capsys)
-        assert line.endswith(f" not found: {bad}"), line
+        flag = {"solve": "--config", "simulate": "--bundle"}.get(command, command.split()[-1])
+        assert _one_error_line(capsys) == f"error: {flag}: input file not found: {bad}"
 
     def test_module_entry_point_runs_a_command(self):
         env = {**os.environ, "PYTHONPATH": str(Path(stagecal.__file__).parents[1])}
@@ -753,13 +752,21 @@ class TestErrorPaths:
         config = fixture_dir / "config.json"
         config.write_text(config.read_text().replace('"white_index": 18', '"white_index": ' + "1" * 5000))
         assert main(["solve", "--config", str(config)]) == 2
-        assert _one_error_line(capsys).startswith(f"error: config {config}: invalid JSON (")
+        assert _one_error_line(capsys).startswith(f"error: invalid config {config}: Exceeds the limit (4300 digits)")
 
     def test_config_nested_past_the_recursion_limit_is_invalid_json(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("[" * 200000)
         assert main(["solve", "--config", str(config)]) == 2
-        assert _one_error_line(capsys).startswith(f"error: config {config}: invalid JSON (maximum recursion depth")
+        assert _one_error_line(capsys).startswith(f"error: invalid config {config}: maximum recursion depth")
+
+    @pytest.mark.parametrize("text, shown", [("5", "5"), ('"primaries"', "'primaries'"), ("null", "None"),
+                                             ("[]", "[]")])
+    def test_config_that_is_not_a_json_object_exits_2(self, tmp_path, capsys, text, shown):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert main(["solve", "--config", str(config)]) == 2
+        assert _one_error_line(capsys) == f"error: config: the top level must be a JSON object, got {shown}"
 
     def test_integral_float_is_an_integer_setting(self, fixtures, tmp_path):
         fixture_dir = _copy_fixture(fixtures["broad"], tmp_path / "index", white_index=18.0)
@@ -789,11 +796,28 @@ class TestErrorPaths:
         assert _one_error_line(capsys) == "error: stage solve_q: beta must be in (0, 1], got 1.0000004"
 
     @pytest.mark.parametrize("input_name", ["config-roi", "pfm-without-a-newline", "csv-without-a-newline",
-                                            "csv-field", "csv-field-under-the-line-limit"])
+                                            "csv-field", "csv-field-under-the-line-limit", "solve --config",
+                                            "config input path", "simulate --bundle", "chart-error --target",
+                                            "chart-error --measured", "solve --output-dir", "oracle --outdir"])
     def test_a_long_bad_input_gives_one_short_error_line(self, fixtures, tmp_path, capsys, input_name):
         fx = fixtures["broad"]
         good_csv = str(fx["dir"] / "targets.csv")
-        if input_name == "config-roi":
+        config = str(fx["dir"] / "config.json")
+        long_path = str(tmp_path / ("x" * 100_000))  # too long for the system to name a file
+        long_path_argv = {
+            "solve --config": ["solve", "--config", long_path],
+            "simulate --bundle": ["simulate", "--config", config, "--bundle", long_path],
+            "chart-error --target": ["chart-error", "--target", long_path, "--measured", good_csv],
+            "chart-error --measured": ["chart-error", "--target", good_csv, "--measured", long_path],
+            "solve --output-dir": ["solve", "--config", config, "--output-dir", long_path],
+            "oracle --outdir": ["oracle", "--seed", "0", "--outdir", long_path],
+        }
+        if input_name in long_path_argv:
+            argv, code = long_path_argv[input_name], 2
+        elif input_name == "config input path":
+            fixture_dir = _copy_fixture_with(fx, tmp_path, ["primaries", "image"], "x" * 100_000)
+            argv, code = ["solve", "--config", str(fixture_dir / "config.json")], 2
+        elif input_name == "config-roi":
             fixture_dir = _copy_fixture_with(fx, tmp_path, ["primaries", "rois", "red"], list(range(100_000)))
             argv, code = ["solve", "--config", str(fixture_dir / "config.json")], 2
         elif input_name == "pfm-without-a-newline":
@@ -1223,12 +1247,15 @@ def test_size_script_prints_lines_settable_values_and_flags():
     argv = [sys.executable, str(Path(__file__).with_name("size.py"))]
     result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    lines, code, values, flags = result.stdout.splitlines()
+    lines, code, values, flags, modules = result.stdout.splitlines()
     newlines = sum(path.read_bytes().count(b"\n") for path in Path(stagecal.__file__).parent.glob("*.py"))
     assert lines == f"src lines: {newlines}"
     assert re.fullmatch(r"code lines: \d+", code) and int(code.split()[-1]) < newlines, code
     assert re.fullmatch(r"settable values: \d+", values), values
     assert flags == "flags: solve 2, simulate 4, oracle 3, beta 2, chart-error 3"
+    per_module = dict(item.rsplit(" ", 1) for item in modules.removeprefix("code lines by module: ").split(", "))
+    assert set(per_module) == {path.stem for path in Path(stagecal.__file__).parent.glob("*.py")}, modules
+    assert sum(map(int, per_module.values())) == int(code.split()[-1]), modules
 
 
 def test_code_lines_leave_out_blank_comment_and_docstring_lines():
@@ -1258,3 +1285,16 @@ def test_readme_config_schema_lists_exactly_the_oracle_config_keys(fixtures):
     documented = set(re.findall(r'^  "(\w+)":', block, flags=re.M))
     written = json.loads((fixtures["broad"]["dir"] / "config.json").read_text())
     assert documented and documented == set(written)
+
+
+def test_one_settings_table_gives_the_loaded_and_the_written_defaults(fixtures, tmp_path):
+    # a config that leaves out every top-level setting loads the values the oracle writes for them
+    written = json.loads((fixtures["broad"]["dir"] / "config.json").read_text())
+    assert set(SETTINGS) <= set(written)
+    fixture_dir = _copy_fixture(fixtures["broad"], tmp_path)
+    doc = {key: value for key, value in written.items() if key not in SETTINGS}
+    (fixture_dir / "config.json").write_text(json.dumps(doc))
+    config = load_config(fixture_dir / "config.json")
+    loaded = {key: getattr(config, key) for key in SETTINGS}
+    assert loaded == {key: written[key] for key in SETTINGS}
+    assert all(type(loaded[key]) is kind for key, (kind, _) in SETTINGS.items())
