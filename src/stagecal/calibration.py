@@ -32,6 +32,10 @@ BLACK_LEVEL_FLAG_THRESHOLD = 0.2
 
 MODES = ("out_of_frustum", "in_frustum", "post")
 
+# bundle.json's keys, key -> CalibrationBundle field: to_json writes them and
+# from_json checks for them in this order.
+BUNDLE_KEYS = {"M": "m", "Q": "q", "N": "n", "beta": "beta", "black_offset": "black_offset"}
+
 # Pixels per transform_content tile: a tile's input and output (1.5 MiB each)
 # stay in cache while the offset, both clamps and the gamut count run. Twice
 # this size was slower, as OpenBLAS then splits each tile's product across
@@ -92,32 +96,20 @@ class CalibrationBundle:
         return self.n if self.n is not None else self.m
 
     def to_json(self) -> str:
-        doc = {
-            "M": self.m.tolist(),
-            "Q": self.q.tolist(),
-            "N": None if self.n is None else self.n.tolist(),
-            "beta": self.beta,
-            "black_offset": self.black_offset.tolist(),
-            "diagnostics": self.diagnostics,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        doc = {key: getattr(self, name) for key, name in BUNDLE_KEYS.items()}
+        doc["diagnostics"] = self.diagnostics
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=np.ndarray.tolist)
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationBundle":
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError(f"expected a JSON object, got {short_repr(doc)}")
-        for key in ("M", "Q", "N", "beta", "black_offset"):
+        for key in BUNDLE_KEYS:
             if key not in doc:
                 raise ValueError(f'missing key "{key}"')
-        return cls(
-            m=doc["M"],
-            q=doc["Q"],
-            n=doc["N"],
-            beta=doc["beta"],
-            black_offset=doc["black_offset"],
-            diagnostics=doc.get("diagnostics", {}),
-        )
+        fields = {name: doc[key] for key, name in BUNDLE_KEYS.items()}
+        return cls(**fields, diagnostics=doc.get("diagnostics", {}))
 
 
 class GamutCounter:

@@ -102,51 +102,47 @@ SETTINGS = {
 }
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
     """Bad or missing configuration / input files (exit code 2)."""
 
 
-class StageError(RuntimeError):
+class StageError(Exception):
     """A solver stage failed (exit code 1)."""
 
 
 @contextmanager
+def _errors(kind: type, where: str):
+    """Run a block: a ValueError raised in it becomes kind(f"{where}: {exc}").
+
+    Neither ConfigError nor StageError is a ValueError, so one raised in the
+    block passes through unchanged.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise kind(f"{where}: {exc}") from exc
+
+
 def _stage(name: str):
-    """Run a block as one named stage: any ValueError becomes StageError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise StageError(f"stage {name}: {exc}") from exc
-
-
-@contextmanager
-def _config_errors(where: str):
-    """Run a load-time check: a ValueError becomes ConfigError(f"{where}: {exc}")."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    """Run a block as one named stage: a ValueError becomes StageError(f"stage {name}: {exc}")."""
+    return _errors(StageError, f"stage {name}")
 
 
 @dataclass
 class PipelineConfig:
     """A checked config: one field per choice, holding what the stages consume."""
 
-    primaries_image: Path
-    primary_rois: dict
-    channel_charts: dict          # channel -> (image path, ChartGridSpec)
-    targets: Path | tuple         # a chart CSV, or a photographed chart's (image path, ChartGridSpec)
-    w_avg_rgb: np.ndarray | None  # explicit white patch value, optional
-    env_map: tuple | None         # (path, unit facing); None takes w_avg from white
+    primaries: tuple                  # (image path, red ROI, green ROI, blue ROI)
+    channel_charts: dict              # channel -> (image path, ChartGridSpec)
+    targets: Path | tuple             # a chart CSV, or a photographed chart's (image path, ChartGridSpec)
+    w_avg: tuple | np.ndarray | None  # an env map's (path, unit facing), a white patch RGB, or None: the targets' white
     white_reflectance: float
     half_extent: float
     beta_resolution: int
     cond_limit_sl: float
     cond_limit_q: float
-    weights: np.ndarray           # all ones without a weights key
-    black_level: tuple | None     # (path, roi)
+    weights: np.ndarray               # all ones without a weights key
+    black_level: tuple | None         # (path, roi)
     white_index: int
     output_dir: Path
 
@@ -170,11 +166,11 @@ def _scalar(doc: dict, key: str, kind: type, default, where: str = "config"):
     return kind(_expect(is_number(value, kind), value, where, key, noun))
 
 
-def _check_key(doc: dict, key: str, where: str, check, *args):
-    """check(doc[key], *args, key), for checks such as as_array and check_roi; a ValueError names `where`."""
+def _check_key(doc: dict, key: str, where: str, check, *args, **options):
+    """check(doc[key], *args, key, **options), for checks such as as_array and check_roi; a ValueError names `where`."""
     value = _require(doc, key, where)
-    with _config_errors(where):
-        return check(value, *args, key)
+    with _errors(ConfigError, where):
+        return check(value, *args, key, **options)
 
 
 def _section(doc: dict, key: str, where: str) -> dict:
@@ -209,7 +205,7 @@ def _path(doc: dict, key: str, base: Path, where: str) -> Path:
 def _chart_source(doc: dict, base: Path, where: str) -> tuple:
     """A photographed chart: (image path, ChartGridSpec)."""
     corners = _require(doc, "corners", where)
-    with _config_errors(where):
+    with _errors(ConfigError, where):
         grid = ChartGridSpec(corners, inset=_scalar(doc, "inset", float, DEFAULT_INSET, where))
     return _path(doc, "image", base, where), grid
 
@@ -220,10 +216,10 @@ def load_config(path) -> PipelineConfig:
     _expect(isinstance(doc, dict), doc, "config", "the top level", "a JSON object")
     base = Path(path).parent
 
-    primaries = _section(doc, "primaries", "config")
-    rois_doc = _section(primaries, "rois", "primaries")
-    rois = {c: _check_key(rois_doc, c, "primaries.rois", check_roi) for c in CHANNELS}
-    primaries_image = _path(primaries, "image", base, "primaries")
+    primaries_doc = _section(doc, "primaries", "config")
+    rois_doc = _section(primaries_doc, "rois", "primaries")
+    rois = [_check_key(rois_doc, c, "primaries.rois", check_roi) for c in CHANNELS]
+    primaries = (_path(primaries_doc, "image", base, "primaries"), *rois)
 
     charts_doc = _section(doc, "channel_charts", "config")
     channel_charts = {
@@ -241,18 +237,16 @@ def load_config(path) -> PipelineConfig:
 
     w_doc = _section(doc, "w_avg", "config") if doc.get("w_avg") is not None else {"mode": "white_patch"}
     mode = w_doc.get("mode")
-    env_map = w_rgb = None
     if mode == "env_map":
-        with _config_errors("w_avg.facing"):
+        with _errors(ConfigError, "w_avg.facing"):
             facing = as_direction(_check_key(w_doc, "facing", "w_avg", as_array, (3,)))
-        env_map = (_path(w_doc, "path", base, "w_avg"), facing)
-    elif mode == "white_patch":
-        if "rgb" in w_doc:
-            w_rgb = _check_key(w_doc, "rgb", "w_avg", as_array, (3,))
+        w_avg = (_path(w_doc, "path", base, "w_avg"), facing)
+    elif mode == "white_patch":  # an explicit white is light, so never negative
+        w_avg = _check_key(w_doc, "rgb", "w_avg", as_array, (3,), nonneg=True) if "rgb" in w_doc else None
     else:
         raise ConfigError(f"w_avg.mode must be 'white_patch' or 'env_map', got {short_repr(mode)}")
 
-    with _config_errors("config"):
+    with _errors(ConfigError, "config"):
         weights = check_weights(doc.get("weights"))
 
     black_level = None
@@ -267,16 +261,14 @@ def load_config(path) -> PipelineConfig:
     settings = {key: _scalar(doc, key, kind, default) for key, (kind, default) in SETTINGS.items()}
     for key in ("cond_limit_sl", "cond_limit_q"):  # >= 1, as every condition number is
         _expect(settings[key] >= 1, settings[key], "config", key, ">= 1")
-    with _config_errors("config"):
+    with _errors(ConfigError, "config"):
         check_white_index(settings["white_index"])
 
     return PipelineConfig(
-        primaries_image=primaries_image,
-        primary_rois=rois,
+        primaries=primaries,
         channel_charts=channel_charts,
         targets=targets,
-        w_avg_rgb=w_rgb,
-        env_map=env_map,
+        w_avg=w_avg,
         weights=weights,
         black_level=black_level,
         output_dir=base / output_dir,
@@ -305,11 +297,11 @@ def load_inputs(config: PipelineConfig):
     with _stage("targets"):
         targets = read_chart_csv(config.targets) if isinstance(config.targets, Path) else _extract(*config.targets)
     with _stage("w_avg"):
-        if config.env_map is not None:
-            env_path, facing = config.env_map
+        if isinstance(config.w_avg, tuple):
+            env_path, facing = config.w_avg
             w_avg = w_avg_from_env(read_env_pfm(env_path), facing)
         else:
-            white = targets.white(config.white_index) if config.w_avg_rgb is None else config.w_avg_rgb
+            white = targets.white(config.white_index) if config.w_avg is None else config.w_avg
             w_avg = w_avg_from_white(white, config.white_reflectance)
     return srl, targets, w_avg
 
@@ -317,7 +309,7 @@ def load_inputs(config: PipelineConfig):
 def run_solve(config: PipelineConfig):
     """Execute every pipeline stage; returns (bundle, report, exit_code)."""
     with _stage("primaries"):
-        sl = build_sl(*_sample_rois(config.primaries_image, *(config.primary_rois[c] for c in CHANNELS)))
+        sl = build_sl(*_sample_rois(*config.primaries))
     with _stage("solve_m"):
         m = solve_m(sl, config.cond_limit_sl)
 
@@ -391,7 +383,7 @@ def run_solve(config: PipelineConfig):
                 "trim_fraction": TRIM_FRACTION,
                 "white_index": config.white_index,
                 "white_reflectance": config.white_reflectance,
-                "w_avg_mode": "white_patch" if config.env_map is None else "env_map",
+                "w_avg_mode": "env_map" if isinstance(config.w_avg, tuple) else "white_patch",
                 "black_level_measured": config.black_level is not None,
             },
         }
@@ -504,7 +496,7 @@ def run_simulate(config: PipelineConfig, bundle_path, variant: str):
 
 def run_chart_error(target_csv, measured_csv, white_index: int) -> str:
     """The per-channel chart error as a JSON object of r, g and b."""
-    with _config_errors("--white-index"):
+    with _errors(ConfigError, "--white-index"):
         check_white_index(white_index)
     target_csv, measured_csv = _input_file(target_csv, "--target"), _input_file(measured_csv, "--measured")
     with _stage("target"):

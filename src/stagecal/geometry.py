@@ -222,11 +222,12 @@ def w_avg_from_white(white_patch, white_reflectance: float = WHITE_REFLECTANCE) 
     """Recover the frontal diffuse integral from a chart's white patch value.
 
     The white square of a typical chart reflects ~90% of incident light, so
-    the sampled value is scaled up by 1/white_reflectance.
+    the sampled value is scaled up by 1/white_reflectance. A negative component
+    raises ValueError, as no light is negative.
     """
     if not 0.0 < white_reflectance <= 1.0:
         raise ValueError(f"white_reflectance must be in (0, 1], got {white_reflectance}")
-    return as_array(white_patch, (3,), "white_patch") / white_reflectance
+    return as_array(white_patch, (3,), "white_patch", nonneg=True) / white_reflectance
 
 
 def read_env_pfm(path) -> EnvMap:

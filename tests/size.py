@@ -9,6 +9,7 @@
   splits that count per file, so that a change shows where its lines went;
 - `settable values`: function parameters with a default, plus dataclass
   fields, counted with `ast`: each is a value a caller may leave out;
+  `settable values by module` splits that count per file, as the code lines are;
 - `flags`: the options of each `stagecal` command, read from its parser.
 """
 
@@ -72,13 +73,14 @@ def flags() -> dict:
 def main() -> None:
     files = sorted(SRC.glob("*.py"))
     lines = sum(path.read_bytes().count(b"\n") for path in files)
-    values = sum(settable_values(ast.parse(path.read_text())) for path in files)
     code = {path.stem: code_lines(path.read_text()) for path in files}
+    values = {path.stem: settable_values(ast.parse(path.read_text())) for path in files}
     print(f"src lines: {lines}")
     print(f"code lines: {sum(code.values())}")
-    print(f"settable values: {values}")
+    print(f"settable values: {sum(values.values())}")
     print("flags: " + ", ".join(f"{name} {n}" for name, n in flags().items()))
     print("code lines by module: " + ", ".join(f"{name} {n}" for name, n in code.items()))
+    print("settable values by module: " + ", ".join(f"{name} {n}" for name, n in values.items()))
 
 
 if __name__ == "__main__":

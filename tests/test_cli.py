@@ -893,6 +893,8 @@ class TestErrorPaths:
             (["w_avg"], {"mode": "white_patch", "rgb": ["1", 1, 1]}, "w_avg: rgb"),
             (["w_avg"], {"mode": "env_map", "path": "primaries.pfm", "facing": [0, 0, True]}, "w_avg: facing"),
             (["w_avg"], {"mode": "env_map", "path": "primaries.pfm", "facing": [0, 0, "1"]}, "w_avg: facing"),
+            # light is never negative: a chart's white and an env map cannot give such a w_avg
+            (["w_avg"], {"mode": "white_patch", "rgb": [-1, 1, 1]}, "w_avg: rgb has a negative component"),
         ],
         ids=["weights-text", "weights-5", "weights-negative", "corners-text", "corners-3", "rgb-text",
              "rgb-past-float-range", "facing-text", "roi-text", "roi-3", "black-roi-text", "roi-fraction", "roi-bool",
@@ -902,7 +904,7 @@ class TestErrorPaths:
              "black-image-number", "output-dir-number", "output-dir-null", "corners-not-convex",
              "inset-0.6", "white-index-30", "weights-2-positive", "facing-not-unit", "corners-bool",
              "corners-string", "weights-bool", "weights-string", "rgb-bool", "rgb-string", "facing-bool",
-             "facing-string"],
+             "facing-string", "rgb-negative"],
     )
     def test_malformed_config_array_or_section(self, fixtures, tmp_path, capsys, path, value, named):
         fixture_dir = _copy_fixture_with(fixtures["broad"], tmp_path, path, value)
@@ -1139,6 +1141,23 @@ class TestAlternateConfigRoutes:
         ref_q = fx["bundle"].q
         assert np.abs(bundle.q - ref_q).max() < 0.01
 
+    def test_explicit_white_patch_rgb_drives_the_solve(self, fixtures, tmp_path):
+        fx = fixtures["broad"]
+        white = read_chart_csv(fx["dir"] / "targets.csv").white(fx["config"].white_index)
+        # the targets' own white, given explicitly, is the default route byte for byte
+        fixture_dir = _copy_fixture(fx, tmp_path, w_avg={"mode": "white_patch", "rgb": white.tolist()},
+                                    output_dir="explicit")
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 0
+        for name in ("bundle.json", "report.json"):
+            assert (fixture_dir / "explicit" / name).read_bytes() == (fx["dir"] / "out" / name).read_bytes()
+        # twice the light predicts twice the lit chart, so Q halves
+        doubled = {"mode": "white_patch", "rgb": (2 * white).tolist()}
+        fixture_dir = _copy_fixture_with(fx, tmp_path / "doubled", ["w_avg"], doubled)
+        bundle, _, code = run_solve(load_config(fixture_dir / "config.json"))
+        assert code == 0
+        assert np.allclose(bundle.q, fx["bundle"].q / 2, rtol=1e-9, atol=0)
+        assert not np.allclose(bundle.q, fx["bundle"].q)
+
     def test_targets_from_image(self, fixtures, tmp_path):
         from stagecal.cli import run_solve
         from stagecal.imaging import write_pfm
@@ -1247,15 +1266,18 @@ def test_size_script_prints_lines_settable_values_and_flags():
     argv = [sys.executable, str(Path(__file__).with_name("size.py"))]
     result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    lines, code, values, flags, modules = result.stdout.splitlines()
+    lines, code, values, flags, modules, module_values = result.stdout.splitlines()
     newlines = sum(path.read_bytes().count(b"\n") for path in Path(stagecal.__file__).parent.glob("*.py"))
     assert lines == f"src lines: {newlines}"
     assert re.fullmatch(r"code lines: \d+", code) and int(code.split()[-1]) < newlines, code
     assert re.fullmatch(r"settable values: \d+", values), values
     assert flags == "flags: solve 2, simulate 4, oracle 3, beta 2, chart-error 3"
-    per_module = dict(item.rsplit(" ", 1) for item in modules.removeprefix("code lines by module: ").split(", "))
-    assert set(per_module) == {path.stem for path in Path(stagecal.__file__).parent.glob("*.py")}, modules
-    assert sum(map(int, per_module.values())) == int(code.split()[-1]), modules
+    stems = {path.stem for path in Path(stagecal.__file__).parent.glob("*.py")}
+    for total, by_module, prefix in ((code, modules, "code lines by module: "),
+                                     (values, module_values, "settable values by module: ")):
+        per_module = dict(item.rsplit(" ", 1) for item in by_module.removeprefix(prefix).split(", "))
+        assert set(per_module) == stems, by_module
+        assert sum(map(int, per_module.values())) == int(total.split()[-1]), by_module
 
 
 def test_code_lines_leave_out_blank_comment_and_docstring_lines():

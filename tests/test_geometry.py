@@ -343,6 +343,10 @@ class TestWAvg:
         with pytest.raises(ValueError):
             w_avg_from_white([1, 1, 1], -0.5)
 
+    def test_negative_white_patch(self):
+        with pytest.raises(ValueError, match=r"white_patch has a negative component at index \(1,\): -0\.1"):
+            w_avg_from_white([0.3, -0.1, 0.1])
+
 
 class TestEnvMap:
     def test_aspect_enforced(self):
