@@ -128,6 +128,27 @@ def _stage(name: str):
     return _errors(StageError, f"stage {name}")
 
 
+class _Section(dict):
+    """A JSON object of a config that records each key get() is asked for; load_config reads through get() only."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.read = set()
+
+    def get(self, key, *default):
+        self.read.add(key)
+        return super().get(key, *default)
+
+
+def _check_read(doc: _Section, where: str) -> None:
+    """ConfigError naming the first key of `doc`, or of a section read from it, that load_config did not read."""
+    for key, value in doc.items():
+        if key not in doc.read:
+            raise ConfigError(f"{where}: unknown key {short_repr(key)}")
+        if isinstance(value, _Section):
+            _check_read(value, key if where == "config" else f"{where}.{key}")
+
+
 @dataclass
 class PipelineConfig:
     """A checked config: one field per choice, holding what the stages consume."""
@@ -150,7 +171,7 @@ class PipelineConfig:
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise ConfigError(f"{where}: missing required key {key!r}")
-    return doc[key]
+    return doc.get(key)  # through get(), which a _Section records
 
 
 def _expect(ok: bool, value, where: str, key: str, rule: str):
@@ -211,8 +232,8 @@ def _chart_source(doc: dict, base: Path, where: str) -> tuple:
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse and check a pipeline config JSON: every setting comes from the file."""
-    doc = _read_json(path, "--config", json.loads)
+    """Parse and check a pipeline config JSON: every setting comes from the file, and every key is read."""
+    doc = _read_json(path, "--config", lambda text: json.loads(text, object_hook=_Section))
     _expect(isinstance(doc, dict), doc, "config", "the top level", "a JSON object")
     base = Path(path).parent
 
@@ -263,6 +284,7 @@ def load_config(path) -> PipelineConfig:
         _expect(settings[key] >= 1, settings[key], "config", key, ">= 1")
     with _errors(ConfigError, "config"):
         check_white_index(settings["white_index"])
+    _check_read(doc, "config")  # a key the chosen form does not read, such as a misspelt one
 
     return PipelineConfig(
         primaries=primaries,

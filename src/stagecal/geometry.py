@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .imaging import WHITE_REFLECTANCE, LinearImage, as_array, check_beta, check_image, read_pfm, short_repr
+from .imaging import WHITE_REFLECTANCE, LinearImage, _release, as_array, check_beta, check_image, read_pfm, short_repr
 
 FRONTAL = np.array([0.0, 0.0, 1.0])
 
 DEFAULT_HALF_EXTENT = 0.6
 DEFAULT_BETA_RESOLUTION = 1024
 # Largest beta_resolution, where beta is within 2.3e-8 of the closed form; compute_beta then zeroes a
-# (4096, 8192, 3) float64 panel map and uses only its lit window (README, "Where the memory goes").
+# (4096, 8192, 3) float64 panel map and uses only its lit window. Already at the default resolution that map
+# sets a camera-scale solve's peak memory, whose captures are released as read (README, "Where the memory goes").
 MAX_BETA_RESOLUTION = 4096
 
 
@@ -70,6 +71,8 @@ def diffuse_convolve(env: EnvMap, n) -> np.ndarray:
     A float32 block is widened before its einsum; widening is exact, so a
     float32 map sums bit for bit as its float64 widening. einsum's own loop
     does the sum, not a BLAS call whose split may depend on the thread count.
+    Each block's rows are passed to imaging._release once summed, so a map
+    that read_pfm mapped read-only keeps no more than one block resident.
     """
     n = as_direction(n)
     h, w = env.height, env.width
@@ -86,6 +89,7 @@ def diffuse_convolve(env: EnvMap, n) -> np.ndarray:
         cols = _span(facing > (-cos_t[rows] * n[1] / s).min() - 1e-12 / s.min())
         weight = np.maximum(0.0, s * sin_a[cols] * n[0] + cos_t[rows] * n[1] + s * cos_a[cols] * n[2]) * s * scale
         total += np.einsum("yx,yxc->c", weight, env.data[rows, cols].astype(np.float64, copy=False))
+        _release(env.data[rows])
     return total
 
 

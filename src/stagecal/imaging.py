@@ -32,7 +32,8 @@ DEFAULT_INSET = 0.25
 TRIM_FRACTION = 0.1
 
 # Elements per chunk of the non-negative check's bit-pattern maximum (4 MiB of
-# float32): the pages of a read-only file mapping are released chunk by chunk.
+# float32): the pages of a read-only file mapping are released chunk by chunk,
+# and trimmed_mean's row blocks span as many bytes.
 _CHUNK = 1 << 20
 
 # Each float's bit pattern as an unsigned integer, and that of +inf: a finite
@@ -100,21 +101,23 @@ def _checked(a: np.ndarray, shape: tuple, name: str, nonneg: bool) -> np.ndarray
     else, -0.0 included, takes an exact whole-array min() and max(), which
     allocate nothing; a failing array alone builds masks to find its culprit.
 
-    That maximum is taken _CHUNK elements at a time. Where the components lie
-    in a read-only file mapping, such as read_pfm's of a native-order file,
-    each chunk's pages are dropped from the process (madvise MADV_DONTNEED)
-    once read: the file's page cache keeps them, and a later read maps them
-    again unchanged. So a checked capture keeps resident only the rows that
-    its stages go on to sample. Writable and anonymous memory is never
-    released, since there the kernel would discard writes or zero the data.
+    That maximum is taken _CHUNK elements at a time, and each chunk is handed
+    to _release once read: a capture that read_pfm mapped read-only keeps
+    resident, once checked, none of the pages its check read.
     """
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
         want = str(shape).replace("None", "n")
         raise ValueError(f"{name} must have shape {want}, got {a.shape}")
     flat = a[tuple(slice(None, None, -1 if s < 0 else 1) for s in a.strides)].ravel(order="K")
     bits = _INF_BITS.get(a.dtype) if nonneg else None
-    if bits is not None and _max_releasing(flat.view(bits[0])) < bits[1]:
-        return a
+    if bits is not None:
+        top = 0
+        for start in range(0, flat.size, _CHUNK):
+            chunk = flat[start : start + _CHUNK].view(bits[0])
+            top = max(top, chunk.max())
+            _release(chunk)
+        if top < bits[1]:
+            return a
     # 0 passes both tests and hides no failing extreme, so an empty array passes; NaN fails every comparison
     lo, hi = flat.min(initial=0.0), flat.max(initial=0.0)
     if hi < np.inf and (lo >= 0 if nonneg else lo > -np.inf):
@@ -124,26 +127,25 @@ def _checked(a: np.ndarray, shape: tuple, name: str, nonneg: bool) -> np.ndarray
     _raise_at(a, a < 0, name, "negative")
 
 
-def _max_releasing(flat: np.ndarray):
-    """The maximum of a 1-D contiguous `flat` (0 if empty), releasing its read pages as _checked describes."""
-    mapped = _read_only_map(flat)
-    top = 0
-    if mapped is not None:
-        origin = np.frombuffer(mapped, np.uint8).__array_interface__["data"][0]
-        offset = flat.__array_interface__["data"][0] - origin
-        released = offset - offset % mmap.PAGESIZE  # madvise takes a page-aligned start
-    for start in range(0, flat.size, _CHUNK):
-        stop = min(start + _CHUNK, flat.size)
-        top = max(top, flat[start:stop].max())
-        if mapped is not None:
-            # the pages read through by this chunk's end; the last chunk's final partial page too
-            end = offset + stop * flat.itemsize
-            if stop < flat.size:
-                end -= end % mmap.PAGESIZE
-            if end > released:
-                mapped.madvise(mmap.MADV_DONTNEED, released, end - released)
-                released = end
-    return top
+def _release(view: np.ndarray) -> None:
+    """Hand the pages under `view` back to the kernel if its memory lies in a read-only file mapping; else nothing.
+
+    Every page that holds a byte of the view, even in part, is dropped from
+    the process (madvise MADV_DONTNEED). The file's page cache keeps it, and
+    a later read maps it again unchanged, so a consumer that has read part of
+    a read_pfm capture calls this to keep resident only what it still reads.
+    Writable and anonymous memory is never released, since there the kernel
+    would discard writes or zero the data.
+    """
+    mapped = _read_only_map(view)
+    if mapped is None or view.size == 0:
+        return
+    # the view's byte bounds in the map, as numpy.lib.array_utils.byte_bounds gives them (absent before numpy 2)
+    first = view.__array_interface__["data"][0] - np.frombuffer(mapped, np.uint8).__array_interface__["data"][0]
+    reach = [stride * (n - 1) for stride, n in zip(view.strides, view.shape)]
+    lo, hi = first + sum(r for r in reach if r < 0), first + sum(r for r in reach if r > 0) + view.itemsize
+    start = lo - lo % mmap.PAGESIZE  # madvise takes a page-aligned start and rounds the length up
+    mapped.madvise(mmap.MADV_DONTNEED, start, hi - start)
 
 
 def _read_only_map(a: np.ndarray):
@@ -285,16 +287,25 @@ def trimmed_mean(values: np.ndarray) -> np.ndarray:
     so a float32 input gives the same bits as its float64 widening. Zeros
     average to +0.0, whatever their signs. The input is left as it is. For n
     float32 values the scratch is those two rows, 4n + 6.4n bytes.
+
+    A channel is copied in blocks of leading-axis rows that span about 4 MiB
+    of memory each, as a check chunk does, and each block is passed to
+    _release once copied: of an ROI of a read_pfm capture, only one block of
+    the capture's full rows is resident at a time, whatever the ROI's width.
+    The next channel maps the blocks again.
     """
-    values = np.asarray(values)
+    values = np.atleast_2d(values)
     n = values.size // 3
     k = int(n * TRIM_FRACTION)
+    step = max(1, 4 * _CHUNK // max(1, abs(values.strides[0])))
     # a contiguous row sorts and sums faster than a strided column
     row = np.empty(n, values.dtype)
     wide = np.empty(n - 2 * k)
     means = np.empty(3)
     for channel in range(3):
-        row.reshape(values.shape[:-1])[...] = values[..., channel]
+        for r in range(0, len(values), step):
+            row.reshape(values.shape[:-1])[r : r + step] = values[r : r + step, ..., channel]
+            _release(values[r : r + step])
         row.sort()
         kept = row[k : n - k]
         # a constant channel passes through exactly instead of accruing summation ulps
@@ -324,6 +335,11 @@ def _pixels_in_quads(image: LinearImage, quads: np.ndarray):
     the run's ends within a pixel, and the exact test then decides the
     pixels at either end. The runs of all quads are found in one set of
     array operations, so a small quad costs little more than its pixels.
+
+    Once a quad's pixels are copied out, the image rows above every later
+    quad's top row are passed to _release: no later quad reads them. A
+    patch's own rows are shared with the rest of its chart band, so they go
+    when the band's last patch is done.
     """
     qx, qy = quads[..., 0], quads[..., 1]
     x0 = np.maximum(np.floor(qx.min(axis=1)), 0).astype(np.int64)[:, None]
@@ -353,9 +369,15 @@ def _pixels_in_quads(image: LinearImage, quads: np.ndarray):
     start = np.maximum(np.where(ok[..., 0], start - 1, np.where(ok[..., 1], start, start + 1)), x0)
     stop = np.minimum(np.where(ok[..., 3], stop + 1, np.where(ok[..., 2], stop, stop - 1)), x1)
     lengths = np.where(np.arange(ys.shape[1]) < height[:, None], np.maximum(stop - start, 0), 0)
-    for rows, firsts, counts in zip(ys.tolist(), start.tolist(), lengths.tolist()):
+    # after each quad, the first row that a later quad still reads (after the last, the end of every row read)
+    needed_from = np.append(np.minimum.accumulate(y0[::-1])[::-1][1:], y1.max(initial=0))
+    released = 0
+    for rows, firsts, counts, needed in zip(ys.tolist(), start.tolist(), lengths.tolist(), needed_from.tolist()):
         runs = [image.data[y, x : x + n] for y, x, n in zip(rows, firsts, counts) if n]
-        yield np.concatenate(runs) if runs else np.empty((0, 3), image.data.dtype)
+        values = np.concatenate(runs) if runs else np.empty((0, 3), image.data.dtype)
+        _release(image.data[released:needed])
+        released = needed
+        yield values
 
 
 def extract_chart(image: LinearImage, grid: ChartGridSpec) -> ChartSamples:
@@ -460,9 +482,10 @@ def read_pfm(path) -> np.ndarray:
 
     The values are the file's own, in native byte order; widening them to
     float64 is exact. The payload is mapped, not copied. A native-order file is
-    mapped read-only, so LinearImage's check can release its pages as it reads
-    them and a checked capture keeps resident only the rows its stages sample.
-    A file in the other byte order is mapped copy-on-write and swapped in
+    mapped read-only, so LinearImage's check, sample_roi, extract_chart and
+    geometry.diffuse_convolve each release its pages once read (_release), and
+    a capture keeps resident little more than the rows being read. A file in
+    the other byte order is mapped copy-on-write and swapped in
     place, which never reaches the file, and is never released. Either way
     the array is read-only: copy it to write to it.
     """

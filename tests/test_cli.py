@@ -953,6 +953,30 @@ class TestErrorPaths:
         assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 1
         assert _one_error_line(capsys) == line
 
+    @pytest.mark.parametrize(
+        "path, value, line",
+        [
+            (["cond_limit_Q"], 0.5, "error: config: unknown key 'cond_limit_Q'"),
+            (["x" * 1000], 1, "error: config: unknown key 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+            (["w_avg"], {"mode": "white_patch", "facing": [0, 0, 5]}, "error: w_avg: unknown key 'facing'"),
+            (["w_avg"], {"mode": "env_map", "path": "primaries.pfm", "facing": [0, 0, 1], "rgb": [1, 1, 1]},
+             "error: w_avg: unknown key 'rgb'"),
+            (["channel_charts", "red", "insets"], 0.2, "error: channel_charts.red: unknown key 'insets'"),
+            (["black_level", "rois"], [0, 0, 4, 4], "error: black_level: unknown key 'rois'"),
+            (["primaries", "rois", "alpha"], [0, 0, 4, 4], "error: primaries.rois: unknown key 'alpha'"),
+            # the csv form of targets reads no chart
+            (["targets", "image"], "primaries.pfm", "error: targets: unknown key 'image'"),
+        ],
+        ids=["top-level", "top-level-long", "w_avg-white_patch", "w_avg-env_map", "channel_charts.red",
+             "black_level", "primaries.rois", "targets-csv"],
+    )
+    def test_a_key_the_chosen_form_does_not_read_exits_2(self, fixtures, tmp_path, capsys, path, value, line):
+        fixture_dir = _copy_fixture_with(fixtures["broad"], tmp_path, path, value)
+        bundle = fixtures["broad"]["config"].output_dir / "bundle.json"
+        for command in (["solve"], ["simulate", "--bundle", str(bundle)]):
+            assert main([*command, "--config", str(fixture_dir / "config.json")]) == 2
+            assert _one_error_line(capsys) == line
+
 
 @pytest.fixture(scope="module")
 def mutation_bases(tmp_path_factory):

@@ -31,7 +31,7 @@ from stagecal.calibration import (
     solve_n,
     solve_q,
 )
-from stagecal.geometry import EnvMap, as_direction, w_avg_from_white
+from stagecal.geometry import FRONTAL, EnvMap, as_direction, w_avg_from_env, w_avg_from_white
 from stagecal.imaging import (
     _CHUNK,
     TRIM_FRACTION,
@@ -39,6 +39,7 @@ from stagecal.imaging import (
     _comparison_colors,
     _encode16,
     _pixels_in_quads,
+    _read_only_map,
     ChartGridSpec,
     ChartSamples,
     LinearImage,
@@ -1177,32 +1178,39 @@ def test_writing_into_read_pfm_result_leaves_the_file(tmp_path, dtype):
     assert np.array_equal(read_pfm(path), np.flipud(np.arange(36.0).reshape(3, 4, 3)))
 
 
-def write_capture(path, dtype="<f4", width=3840):
-    """A random float32 capture of `width` whose payload spans three check chunks and part of a fourth."""
-    height = 3 * _CHUNK // (3 * width) + 7
+def write_capture(path, dtype="<f4", width=3840, height=None):
+    """A random float32 capture of `width`, by default of a height whose payload spans three check chunks and
+    part of a fourth."""
+    height = height or 3 * _CHUNK // (3 * width) + 7
     values = np.random.default_rng(21).random((height, width, 3), dtype=np.float32)
     path.write_bytes(pfm_bytes(width, height, dtype, np.flipud(values).astype(dtype).tobytes()))
     return values
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB and madvise releases pages on Linux")
-def test_checked_capture_is_not_kept_resident(tmp_path):
-    width, height = 4096, 1024  # a 48 MiB payload
-    path = tmp_path / "big.pfm"
+def write_constant_capture(path, width, height):
+    """A native-order capture of 0.5 everywhere, written a row at a time."""
     with open(path, "wb") as f:
         f.write(pfm_bytes(width, height, "<f4"))
         row = np.full(width * 3, 0.5, "<f4").tobytes()
         for _ in range(height):
             f.write(row)
+
+
+def forked_peak_rise(path, setup, call) -> int:
+    """Bytes by which ru_maxrss rises over the statement `call`, run after `setup` in a child forked from a
+    fresh process, both with the capture's path as `path`."""
     # measured in a fork: a spawned process's peak starts at the test process's,
     # a forked one's at its own size
     script = (
         "import os, resource, sys\n"
-        "from stagecal.imaging import LinearImage, read_pfm\n"
+        "from stagecal.geometry import FRONTAL, EnvMap, w_avg_from_env\n"
+        "from stagecal.imaging import ChartGridSpec, LinearImage, extract_chart, read_pfm, sample_roi\n"
+        "path = sys.argv[1]\n"
         "pid = os.fork()\n"
         "if pid == 0:\n"
+        f"    {setup}\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "    LinearImage(read_pfm(sys.argv[1]))\n"
+        f"    {call}\n"
         "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, flush=True)\n"
         "    os._exit(0)\n"
         "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
@@ -1211,12 +1219,39 @@ def test_checked_capture_is_not_kept_resident(tmp_path):
     result = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True,
                             env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert int(result.stdout) * 1024 < width * height * 12 / 2
+    return int(result.stdout) * 1024  # KiB on Linux
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB and madvise releases pages on Linux")
+def test_checked_capture_is_not_kept_resident(tmp_path):
+    width, height = 4096, 1024  # a 48 MiB payload
+    path = tmp_path / "big.pfm"
+    write_constant_capture(path, width, height)
+    assert forked_peak_rise(path, "pass", "LinearImage(read_pfm(path))") < width * height * 12 / 2
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB and madvise releases pages on Linux")
+@pytest.mark.parametrize(
+    "width, height, setup, call, rows",
+    [
+        (4096, 1024, "image = LinearImage(read_pfm(path))", "sample_roi(image, (100, 12, 200, 1000))", 1000),
+        (4096, 1024, "image = LinearImage(read_pfm(path))",
+         "extract_chart(image, ChartGridSpec([[0, 0], [4096, 0], [4096, 1024], [0, 1024]], inset=0.05))", 1024),
+        (2896, 1448, "env = EnvMap(read_pfm(path))", "w_avg_from_env(env, FRONTAL)", 1448),
+    ],
+    ids=["roi", "chart", "env map"],
+)
+def test_a_consumer_keeps_few_of_the_capture_rows_it_reads_resident(tmp_path, width, height, setup, call, rows):
+    # payloads of 48 MiB; each consumer reads parts of `rows` whole capture rows, and holding them would
+    # raise the peak by about their size
+    path = tmp_path / "big.pfm"
+    write_constant_capture(path, width, height)
+    assert forked_peak_rise(path, setup, call) < rows * width * 12 / 2
 
 
 @pytest.mark.parametrize("memory", ["copy-on-write file map", "private anonymous map", "array"])
 def test_check_keeps_what_was_written_to_writable_memory(tmp_path, memory):
-    # releasing these pages would bring back the file's bytes or zeros
+    # releasing these pages would bring back the file's bytes or zeros, in the check or in a consumer
     path = tmp_path / "img.pfm"
     values = write_capture(path)
     if memory == "copy-on-write file map":
@@ -1229,19 +1264,42 @@ def test_check_keeps_what_was_written_to_writable_memory(tmp_path, memory):
     else:
         data = np.empty(values.size, np.float32)
     data[...] = 0.25
-    LinearImage(data.reshape(values.shape))
+    height, width = values.shape[:2]
+    image = LinearImage(data.reshape(values.shape))
+    assert (sample_roi(image, (17, 100, 900, 150)) == 0.25).all()
+    corners = np.array([[0.0, 0.0], [width, 0.0], [width, height], [0.0, height]])
+    assert (extract_chart(image, ChartGridSpec(corners)).patches == 0.25).all()
+    side = math.isqrt(data.size // 6)  # the same memory read as a 2:1 environment map
+    w_avg_from_env(EnvMap(data[: 6 * side * side].reshape(side, 2 * side, 3)), FRONTAL)
     assert (data == 0.25).all()
 
 
 def test_sampling_a_released_capture_matches_an_in_memory_copy(tmp_path):
-    path = tmp_path / "img.pfm"
-    values = write_capture(path)
-    released, copy = LinearImage(read_pfm(path)), LinearImage(values)
+    # a read-only map (native order), a copy-on-write map (swapped) and an array give the bits of a float64
+    # copy, each consumer run twice: the second time over the pages that the first released
+    values = write_capture(tmp_path / "img.pfm")
+    write_capture(tmp_path / "img-swapped.pfm", ">f4")
+    env_values = write_capture(tmp_path / "env.pfm", width=1280, height=640)
+    write_capture(tmp_path / "env-swapped.pfm", ">f4", width=1280, height=640)
     height = values.shape[0]
     grid = ChartGridSpec(np.array([[100.0, 20.0], [3700.0, 35.0], [3650.0, height - 10.0], [130.0, height - 30.0]]))
-    assert extract_chart(released, grid).patches.tobytes() == extract_chart(copy, grid).patches.tobytes()
-    for roi in [(0, 0, 3840, height), (17, 100, 900, 150)]:
-        assert sample_roi(released, roi).tobytes() == sample_roi(copy, roi).tobytes()
+
+    def results(image, env):
+        return [
+            extract_chart(image, grid).patches.tobytes(),
+            *(sample_roi(image, roi).tobytes() for roi in [(0, 0, 3840, height), (17, 100, 900, 150)]),
+            *(w_avg_from_env(env, facing).tobytes() for facing in (FRONTAL, [0.6, 0.0, 0.8])),
+        ]
+
+    expected = results(LinearImage(values.astype(np.float64)), EnvMap(env_values.astype(np.float64)))
+    mapped = {"": True, "-swapped": False}
+    memories = [(LinearImage(read_pfm(tmp_path / f"img{s}.pfm")), EnvMap(read_pfm(tmp_path / f"env{s}.pfm")))
+                for s in mapped]
+    for (image, env), read_only in zip(memories, mapped.values()):
+        assert (_read_only_map(image.data) is not None) == (_read_only_map(env.data) is not None) == read_only
+    for image, env in [*memories, (LinearImage(values), EnvMap(env_values))]:
+        assert results(image, env) == expected
+        assert results(image, env) == expected
 
 
 def test_big_endian_capture_keeps_its_swapped_values_through_the_check(tmp_path):
