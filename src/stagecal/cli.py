@@ -330,6 +330,8 @@ def load_inputs(config: PipelineConfig):
 
 def run_solve(config: PipelineConfig):
     """Execute every pipeline stage; returns (bundle, report, exit_code)."""
+    with _stage("beta"):  # settings only, so first: no capture is read yet, nor any scratch left behind
+        beta = compute_beta(config.half_extent, config.beta_resolution)
     with _stage("primaries"):
         sl = build_sl(*_sample_rois(*config.primaries))
     with _stage("solve_m"):
@@ -337,8 +339,6 @@ def run_solve(config: PipelineConfig):
 
     srl, targets, w_avg = load_inputs(config)
 
-    with _stage("beta"):
-        beta = compute_beta(config.half_extent, config.beta_resolution)
     with _stage("solve_q"):
         predicted = predict_lit_chart(srl, m, w_avg, beta)
         q = solve_q(predicted, targets, config.weights)
@@ -439,9 +439,9 @@ def run_oracle(seed: int, scenario: str, outdir) -> Path:
         raise ConfigError(f"oracle: seed must be >= 0, got {short_repr(seed)}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    scene = make_scene(seed, scenario)
     defaults = {key: default for key, (_, default) in SETTINGS.items()}
-    beta = compute_beta(defaults["half_extent"], defaults["beta_resolution"])
+    beta = compute_beta(defaults["half_extent"], defaults["beta_resolution"])  # first: its map then meets no scratch
+    scene = make_scene(seed, scenario)
     calib = oracle_calibration(scene, beta)
 
     ps = ORACLE_PATCH_PIXELS

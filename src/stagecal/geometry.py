@@ -21,8 +21,8 @@ FRONTAL = np.array([0.0, 0.0, 1.0])
 DEFAULT_HALF_EXTENT = 0.6
 DEFAULT_BETA_RESOLUTION = 1024
 # Largest beta_resolution, where beta is within 2.3e-8 of the closed form; compute_beta then zeroes a
-# (4096, 8192, 3) float64 panel map and uses only its lit window. Already at the default resolution that map
-# sets a camera-scale solve's peak memory, whose captures are released as read (README, "Where the memory goes").
+# (4096, 8192, 3) float64 panel map and uses only its lit window. A solve computes beta before it reads a capture,
+# so at the default resolution the map comes and goes near start-up size (README, "Where the memory goes").
 MAX_BETA_RESOLUTION = 4096
 
 

@@ -148,10 +148,13 @@ def _release(view: np.ndarray) -> None:
     mapped.madvise(mmap.MADV_DONTNEED, start, hi - start)
 
 
+_MMAP = mmap.mmap  # the type, bound once: a test may replace mmap.mmap by a function that refuses to map
+
+
 def _read_only_map(a: np.ndarray):
     """The mmap.mmap that `a`'s memory belongs to, if that map is read-only and madvise can release it; else None."""
     root = a
-    while not isinstance(root, mmap.mmap):
+    while not isinstance(root, _MMAP):
         root = root.obj if isinstance(root, memoryview) else getattr(root, "base", None)
         if root is None:
             return None

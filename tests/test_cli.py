@@ -722,6 +722,20 @@ class TestErrorPaths:
         assert main(argv) == 1
         assert _one_error_line(capsys) == "error: stage beta: resolution must be <= 4096, got 100000"
 
+    @pytest.mark.parametrize("key, value, reason", [
+        ("beta_resolution", 32, "resolution must be >= 64, got 32"),
+        ("half_extent", -0.5, "half_extent must be positive and finite, got -0.5"),
+    ])
+    def test_a_bad_beta_setting_fails_before_any_capture_is_read(self, fixtures, tmp_path, capsys, monkeypatch,
+                                                                 key, value, reason):
+        def unread(path):
+            pytest.fail(f"{path} was read before beta was computed")
+
+        monkeypatch.setattr("stagecal.cli.read_pfm", unread)
+        fixture_dir = _copy_fixture(fixtures["broad"], tmp_path, **{key: value})
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 1
+        assert _one_error_line(capsys) == f"error: stage beta: {reason}"
+
     def test_pfm_header_larger_than_file_fails_its_stage(self, fixtures, tmp_path, capsys):
         # the header asks for 100000 x 100000 pixels, which must not be allocated
         fixture_dir = _copy_fixture(fixtures["broad"], tmp_path)
@@ -1283,6 +1297,26 @@ def test_readme_cli_block_lists_exactly_the_parser_flags():
         for name, sub in commands.choices.items()
     }
     assert documented and documented == parsed
+
+
+def test_solve_runs_its_stages_in_the_readme_order(fixtures, tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sentence = re.search(r"`solve` runs these stages, in this order: (.*?)\. ", readme, flags=re.S).group(1)
+    documented = re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", sentence))  # less the note on black_level
+    ran = []
+    stage = stagecal.cli._stage
+
+    @contextlib.contextmanager
+    def recorded(name):
+        ran.append(name)
+        with stage(name):
+            yield
+
+    monkeypatch.setattr("stagecal.cli._stage", recorded)
+    # the broad fixture has a black_level section, so every stage runs
+    argv = ["solve", "--config", str(fixtures["broad"]["dir"] / "config.json"), "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert documented and ran == documented
 
 
 def test_size_script_prints_lines_settable_values_and_flags():
