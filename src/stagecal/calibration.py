@@ -206,7 +206,7 @@ def solve_q(predicted, targets: ChartSamples, weights=None) -> np.ndarray:
         q[r] += delta
 
     if rank < 3:
-        fit = float(((wx @ q.T - wt) ** 2).sum())
+        fit = q_objective(q, predicted, targets, weights)
         scale = float((wt**2).sum())
         if fit > Q_DEGENERATE_RTOL * max(scale, np.finfo(float).tiny):
             raise ValueError(
@@ -309,7 +309,7 @@ def transform_content(pixels, mode: str, bundle: CalibrationBundle, counter: Gam
     and the number of threads.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
-    if pixels.shape[-1] != 3:
+    if pixels.shape[-1:] != (3,):
         raise ValueError(f"pixels must have a trailing RGB axis, got shape {pixels.shape}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {short_repr(mode)}")

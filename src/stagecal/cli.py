@@ -129,24 +129,71 @@ def _stage(name: str):
 
 
 class _Section(dict):
-    """A JSON object of a config that records each key get() is asked for; load_config reads through get() only."""
+    """A JSON object of a config: it records each key get() is asked for, and names itself and its paths' directory.
+
+    `where` is "config" at the top level; section(key) names a child `key`
+    under it and `parent.key` below that. Relative paths resolve against
+    `base`, the config's directory. load_config reads through get() only, so
+    check_read finds every key it did not read.
+    """
 
     def __init__(self, pairs):
         super().__init__(pairs)
         self.read = set()
+        self.where, self.base = "config", Path()
 
     def get(self, key, *default):
         self.read.add(key)
         return super().get(key, *default)
 
+    def require(self, key: str):
+        if key not in self:
+            raise ConfigError(f"{self.where}: missing required key {key!r}")
+        return self.get(key)
 
-def _check_read(doc: _Section, where: str) -> None:
-    """ConfigError naming the first key of `doc`, or of a section read from it, that load_config did not read."""
-    for key, value in doc.items():
-        if key not in doc.read:
-            raise ConfigError(f"{where}: unknown key {short_repr(key)}")
-        if isinstance(value, _Section):
-            _check_read(value, key if where == "config" else f"{where}.{key}")
+    def expect(self, ok: bool, value, key: str, rule: str):
+        """`value` itself if `ok`; else ConfigError(f"{where}: {key} must be {rule}, got ..."), value abbreviated."""
+        if not ok:
+            raise ConfigError(f"{self.where}: {key} must be {rule}, got {short_repr(value)}")
+        return value
+
+    def scalar(self, key: str, kind: type, default):
+        value = self.get(key, default)
+        noun = "an integer" if kind is int else "a finite number"
+        return kind(self.expect(is_number(value, kind), value, key, noun))
+
+    def check_key(self, key: str, check, *args, **options):
+        """check(self[key], *args, key, **options), for checks such as as_array; a ValueError names `where`."""
+        value = self.require(key)
+        with _errors(ConfigError, self.where):
+            return check(value, *args, key, **options)
+
+    def section(self, key: str) -> _Section:
+        """A required JSON-object section."""
+        child = self.require(key)
+        self.expect(isinstance(child, _Section), child, key, "a JSON object")
+        child.where, child.base = key if self.where == "config" else f"{self.where}.{key}", self.base
+        return child
+
+    def path(self, key: str) -> Path:
+        """An input file's path, relative to the config's directory; an absolute path replaces it."""
+        value = self.require(key)
+        return _input_file(self.base / self.expect(isinstance(value, str), value, key, "a path string"), self.where)
+
+    def chart_source(self) -> tuple:
+        """A photographed chart: (image path, ChartGridSpec)."""
+        corners = self.require("corners")
+        with _errors(ConfigError, self.where):
+            grid = ChartGridSpec(corners, inset=self.scalar("inset", float, DEFAULT_INSET))
+        return self.path("image"), grid
+
+    def check_read(self) -> None:
+        """ConfigError naming the first key of this section, or of a section read from it, that was not read."""
+        for key, value in self.items():
+            if key not in self.read:
+                raise ConfigError(f"{self.where}: unknown key {short_repr(key)}")
+            if isinstance(value, _Section):
+                value.check_read()
 
 
 @dataclass
@@ -168,38 +215,6 @@ class PipelineConfig:
     output_dir: Path
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return doc.get(key)  # through get(), which a _Section records
-
-
-def _expect(ok: bool, value, where: str, key: str, rule: str):
-    """`value` itself if `ok`; else ConfigError(f"{where}: {key} must be {rule}, got ..."), the value abbreviated."""
-    if not ok:
-        raise ConfigError(f"{where}: {key} must be {rule}, got {short_repr(value)}")
-    return value
-
-
-def _scalar(doc: dict, key: str, kind: type, default, where: str = "config"):
-    value = doc.get(key, default)
-    noun = "an integer" if kind is int else "a finite number"
-    return kind(_expect(is_number(value, kind), value, where, key, noun))
-
-
-def _check_key(doc: dict, key: str, where: str, check, *args, **options):
-    """check(doc[key], *args, key, **options), for checks such as as_array and check_roi; a ValueError names `where`."""
-    value = _require(doc, key, where)
-    with _errors(ConfigError, where):
-        return check(value, *args, key, **options)
-
-
-def _section(doc: dict, key: str, where: str) -> dict:
-    """A required JSON-object section."""
-    value = _require(doc, key, where)
-    return _expect(isinstance(value, dict), value, where, key, "a JSON object")
-
-
 def _input_file(path, where: str) -> Path:
     """`path` as a Path if it names a regular file; a device or a directory is no input file."""
     path = Path(path)
@@ -217,74 +232,58 @@ def _read_json(path, flag: str, parse):
         raise ConfigError(f"invalid {flag.removeprefix('--')} {path}: {exc}") from exc
 
 
-def _path(doc: dict, key: str, base: Path, where: str) -> Path:
-    """An input file's path, relative to the config's directory; an absolute path replaces it."""
-    value = _require(doc, key, where)
-    return _input_file(base / _expect(isinstance(value, str), value, where, key, "a path string"), where)
-
-
-def _chart_source(doc: dict, base: Path, where: str) -> tuple:
-    """A photographed chart: (image path, ChartGridSpec)."""
-    corners = _require(doc, "corners", where)
-    with _errors(ConfigError, where):
-        grid = ChartGridSpec(corners, inset=_scalar(doc, "inset", float, DEFAULT_INSET, where))
-    return _path(doc, "image", base, where), grid
-
-
 def load_config(path) -> PipelineConfig:
     """Parse and check a pipeline config JSON: every setting comes from the file, and every key is read."""
     doc = _read_json(path, "--config", lambda text: json.loads(text, object_hook=_Section))
-    _expect(isinstance(doc, dict), doc, "config", "the top level", "a JSON object")
-    base = Path(path).parent
+    if not isinstance(doc, _Section):
+        raise ConfigError(f"config: the top level must be a JSON object, got {short_repr(doc)}")
+    doc.base = Path(path).parent
 
-    primaries_doc = _section(doc, "primaries", "config")
-    rois_doc = _section(primaries_doc, "rois", "primaries")
-    rois = [_check_key(rois_doc, c, "primaries.rois", check_roi) for c in CHANNELS]
-    primaries = (_path(primaries_doc, "image", base, "primaries"), *rois)
+    primaries_doc = doc.section("primaries")
+    rois_doc = primaries_doc.section("rois")
+    rois = [rois_doc.check_key(c, check_roi) for c in CHANNELS]
+    primaries = (primaries_doc.path("image"), *rois)
 
-    charts_doc = _section(doc, "channel_charts", "config")
-    channel_charts = {
-        c: _chart_source(_section(charts_doc, c, "channel_charts"), base, f"channel_charts.{c}")
-        for c in CHANNELS
-    }
+    charts_doc = doc.section("channel_charts")
+    channel_charts = {c: charts_doc.section(c).chart_source() for c in CHANNELS}
 
-    targets_doc = _section(doc, "targets", "config")
+    targets_doc = doc.section("targets")
     if "csv" in targets_doc:
-        targets = _path(targets_doc, "csv", base, "targets")
+        targets = targets_doc.path("csv")
     elif "image" in targets_doc:
-        targets = _chart_source(targets_doc, base, "targets")
+        targets = targets_doc.chart_source()
     else:
-        raise ConfigError("targets: need either 'csv' or 'image'")
+        raise ConfigError(f"{targets_doc.where}: need either 'csv' or 'image'")
 
-    w_doc = _section(doc, "w_avg", "config") if doc.get("w_avg") is not None else {"mode": "white_patch"}
+    w_doc = doc.section("w_avg") if doc.get("w_avg") is not None else {"mode": "white_patch"}
     mode = w_doc.get("mode")
     if mode == "env_map":
-        with _errors(ConfigError, "w_avg.facing"):
-            facing = as_direction(_check_key(w_doc, "facing", "w_avg", as_array, (3,)))
-        w_avg = (_path(w_doc, "path", base, "w_avg"), facing)
+        with _errors(ConfigError, f"{w_doc.where}.facing"):
+            facing = as_direction(w_doc.check_key("facing", as_array, (3,)))
+        w_avg = (w_doc.path("path"), facing)
     elif mode == "white_patch":  # an explicit white is light, so never negative
-        w_avg = _check_key(w_doc, "rgb", "w_avg", as_array, (3,), nonneg=True) if "rgb" in w_doc else None
+        w_avg = w_doc.check_key("rgb", as_array, (3,), nonneg=True) if "rgb" in w_doc else None
     else:
-        raise ConfigError(f"w_avg.mode must be 'white_patch' or 'env_map', got {short_repr(mode)}")
+        raise ConfigError(f"{w_doc.where}.mode must be 'white_patch' or 'env_map', got {short_repr(mode)}")
 
-    with _errors(ConfigError, "config"):
+    with _errors(ConfigError, doc.where):
         weights = check_weights(doc.get("weights"))
 
     black_level = None
     if doc.get("black_level") is not None:
-        black_doc = _section(doc, "black_level", "config")
-        roi = _check_key(black_doc, "roi", "black_level", check_roi)
-        black_level = (_path(black_doc, "image", base, "black_level"), roi)
+        black_doc = doc.section("black_level")
+        roi = black_doc.check_key("roi", check_roi)
+        black_level = (black_doc.path("image"), roi)
 
     output_dir = doc.get("output_dir", "out")
-    _expect(isinstance(output_dir, str), output_dir, "config", "output_dir", "a path string")
+    doc.expect(isinstance(output_dir, str), output_dir, "output_dir", "a path string")
 
-    settings = {key: _scalar(doc, key, kind, default) for key, (kind, default) in SETTINGS.items()}
+    settings = {key: doc.scalar(key, kind, default) for key, (kind, default) in SETTINGS.items()}
     for key in ("cond_limit_sl", "cond_limit_q"):  # >= 1, as every condition number is
-        _expect(settings[key] >= 1, settings[key], "config", key, ">= 1")
-    with _errors(ConfigError, "config"):
+        doc.expect(settings[key] >= 1, settings[key], key, ">= 1")
+    with _errors(ConfigError, doc.where):
         check_white_index(settings["white_index"])
-    _check_read(doc, "config")  # a key the chosen form does not read, such as a misspelt one
+    doc.check_read()  # a key the chosen form does not read, such as a misspelt one
 
     return PipelineConfig(
         primaries=primaries,
@@ -293,7 +292,7 @@ def load_config(path) -> PipelineConfig:
         w_avg=w_avg,
         weights=weights,
         black_level=black_level,
-        output_dir=base / output_dir,
+        output_dir=doc.base / output_dir,
         **settings,
     )
 

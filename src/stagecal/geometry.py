@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .imaging import WHITE_REFLECTANCE, LinearImage, _release, as_array, check_beta, check_image, read_pfm, short_repr
+from .imaging import WHITE_REFLECTANCE, LinearImage, _blocks, as_array, check_beta, check_image, read_pfm, short_repr
 
 FRONTAL = np.array([0.0, 0.0, 1.0])
 
@@ -71,8 +71,7 @@ def diffuse_convolve(env: EnvMap, n) -> np.ndarray:
     A float32 block is widened before its einsum; widening is exact, so a
     float32 map sums bit for bit as its float64 widening. einsum's own loop
     does the sum, not a BLAS call whose split may depend on the thread count.
-    Each block's rows are passed to imaging._release once summed, so a map
-    that read_pfm mapped read-only keeps no more than one block resident.
+    The blocks come from imaging._blocks.
     """
     n = as_direction(n)
     h, w = env.height, env.width
@@ -83,13 +82,12 @@ def diffuse_convolve(env: EnvMap, n) -> np.ndarray:
     facing = sin_a * n[0] + cos_a * n[2]  # dir . n = sin(theta) * facing + cos(theta) * n[1]
     scale = (2.0 * np.pi / w) * (np.pi / h) / np.pi
     total = np.zeros(3)
-    for r in range(0, h, _ROW_BLOCK):
+    for r, block in _blocks(env.data, _ROW_BLOCK):
         rows = slice(r, r + _ROW_BLOCK)
         s = sin_t[rows]
         cols = _span(facing > (-cos_t[rows] * n[1] / s).min() - 1e-12 / s.min())
         weight = np.maximum(0.0, s * sin_a[cols] * n[0] + cos_t[rows] * n[1] + s * cos_a[cols] * n[2]) * s * scale
-        total += np.einsum("yx,yxc->c", weight, env.data[rows, cols].astype(np.float64, copy=False))
-        _release(env.data[rows])
+        total += np.einsum("yx,yxc->c", weight, block[:, cols].astype(np.float64, copy=False))
     return total
 
 

@@ -31,9 +31,8 @@ WHITE_REFLECTANCE = 0.9
 DEFAULT_INSET = 0.25
 TRIM_FRACTION = 0.1
 
-# Elements per chunk of the non-negative check's bit-pattern maximum (4 MiB of
-# float32): the pages of a read-only file mapping are released chunk by chunk,
-# and trimmed_mean's row blocks span as many bytes.
+# Elements per block of the image check's walk (4 MiB of float32); trimmed_mean's
+# row blocks span as many bytes.
 _CHUNK = 1 << 20
 
 # Each float's bit pattern as an unsigned integer, and that of +inf: a finite
@@ -94,37 +93,43 @@ def _float64(value, name: str) -> np.ndarray:
 def _checked(a: np.ndarray, shape: tuple, name: str, nonneg: bool) -> np.ndarray:
     """`a` itself, once its shape and components pass as_array's checks.
 
-    The components are read in memory order, negative strides flipped so that
-    no view is copied. A non-negative check of float32 or float64 first takes
-    one maximum over the bit patterns, which is below that of +inf exactly when
-    every component is finite and non-negative with a clear sign bit. Anything
-    else, -0.0 included, takes an exact whole-array min() and max(), which
-    allocate nothing; a failing array alone builds masks to find its culprit.
-
-    That maximum is taken _CHUNK elements at a time, and each chunk is handed
-    to _release once read: a capture that read_pfm mapped read-only keeps
-    resident, once checked, none of the pages its check read.
+    The components are read once, in memory order (negative strides flipped,
+    so that no view is copied), _CHUNK at a time through _blocks. A chunk of
+    a non-negative check of float32 or float64 passes on one maximum over its
+    bit patterns, which is below that of +inf exactly when every component is
+    finite and non-negative with a clear sign bit. Any other chunk, one
+    holding -0.0 included, takes an exact min() and max(), which allocate
+    nothing. Only a failing array is read again, whole, to name its culprit.
     """
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
         want = str(shape).replace("None", "n")
         raise ValueError(f"{name} must have shape {want}, got {a.shape}")
     flat = a[tuple(slice(None, None, -1 if s < 0 else 1) for s in a.strides)].ravel(order="K")
     bits = _INF_BITS.get(a.dtype) if nonneg else None
-    if bits is not None:
-        top = 0
-        for start in range(0, flat.size, _CHUNK):
-            chunk = flat[start : start + _CHUNK].view(bits[0])
-            top = max(top, chunk.max())
-            _release(chunk)
-        if top < bits[1]:
-            return a
-    # 0 passes both tests and hides no failing extreme, so an empty array passes; NaN fails every comparison
-    lo, hi = flat.min(initial=0.0), flat.max(initial=0.0)
-    if hi < np.inf and (lo >= 0 if nonneg else lo > -np.inf):
-        return a
-    if not np.isfinite(a).all():
-        _raise_at(a, ~np.isfinite(a), name, "non-finite")
-    _raise_at(a, a < 0, name, "negative")
+    for _, chunk in _blocks(flat, _CHUNK):
+        if bits is not None and chunk.view(bits[0]).max() < bits[1]:
+            continue
+        lo, hi = chunk.min(), chunk.max()  # NaN fails every comparison
+        if not (hi < np.inf and (lo >= 0 if nonneg else lo > -np.inf)):
+            if not np.isfinite(a).all():
+                _raise_at(a, ~np.isfinite(a), name, "non-finite")
+            _raise_at(a, a < 0, name, "negative")
+    return a
+
+
+def _blocks(a: np.ndarray, n: int):
+    """Yield (start, a[start : start + n]) along `a`'s first axis; each block goes to _release once the walk moves on.
+
+    This is the rule by which a reader walks a capture that read_pfm mapped
+    read-only: it keeps resident at most the block it is reading, and a later
+    read of the same rows maps them again unchanged. LinearImage's check
+    walks _CHUNK elements at a time, trimmed_mean leading-axis rows spanning
+    about 4 MiB, and geometry.diffuse_convolve 64 map rows.
+    """
+    for start in range(0, len(a), n):
+        block = a[start : start + n]
+        yield start, block
+        _release(block)
 
 
 def _release(view: np.ndarray) -> None:
@@ -132,10 +137,9 @@ def _release(view: np.ndarray) -> None:
 
     Every page that holds a byte of the view, even in part, is dropped from
     the process (madvise MADV_DONTNEED). The file's page cache keeps it, and
-    a later read maps it again unchanged, so a consumer that has read part of
-    a read_pfm capture calls this to keep resident only what it still reads.
-    Writable and anonymous memory is never released, since there the kernel
-    would discard writes or zero the data.
+    a later read maps it again unchanged. Its callers are _blocks and
+    _pixels_in_quads. Writable and anonymous memory is never released, since
+    there the kernel would discard writes or zero the data.
     """
     mapped = _read_only_map(view)
     if mapped is None or view.size == 0:
@@ -291,11 +295,8 @@ def trimmed_mean(values: np.ndarray) -> np.ndarray:
     average to +0.0, whatever their signs. The input is left as it is. For n
     float32 values the scratch is those two rows, 4n + 6.4n bytes.
 
-    A channel is copied in blocks of leading-axis rows that span about 4 MiB
-    of memory each, as a check chunk does, and each block is passed to
-    _release once copied: of an ROI of a read_pfm capture, only one block of
-    the capture's full rows is resident at a time, whatever the ROI's width.
-    The next channel maps the blocks again.
+    A channel is copied through _blocks, in blocks of leading-axis rows that
+    span about 4 MiB of memory each, as a check chunk does.
     """
     values = np.atleast_2d(values)
     n = values.size // 3
@@ -306,9 +307,8 @@ def trimmed_mean(values: np.ndarray) -> np.ndarray:
     wide = np.empty(n - 2 * k)
     means = np.empty(3)
     for channel in range(3):
-        for r in range(0, len(values), step):
-            row.reshape(values.shape[:-1])[r : r + step] = values[r : r + step, ..., channel]
-            _release(values[r : r + step])
+        for r, block in _blocks(values, step):
+            row.reshape(values.shape[:-1])[r : r + step] = block[..., channel]
         row.sort()
         kept = row[k : n - k]
         # a constant channel passes through exactly instead of accruing summation ulps
@@ -485,10 +485,9 @@ def read_pfm(path) -> np.ndarray:
 
     The values are the file's own, in native byte order; widening them to
     float64 is exact. The payload is mapped, not copied. A native-order file is
-    mapped read-only, so LinearImage's check, sample_roi, extract_chart and
-    geometry.diffuse_convolve each release its pages once read (_release), and
-    a capture keeps resident little more than the rows being read. A file in
-    the other byte order is mapped copy-on-write and swapped in
+    mapped read-only, and its readers release its pages once read (_blocks,
+    _pixels_in_quads).
+    A file in the other byte order is mapped copy-on-write and swapped in
     place, which never reaches the file, and is never released. Either way
     the array is read-only: copy it to write to it.
     """

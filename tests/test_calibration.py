@@ -403,7 +403,7 @@ class TestTransformContent:
         with pytest.raises(ValueError, match="mode"):
             transform_content(np.zeros(3), "sideways", simple_bundle())
 
-    @pytest.mark.parametrize("shape", [(4,), (2, 4), (5, 2)])
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (5, 2), ()])
     def test_trailing_axis_other_than_rgb_rejected(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"trailing RGB axis, got shape {shape}")):
             transform_content(np.zeros(shape), "post", simple_bundle())

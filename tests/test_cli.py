@@ -33,6 +33,7 @@ from stagecal.imaging import (
 )
 from stagecal.geometry import compute_beta
 from stagecal.spectral import brute_force_q, make_scene, oracle_calibration
+from test_geometry import linear_env_data
 
 SCENARIO_SEEDS = {"broad": 3, "identity": 0, "monochromatic": 0, "rgb-led": 0}
 
@@ -1178,6 +1179,35 @@ class TestAlternateConfigRoutes:
         # uniform-env integration agrees with the white route to ~0.2%
         ref_q = fx["bundle"].q
         assert np.abs(bundle.q - ref_q).max() < 0.01
+
+    def test_env_map_solve_matches_the_closed_form_white(self, fixtures, tmp_path):
+        # L(d) = a + b (d . u) integrates over the hemisphere facing n to a + (2/3) b (u . n)
+        # (test_geometry.TestLinearEnvClosedForm); with u = +y, b = a / 2 and n = (0, 0.6, 0.8) that is
+        # 1.2 a, the white route's w_avg when a = w_avg / 1.2. The texel sum is a midpoint rule, within
+        # about 3 / h^2 of it relative, so Q agrees to that while M, which no w_avg reaches, is the same.
+        fx = fixtures["broad"]
+        config = fx["config"]
+        w_avg = read_chart_csv(fx["dir"] / "targets.csv").white(config.white_index) / config.white_reflectance
+        a = w_avg / 1.2
+        height = 64
+        env = linear_env_data(height, a, a / 2, np.array([0.0, 1.0, 0.0]))
+        fixture_dir = _copy_fixture(fx, tmp_path)
+
+        def miss(data, facing):
+            """max |Q - Q_white| / max |Q_white| of the env_map solve of `data` facing `facing`."""
+            write_pfm(fixture_dir / "env.pfm", data)
+            doc = json.loads((fixture_dir / "config.json").read_text())
+            doc["w_avg"] = {"mode": "env_map", "path": "env.pfm", "facing": facing}
+            (fixture_dir / "config.json").write_text(json.dumps(doc))
+            bundle, report, code = run_solve(load_config(fixture_dir / "config.json"))
+            assert code == 0 and report["metadata"]["w_avg_mode"] == "env_map"
+            assert bundle.m.tobytes() == fx["bundle"].m.tobytes()
+            return np.abs(bundle.q - fx["bundle"].q).max() / np.abs(fx["bundle"].q).max()
+
+        assert miss(env, [0.0, 0.6, 0.8]) < 3 / height**2
+        # the map upside down, or the chart facing down as much as it faced up, integrates to 0.8 a
+        assert miss(env[::-1], [0.0, 0.6, 0.8]) > 0.1
+        assert miss(env, [0.0, -0.6, 0.8]) > 0.1
 
     def test_explicit_white_patch_rgb_drives_the_solve(self, fixtures, tmp_path):
         fx = fixtures["broad"]

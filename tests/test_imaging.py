@@ -1223,10 +1223,15 @@ def forked_peak_rise(path, setup, call) -> int:
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB and madvise releases pages on Linux")
-def test_checked_capture_is_not_kept_resident(tmp_path):
+@pytest.mark.parametrize("negative_zero", [False, True], ids=["constant", "negative-zero"])
+def test_checked_capture_is_not_kept_resident(tmp_path, negative_zero):
     width, height = 4096, 1024  # a 48 MiB payload
     path = tmp_path / "big.pfm"
     write_constant_capture(path, width, height)
+    if negative_zero:  # a component whose bit pattern fails, in the payload's middle, though the capture passes
+        with open(path, "r+b") as f:
+            f.seek(len(pfm_bytes(width, height, "<f4")) + width * height * 6)
+            f.write(np.array(-0.0, "<f4").tobytes())
     assert forked_peak_rise(path, "pass", "LinearImage(read_pfm(path))") < width * height * 12 / 2
 
 
