@@ -59,6 +59,7 @@ from .geometry import (
 )
 from .imaging import (
     CHART_COLS,
+    CHART_PATCHES,
     CHART_ROWS,
     DEFAULT_INSET,
     DEFAULT_WHITE_INDEX,
@@ -255,7 +256,8 @@ def load_config(path) -> PipelineConfig:
     else:
         raise ConfigError(f"{targets_doc.where}: need either 'csv' or 'image'")
 
-    w_doc = doc.section("w_avg") if doc.get("w_avg") is not None else {"mode": "white_patch"}
+    # a key that is present holds a valid value: a null section or array is no default
+    w_doc = doc.section("w_avg") if "w_avg" in doc else {"mode": "white_patch"}
     mode = w_doc.get("mode")
     if mode == "env_map":
         with _errors(ConfigError, f"{w_doc.where}.facing"):
@@ -267,10 +269,10 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"{w_doc.where}.mode must be 'white_patch' or 'env_map', got {short_repr(mode)}")
 
     with _errors(ConfigError, doc.where):
-        weights = check_weights(doc.get("weights"))
+        weights = check_weights(as_array(doc.get("weights"), (CHART_PATCHES,), "weights") if "weights" in doc else None)
 
     black_level = None
-    if doc.get("black_level") is not None:
+    if "black_level" in doc:
         black_doc = doc.section("black_level")
         roi = black_doc.check_key("roi", check_roi)
         black_level = (black_doc.path("image"), roi)
@@ -327,6 +329,15 @@ def load_inputs(config: PipelineConfig):
     return srl, targets, w_avg
 
 
+def lit_charts(predicted: np.ndarray, q: np.ndarray) -> dict:
+    """The lit chart as the camera records it, unclamped: from M alone ("lit_m_only") and through Q ("lit_m_q").
+
+    `predicted` is predict_lit_chart's (24, 3) chart; solve and simulate both
+    read their lit charts from this table.
+    """
+    return {"lit_m_only": predicted, "lit_m_q": predicted @ q.T}
+
+
 def run_solve(config: PipelineConfig):
     """Execute every pipeline stage; returns (bundle, report, exit_code)."""
     with _stage("beta"):  # settings only, so first: no capture is read yet, nor any scratch left behind
@@ -345,41 +356,36 @@ def run_solve(config: PipelineConfig):
     with _stage("solve_n"):
         n = solve_n(m, q, config.cond_limit_q)
 
+    b_camera = black_offset = np.zeros(3)  # no black_level section: no bounce measured, none subtracted
     if config.black_level is not None:
         with _stage("black_level"):
             (b_camera,) = _sample_rois(*config.black_level)
             w_camera = sl @ np.ones(3)  # camera's view of full white: sum of the primaries
             black_offset = compute_black_level(b_camera, w_camera)
-    else:
-        b_camera = np.zeros(3)
-        black_offset = np.zeros(3)
 
     with _stage("report"):
-        pipeline = CalibrationBundle(m=m, q=q, n=n, beta=beta, black_offset=black_offset)
-        no_black = CalibrationBundle(m=m, q=q, n=n, beta=beta, black_offset=np.zeros(3))
+        bundle = CalibrationBundle(m=m, q=q, n=n, beta=beta, black_offset=black_offset)
         counter = GamutCounter()
         # each chart as the camera records it, before negatives are clamped
-        unclamped = {"lit_m_only": predicted, "lit_m_q": predicted @ q.T}
-        for name, bundle_variant, use_counter in (
-            ("displayed_no_black_level", no_black, None),
-            ("displayed_with_black_level", pipeline, counter),
+        unclamped = lit_charts(predicted, q)
+        for name, variant, use_counter in (
+            ("displayed_no_black_level", replace(bundle, black_offset=np.zeros(3)), None),
+            ("displayed_with_black_level", bundle, counter),
         ):
-            panel = transform_content(targets.patches, "in_frustum", bundle_variant, use_counter)
+            panel = transform_content(targets.patches, "in_frustum", variant, use_counter)
             unclamped[name] = (panel @ sl.T + b_camera) @ q.T
-        all_charts, clamped = {}, 0
-        for name, values in unclamped.items():
-            all_charts[name], count = clamp_chart(values)
-            clamped += count
+        charts, counts = zip(*map(clamp_chart, unclamped.values()))
+        all_charts = dict(zip(unclamped, charts))
 
         diagnostics = {
             "cond_SL": condition_number(sl),
             "cond_Q": condition_number(q),
             "residual": residual,
             "out_of_gamut_fraction": counter.out_of_gamut / counter.total,
-            "negative_clamped_components": clamped,
+            "negative_clamped_components": sum(counts),
             "n_available": n is not None,
         }
-        bundle = replace(pipeline, diagnostics=diagnostics)
+        bundle = replace(bundle, diagnostics=diagnostics)
         errors = {
             name: dict(zip("rgb", chart_error(targets, chart, config.white_index).tolist()))
             for name, chart in all_charts.items()
@@ -499,7 +505,7 @@ def run_oracle(seed: int, scenario: str, outdir) -> Path:
         "output_dir": "out",
         **defaults,
     }
-    (outdir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True))
+    (outdir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True, allow_nan=False))
     return outdir
 
 
@@ -507,11 +513,11 @@ def run_simulate(config: PipelineConfig, bundle_path, variant: str):
     """Re-predict the lit chart from a saved bundle; writes CSV and PNG into config.output_dir."""
     bundle = _read_json(bundle_path, "--bundle", CalibrationBundle.from_json)
     srl, targets, w_avg = load_inputs(config)
-    name = "simulated_" + {"m-only": "lit_m_only", "m-q": "lit_m_q"}[variant]
+    key = "lit_" + variant.replace("-", "_")
     with _stage("simulate"):
-        predicted = predict_lit_chart(srl, bundle.m, w_avg, bundle.beta)
-        chart, _ = clamp_chart(predicted if variant == "m-only" else predicted @ bundle.q.T)
-        csv_path, png_path = _write_charts(config.output_dir, targets, {name: chart}, config.white_index)
+        table = lit_charts(predict_lit_chart(srl, bundle.m, w_avg, bundle.beta), bundle.q)
+        chart, _ = clamp_chart(table[key])
+        csv_path, png_path = _write_charts(config.output_dir, targets, {"simulated_" + key: chart}, config.white_index)
     return chart, csv_path, png_path
 
 

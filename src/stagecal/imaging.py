@@ -82,8 +82,9 @@ def as_array(value, shape: tuple, name: str, nonneg: bool = False) -> np.ndarray
 def _float64(value, name: str) -> np.ndarray:
     try:
         a = np.asarray(value, dtype=np.float64)
-        # numpy reads true as 1.0 and "1.5" as 1.5, so these are read element by element
-        if isinstance(value, (list, tuple, bool, str)) and not all(map(is_real, np.asarray(value, object).flat)):
+        # numpy reads true as 1.0, "1.5" as 1.5 and None as nan, so these are read element by element
+        elementwise = isinstance(value, (list, tuple, bool, str, type(None)))
+        if elementwise and not all(map(is_real, np.asarray(value, object).flat)):
             raise TypeError
         return a
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
@@ -144,13 +145,14 @@ def _release(view: np.ndarray) -> None:
     mapped = _read_only_map(view)
     if mapped is None or view.size == 0:
         return
-    # the view's byte bounds in the map, as numpy.lib.array_utils.byte_bounds gives them (absent before numpy 2)
-    first = view.__array_interface__["data"][0] - np.frombuffer(mapped, np.uint8).__array_interface__["data"][0]
-    reach = [stride * (n - 1) for stride, n in zip(view.strides, view.shape)]
-    lo, hi = first + sum(r for r in reach if r < 0), first + sum(r for r in reach if r > 0) + view.itemsize
+    base = np.frombuffer(mapped, np.uint8).__array_interface__["data"][0]
+    lo, hi = (bound - base for bound in _byte_bounds(view))  # the view's bytes in the map, end exclusive
     start = lo - lo % mmap.PAGESIZE  # madvise takes a page-aligned start and rounds the length up
     mapped.madvise(mmap.MADV_DONTNEED, start, hi - start)
 
+
+# numpy 2 moved byte_bounds from the root into numpy.lib.array_utils, which numpy 1 lacks
+_byte_bounds = getattr(np.lib, "array_utils", np).byte_bounds
 
 _MMAP = mmap.mmap  # the type, bound once: a test may replace mmap.mmap by a function that refuses to map
 

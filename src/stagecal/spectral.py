@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -225,5 +226,4 @@ def write_scene(path, scene: OracleScene, provenance: dict) -> None:
     doc = {name: getattr(scene, name).tolist() for name in ("camera", "leds", "illuminant", "reflectances")}
     doc["wavelength_nm"] = [WAVELENGTHS[0], WAVELENGTHS[-1], DELTA_LAMBDA]
     doc.update(provenance)
-    with open(path, "w") as f:  # streamed: json.dumps would hold every chunk and the whole text
-        json.dump(doc, f, indent=2, sort_keys=True)
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))

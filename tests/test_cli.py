@@ -889,6 +889,10 @@ class TestErrorPaths:
             (["black_level", "image"], 5, "black_level: image"),
             (["output_dir"], 5, "config: output_dir"),
             (["output_dir"], None, "config: output_dir"),
+            # a present key holds a valid value: null is not the default of an optional one
+            (["weights"], None, "config: weights must be numeric, got"),
+            (["w_avg"], None, "config: w_avg must be a JSON object, got"),
+            (["black_level"], None, "config: black_level must be a JSON object, got"),
             # checks that need no image run at load, not in a stage
             (["channel_charts", "red", "corners"], [[0, 0], [96, 64], [96, 0], [0, 64]],
              "channel_charts.red: chart corners"),
@@ -916,7 +920,8 @@ class TestErrorPaths:
              "black-roi-tiny", "primaries-number", "rois-number",
              "channel-charts-number", "channel-number", "targets-number", "targets-csv-number",
              "targets-image-number", "chart-image-number", "primaries-image-number", "env-path-number",
-             "black-image-number", "output-dir-number", "output-dir-null", "corners-not-convex",
+             "black-image-number", "output-dir-number", "output-dir-null", "weights-null", "w-avg-null",
+             "black-level-null", "corners-not-convex",
              "inset-0.6", "white-index-30", "weights-2-positive", "facing-not-unit", "corners-bool",
              "corners-string", "weights-bool", "weights-string", "rgb-bool", "rgb-string", "facing-bool",
              "facing-string", "rgb-negative"],
@@ -1251,6 +1256,28 @@ class TestAlternateConfigRoutes:
         # flat patches re-extract bit-exactly through float32, so Q matches
         # the CSV-targets run up to that quantization
         assert np.abs(bundle.q - fx["bundle"].q).max() < 1e-6
+
+    def test_solve_without_a_black_level_section(self, fixtures, tmp_path):
+        # no bounce measured: nothing is subtracted, so both displayed charts are one chart
+        fx = fixtures["broad"]
+        doc = json.loads((fx["dir"] / "config.json").read_text())
+        del doc["black_level"]
+        fixture_dir = _copy_fixture(fx, tmp_path)
+        doc["output_dir"] = "no_black"
+        (fixture_dir / "config.json").write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(fixture_dir / "config.json")]) == 0
+        out = fixture_dir / "no_black"
+        bundle = json.loads((out / "bundle.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        assert bundle["black_offset"] == [0.0, 0.0, 0.0]
+        assert report["metadata"]["black_level_measured"] is False
+        errors = report["errors"]
+        assert errors["displayed_with_black_level"] == errors["displayed_no_black_level"]
+        assert (out / "displayed_with_black_level.csv").read_bytes() == (
+            out / "displayed_no_black_level.csv").read_bytes()
+        # the lit chart reads no black level
+        assert errors["lit_m_q"] == fx["report"]["errors"]["lit_m_q"]
+        assert (out / "lit_m_q.csv").read_bytes() == (fx["dir"] / "out" / "lit_m_q.csv").read_bytes()
 
     def test_weights_from_config(self, fixtures, tmp_path):
         from stagecal.cli import run_solve

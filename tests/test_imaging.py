@@ -1307,6 +1307,27 @@ def test_sampling_a_released_capture_matches_an_in_memory_copy(tmp_path):
         assert results(image, env) == expected
 
 
+@pytest.mark.parametrize("dtype", ["<f4", ">f4"], ids=["native-released", "swapped"])
+@pytest.mark.parametrize("bad", [np.nan, -0.5], ids=["nan", "negative"])
+@pytest.mark.parametrize("at", ["chunk-end", "chunk-start", "last"])
+def test_check_names_a_bad_component_past_the_first_chunk_of_a_mapped_capture(tmp_path, dtype, bad, at):
+    # the check has released every chunk before the failing one, and reads the capture again to name it
+    path = tmp_path / "img.pfm"
+    values = write_capture(path, dtype)
+    k = {"chunk-end": _CHUNK - 1, "chunk-start": _CHUNK, "last": values.size - 1}[at]  # in the payload's order
+    height, width = values.shape[:2]
+    with open(path, "r+b") as f:
+        f.seek(len(pfm_bytes(width, height, dtype)) + 4 * k)
+        f.write(np.array(bad, dtype).tobytes())
+    payload = np.flipud(values).copy()  # rows bottom to top, as the file holds them
+    payload.reshape(-1)[k] = bad
+    data = read_pfm(path)
+    assert (_read_only_map(data) is not None) == (dtype == "<f4")
+    with pytest.raises(ValueError) as info:
+        LinearImage(data)
+    assert str(info.value) == reference_check_message(np.flipud(payload), "image", True)
+
+
 def test_big_endian_capture_keeps_its_swapped_values_through_the_check(tmp_path):
     path = tmp_path / "img.pfm"
     values = write_capture(path, ">f4")
