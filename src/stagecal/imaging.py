@@ -289,13 +289,23 @@ def _is_convex(corners: np.ndarray) -> bool:
 def trimmed_mean(values: np.ndarray) -> np.ndarray:
     """Per-channel mean of (..., 3) values after dropping the top and bottom TRIM_FRACTION.
 
-    One channel at a time is copied into one reused contiguous row and sorted
-    there at the values' own precision, which orders float32 values as their
-    exact float64 widening would. The kept part of the row is then widened
-    into one reused float64 row and averaged along it (numpy's pairwise sum),
-    so a float32 input gives the same bits as its float64 widening. Zeros
-    average to +0.0, whatever their signs. The input is left as it is. For n
-    float32 values the scratch is those two rows, 4n + 6.4n bytes.
+    The result is, bit for bit, the float64 mean (numpy's pairwise sum) of
+    the kept values sorted and widened to float64, so a float32 input gives
+    the same bits as its float64 widening. Zeros average to +0.0, whatever
+    their signs. The input is left as it is.
+
+    One channel at a time is copied into one reused contiguous row at the
+    values' own precision, and two selections (np.partition, one kth each)
+    gather the m = n - 2k kept values between the kept minimum lo and
+    maximum hi. A constant channel (lo == hi) passes through exactly. The
+    kept values are otherwise summed in float64 in the order selection left
+    them, which is exact when the input is float32, lo > 0 and
+    m * hi <= 2**53 * u, u = np.spacing(lo): every kept value, and so every
+    partial sum, is then a multiple of u no larger than 2**53 * u, which a
+    float64 holds exactly, so any order gives the sorted sum's bits. Else
+    (float64 input, zeros, or too wide a range) only the kept values are
+    sorted and their widened mean taken. For n float32 values the scratch is
+    the row, 4n bytes, or 4n + 8m when the fallback widens the kept values.
 
     A channel is copied through _blocks, in blocks of leading-axis rows that
     span about 4 MiB of memory each, as a check chunk does.
@@ -303,23 +313,29 @@ def trimmed_mean(values: np.ndarray) -> np.ndarray:
     values = np.atleast_2d(values)
     n = values.size // 3
     k = int(n * TRIM_FRACTION)
+    m = n - 2 * k
     step = max(1, 4 * _CHUNK // max(1, abs(values.strides[0])))
-    # a contiguous row sorts and sums faster than a strided column
+    # a contiguous row selects and sums faster than a strided column
     row = np.empty(n, values.dtype)
-    wide = np.empty(n - 2 * k)
+    kept = row[k : n - k]
     means = np.empty(3)
     for channel in range(3):
         for r, block in _blocks(values, step):
             row.reshape(values.shape[:-1])[r : r + step] = block[..., channel]
-        row.sort()
-        kept = row[k : n - k]
-        # a constant channel passes through exactly instead of accruing summation ulps
-        if kept[0] == kept[-1]:
-            means[channel] = kept[0]
+        # one kth per call: numpy selects a pair of kths many times slower than one
+        row.partition(k)
+        lo = row[k]
+        row[k:].partition(m - 1)
+        hi = row[n - k - 1]
+        if lo == hi:
+            means[channel] = lo
+        # hi / spacing(lo) is a whole number, so this tests m * hi <= 2**53 * spacing(lo) without rounding
+        elif row.dtype == np.float32 and lo > 0 and float(hi) / float(np.spacing(lo)) <= (1 << 53) // m:
+            means[channel] = np.add.reduce(kept, dtype=np.float64) / m
         else:
-            wide[...] = kept
-            means[channel] = wide.mean()
-    # + 0.0 turns the -0.0 numpy's sort may hand back for all-zero rows into +0.0
+            kept.sort()
+            means[channel] = kept.astype(np.float64, copy=False).mean()
+    # + 0.0 turns the -0.0 an all-zero channel may hand back into +0.0
     return means + 0.0
 
 

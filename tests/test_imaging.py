@@ -562,17 +562,22 @@ class TestSampleRoi:
             check_roi(list(range(100_000)), "red")
         assert str(info.value) == "red must be 4 integers (x, y, w, h), got [0, 1, 2, 3, 4, 5, ...]"
 
-    def test_float32_roi_widens_one_channel_at_a_time(self):
-        # one float32 channel row is 3.8 MiB and one widened kept row 6.1 MiB;
-        # sorting all three channels in one (3, n) copy would peak at 17.5 MiB
-        image = LinearImage(np.random.default_rng(20).random((1000, 1000, 3), dtype=np.float32))
+    # one float32 channel row is 4e6 B (3.8 MiB); widening its 800000 kept values,
+    # as the fallback does, would add 6.4e6 B (6.1 MiB), so both fields must sum
+    # their kept values in selection order; the second is a capture-like 0.3 * (1 ± 2%)
+    @pytest.mark.parametrize("field", ["uniform", "near-constant"])
+    def test_float32_roi_takes_one_float32_row_of_scratch(self, field):
+        data = np.random.default_rng(20).random((1000, 1000, 3), dtype=np.float32)
+        if field == "near-constant":
+            data = (0.3 * (1 + 0.04 * (data - 0.5))).astype(np.float32)
+        image = LinearImage(data)
         tracemalloc.start()
         try:
             sample_roi(image, (0, 0, 1000, 1000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20
+        assert peak < 5 * 2**20
 
 
 class TestTrimmedMean:
@@ -675,6 +680,55 @@ def three_channel_trimmed_mean(values):
 )
 def test_trimmed_mean_matches_the_three_channel_widening(n, seed, constant, dtype):
     values = trim_sample(n, seed, constant, dtype)
+    assert trimmed_mean(values).tobytes() == three_channel_trimmed_mean(values).tobytes()
+
+
+def binade_sample(n, seed, exponents):
+    """(n, 3) float32 values 1 + uniform * 2**e, e drawn per value from 0 to its channel's entry of `exponents`."""
+    rng = np.random.default_rng(seed)
+    e = rng.integers(0, np.array(exponents) + 1, (n, 3))
+    return (1 + rng.random((n, 3)) * np.exp2(e)).astype(np.float32)
+
+
+def exact_sum_bound_holds(values):
+    """Per channel, whether m * hi <= 2**53 * spacing(lo) for the kept values' count m, minimum lo and maximum hi."""
+    n = len(values)
+    k = int(n * TRIM_FRACTION)
+    kept = np.sort(values, axis=0)[k : n - k]
+    return (n - 2 * k) * kept[-1].astype(np.float64) <= 2.0**53 * np.spacing(kept[0]).astype(np.float64)
+
+
+_STRADDLING = [(3000, 0, [0, 20, 40]), (123457, 0, [0, 20, 40])]
+
+
+@pytest.mark.parametrize("n, seed, exponents", _STRADDLING)
+def test_binade_examples_straddle_the_exact_sum_bound(n, seed, exponents):
+    holds = exact_sum_bound_holds(binade_sample(n, seed, exponents))
+    assert holds.any() and not holds.all()
+
+
+# kept values in [1, 2**41), so m * hi falls on either side of 2**53 * spacing(lo)
+# as the exponents and n vary; within it the sum is taken in selection order
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n=st.integers(10, 3000) | st.just(123457),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.integers(0, 40), min_size=3, max_size=3),
+)
+@example(*_STRADDLING[0])
+@example(*_STRADDLING[1])
+def test_float32_sum_in_selection_order_matches_the_sorted_widening(n, seed, exponents):
+    values = binade_sample(n, seed, exponents)
+    assert trimmed_mean(values).tobytes() == three_channel_trimmed_mean(values).tobytes()
+
+
+def test_order_sensitive_kept_values_match_the_sorted_widening():
+    # the kept values are thirteen 1.0 and three 2**53; in float64, 2**53 + 1.0 rounds back to 2**53
+    column = np.array([2.0**53, 1, 1, 2.0**53, 2.0**53, 1, 1, 1, 1, 1,
+                       1, 2.0**53, 1, 2.0**53, 1, 1, 1, 1, 1, 1], np.float32)
+    kept = np.sort(column)[2:-2].astype(np.float64)
+    assert np.cumsum(kept)[-1] != np.cumsum(kept[::-1])[-1]
+    values = np.repeat(column[:, None], 3, axis=1)
     assert trimmed_mean(values).tobytes() == three_channel_trimmed_mean(values).tobytes()
 
 
