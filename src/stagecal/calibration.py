@@ -36,14 +36,19 @@ MODES = ("out_of_frustum", "in_frustum", "post")
 # from_json checks for them in this order.
 BUNDLE_KEYS = {"M": "m", "Q": "q", "N": "n", "beta": "beta", "black_offset": "black_offset"}
 
-# Pixels per transform_content tile: a tile's input and output (1.5 MiB each)
-# stay in cache while the offset, both clamps and the gamut count run. Twice
-# this size was slower, as OpenBLAS then splits each tile's product across
-# threads; at this size it keeps each product on the calling thread. The
-# tiles run on up to as many threads as the process may use, one contiguous
-# run of tiles per thread, and neither the output nor the count depends on
-# that number.
+# Pixels per transform_content tile for out_of_frustum and post: a tile's
+# input and output are 1.5 MiB each. Twice this size was slower, as OpenBLAS
+# then splits each tile's product across threads; at this size it keeps each
+# product on the calling thread, and a quarter of it was 3-5 ms slower per
+# 4K frame. The tiles run on up to as many threads as the process may use, one
+# contiguous run of tiles per thread, and neither the output nor the count
+# depends on that number.
 _TILE_PIXELS = 1 << 16
+# Pixels per in_frustum tile. Its clamp and gamut count make seven more
+# passes over each tile, which the tile (384 KiB) and its tiled offset
+# (384 KiB) at this size make in a core's L2; a 64 Ki tile and its offset
+# (3 MiB) do not fit in a 2 MiB L2.
+_CLAMP_PIXELS = 1 << 14
 
 
 def condition_number(m) -> float:
@@ -264,29 +269,33 @@ def _transform_rows(mat_t, offset, rows, out) -> int:
     """Tile loop of transform_content over ``rows`` into ``out``.
 
     ``offset`` is None except for in_frustum, where it is the black offset
-    tiled to at least one tile's length. Returns the count of pixels clamped
-    at the top. The clamp's masks live in two buffers allocated once per call
-    and sliced to each tile: a fresh temporary per tile is an mmap/munmap,
-    which serialises threads running this loop side by side.
+    tiled to at least one _CLAMP_PIXELS tile's length. Returns the count of
+    pixels clamped at the top: those whose largest channel exceeds 1 after
+    the offset. The channel maximum and its mask live in two buffers
+    allocated once per call and sliced to each tile: a fresh temporary per
+    tile is an mmap/munmap, which serialises threads running this loop side
+    by side.
     """
+    tile = _TILE_PIXELS if offset is None else _CLAMP_PIXELS
     # array_split makes the tiles equal to within a pixel, so no tile is a
     # lone row unless the whole input is
-    n_tiles = max(1, -(-len(rows) // _TILE_PIXELS))
+    n_tiles = max(1, -(-len(rows) // tile))
     if offset is not None:
-        high_buf = np.empty(offset.size, dtype=bool)
-        any_buf = np.empty(offset.size // 3, dtype=bool)
+        max_buf = np.empty(offset.size // 3)
+        high_buf = np.empty(offset.size // 3, dtype=bool)
     over = 0
     for src, dst in zip(np.array_split(rows, n_tiles), np.array_split(out, n_tiles)):
         np.matmul(src, mat_t, out=dst)
         if offset is not None:
             flat = dst.reshape(-1)
-            high, any_high = high_buf[: flat.size], any_buf[: len(dst)]
+            top, high = max_buf[: len(dst)], high_buf[: len(dst)]
             np.subtract(flat, offset[: flat.size], out=flat)
             np.maximum(flat, 0.0, out=flat)
-            np.greater(flat, 1.0, out=high)
-            np.logical_or(high[0::3], high[1::3], out=any_high)
-            np.logical_or(any_high, high[2::3], out=any_high)
-            over += np.count_nonzero(any_high)
+            # fmax, not maximum: a NaN channel (0 * inf from an infinite
+            # input) must not hide another channel over 1 from the count
+            np.fmax(flat[0::3], flat[1::3], out=top)
+            np.fmax(top, flat[2::3], out=top)
+            over += np.count_nonzero(np.greater(top, 1.0, out=high))
             np.minimum(flat, 1.0, out=flat)
     return over
 
@@ -300,13 +309,16 @@ def transform_content(pixels, mode: str, bundle: CalibrationBundle, counter: Gam
     post:           Q . p
 
     Returns a new float64 array of the input's shape and leaves the input
-    unchanged. The pixels are processed in fixed-size tiles, so a contiguous
-    float64 frame needs only the output plus a few MiB of scratch per
-    thread. Input of more than one tile is split into one contiguous run of
-    tiles per thread, on up to as many threads as the process may use
-    (``os.sched_getaffinity``); smaller input runs on the calling thread. The
-    result and the count are the same bit for bit whatever the tile size
-    and the number of threads.
+    unchanged. The pixels are processed in fixed-size tiles, 64 Ki pixels
+    (_TILE_PIXELS) for out_of_frustum and post and 16 Ki (_CLAMP_PIXELS) for
+    in_frustum, whose tile and tiled offset then stay in L2 across the
+    clamp's passes. So a contiguous float64 frame needs only the output,
+    plus for in_frustum a 384 KiB tiled offset and 144 KiB per thread for
+    the gamut count. Input of more than one 64 Ki tile is split into one
+    contiguous run of tiles per thread, on up to as many threads as the
+    process may use (``os.sched_getaffinity``); smaller input runs on the
+    calling thread. The result and the count are the same bit for bit
+    whatever the tile size and the number of threads.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     if pixels.shape[-1:] != (3,):
@@ -324,7 +336,7 @@ def transform_content(pixels, mode: str, bundle: CalibrationBundle, counter: Gam
     mat_t = mat.T if lone_rows else np.ascontiguousarray(mat.T)
     out = np.empty(rows.shape)
     clamp = mode == "in_frustum"
-    offset = np.tile(bundle.black_offset, min(len(rows), _TILE_PIXELS)) if clamp else None
+    offset = np.tile(bundle.black_offset, min(len(rows), _CLAMP_PIXELS)) if clamp else None
     # No more workers than tiles, so each gets over half a tile and never a
     # lone row. The pool lives only for this call: a process forked later
     # must not inherit a pool whose threads it does not have. Without

@@ -289,10 +289,12 @@ def _is_convex(corners: np.ndarray) -> bool:
 def trimmed_mean(values: np.ndarray) -> np.ndarray:
     """Per-channel mean of (..., 3) values after dropping the top and bottom TRIM_FRACTION.
 
-    The result is, bit for bit, the float64 mean (numpy's pairwise sum) of
-    the kept values sorted and widened to float64, so a float32 input gives
-    the same bits as its float64 widening. Zeros average to +0.0, whatever
-    their signs. The input is left as it is.
+    Where a channel's kept values are not all equal, its result is, bit for
+    bit, the float64 mean (numpy's pairwise sum) of the kept values sorted
+    and widened to float64. A channel whose kept values are all equal gives
+    that value, which the pairwise mean can miss by an ulp. Either way a
+    float32 input gives the same bits as its float64 widening. Zeros average
+    to +0.0, whatever their signs. The input is left as it is.
 
     One channel at a time is copied into one reused contiguous row at the
     values' own precision, and two selections (np.partition, one kth each)

@@ -12,9 +12,12 @@ RUN_SECONDS --trace T`` from its checkout's root, one at a time. The output
 file holds what was compared, the command, the machine (from the first run's
 detail, plus the transparent-huge-page mode, null where the kernel reports
 none), the claim (name it before the runs), how the quartiles are taken,
-one summary per trace setting and every run. An existing output file keeps its runs, claim and description: the
-new runs are added to them and everything is summarized again, so untraced and
-traced pairs can share one file. Nothing under bench/ is changed.
+one summary per trace setting and every run. Each summarized metric says
+whether the change's gain is resolved and whether it stays within the
+metric's bound in BENCHMARK.json (see summarize). An existing output file
+keeps its runs, claim and description: the new runs are added to them and
+everything is summarized again, so untraced and traced pairs can share one
+file. Nothing under bench/ is changed.
 """
 
 from __future__ import annotations
@@ -38,6 +41,12 @@ THP_MODE = Path("/sys/kernel/mm/transparent_hugepage/enabled")
 def better_of(benchmark: dict) -> dict:
     """Metric name -> "lower" or "higher", from a BENCHMARK.json document."""
     return {m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
+
+
+def bounds_of(benchmark: dict) -> dict:
+    """End-to-end metric name -> the share of the parent's median by which it may worsen, from a BENCHMARK.json
+    document. Per-layer metrics have no bound."""
+    return {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
 
 
 def machine(detail: dict, thp_mode: Path = THP_MODE) -> dict:
@@ -68,9 +77,13 @@ def quartiles(values) -> list:
     return [round(float(v), 6) for v in np.percentile(values, [25, 50, 75])]
 
 
-def summarize(runs: list, better: dict) -> dict:
+def summarize(runs: list, better: dict, bounds: dict) -> dict:
     """Per workload: the pairs, ops attempted and failed, whether every run was correct, and per metric
-    each side's quartiles, the pairs the change wins and the change's median relative to the parent's."""
+    each side's quartiles, the pairs the change wins, the change's median relative to the parent's, and
+    two verdicts. gain_resolved: the change wins at least 9/10 of the pairs, ties counting for neither
+    side, and its median is better than the parent's by more than the parent's q3 - q1. within_bound:
+    the change's median is worse than the parent's by no more than the metric's bound times the
+    parent's median; None for a metric without a bound in `bounds`."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_side = {side: {r["pair"]: r["result"] for r in runs if r["workload"] == workload and r["side"] == side}
@@ -95,13 +108,17 @@ def summarize(runs: list, better: dict) -> dict:
             change = [b["value"] for _, b in values]
             sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
             wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-            p_med, c_med = float(np.median(parent)), float(np.median(change))
+            p_q1, p_med, p_q3 = map(float, np.percentile(parent, [25, 50, 75]))
+            c_med = float(np.median(change))
+            gain = sign * (p_med - c_med)
             entry["metrics"][name] = {
                 "unit": values[0][0]["unit"],
                 "parent_q1_median_q3": quartiles(parent),
                 "change_q1_median_q3": quartiles(change),
                 "change_better_pairs": f"{wins}/{len(values)}",
                 "median_change_rel": round((c_med - p_med) / p_med, 4) if p_med else None,
+                "gain_resolved": bool(10 * wins >= 9 * len(values) and gain > p_q3 - p_q1),
+                "within_bound": bool(-gain <= bounds[name] * abs(p_med)) if name in bounds else None,
             }
         summary[workload] = entry
     return summary
@@ -122,7 +139,7 @@ def main(argv=None) -> int:
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    better = better_of(benchmark)
+    better, bounds = better_of(benchmark), bounds_of(benchmark)
     command, seconds = benchmark["command"], benchmark["run_seconds"]
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in benchmark["workloads"]]
     doc = json.loads(args.out.read_text()) if args.out.exists() else {
@@ -147,16 +164,16 @@ def main(argv=None) -> int:
                     doc["machine"] = machine(run["detail"])
                 print(f"pair {pair} {workload} {side}: returncode {run['returncode']}, {run['wall_s']} s",
                       file=sys.stderr)
-                write(args.out, doc, better)
+                write(args.out, doc, better, bounds)
     return 0
 
 
-def write(path: Path, doc: dict, better: dict) -> None:
+def write(path: Path, doc: dict, better: dict, bounds: dict) -> None:
     """Write `doc` to `path`, its summaries recomputed from its runs, untraced and traced apart."""
     for trace, key in ((0, "summary_untraced"), (1, "summary_traced")):
         runs = [r for r in doc["runs"] if r["trace"] == trace]
         if runs:
-            doc[key] = summarize(runs, better)
+            doc[key] = summarize(runs, better, bounds)
     runs = doc.pop("runs")
     doc["runs"] = runs  # kept last, after the summaries
     path.write_text(json.dumps(doc, indent=1) + "\n")

@@ -2,6 +2,7 @@ import os
 import re
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from stagecal.calibration import (
+    _CLAMP_PIXELS,
     _TILE_PIXELS,
     Q_SPREAD_RCOND,
     CalibrationBundle,
@@ -425,10 +427,12 @@ def reference_transform(pixels, mode, bundle, counter=None):
     return np.minimum(out, 1.0)
 
 
-# the empty input, a lone pixel, small inputs, both sides of one and two
-# tile boundaries, and tiles of unequal size spread over several threads
+# the empty input, a lone pixel, small inputs, both sides of an in_frustum
+# tile boundary and of one and two tile boundaries, and tiles of unequal
+# size spread over several threads
 PIXEL_COUNTS = (
-    0, 1, 2, 5, _TILE_PIXELS - 1, _TILE_PIXELS, _TILE_PIXELS + 1, 2 * _TILE_PIXELS + 1, 4 * _TILE_PIXELS + 3,
+    0, 1, 2, 5, _CLAMP_PIXELS - 1, _CLAMP_PIXELS, _CLAMP_PIXELS + 1,
+    _TILE_PIXELS - 1, _TILE_PIXELS, _TILE_PIXELS + 1, 2 * _TILE_PIXELS + 1, 4 * _TILE_PIXELS + 3,
 )
 
 
@@ -590,6 +594,44 @@ def test_in_frustum_clamp_gives_positive_zero(monkeypatch):
     out = transform_content(pixels, "in_frustum", bundle)
     assert out.tobytes() == expected
     assert not np.signbit(out).any()
+
+
+def test_in_frustum_scratch_is_under_a_mebibyte_beyond_the_output(monkeypatch):
+    # on 2 threads: a 384 KiB tiled offset and 144 KiB per thread for the
+    # channel maximum and its mask; a 64 Ki-pixel offset alone is 1.5 MiB
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pixels, bundle = many_tile_case()
+    tracemalloc.start()
+    try:
+        transform_content(pixels, "in_frustum", bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - pixels.nbytes < 1 << 20  # the float64 output is as large as the input
+
+
+def test_non_finite_and_signed_zero_pixels_match_the_reference():
+    # N = I multiplies each channel by 0 in the others, so an infinite
+    # channel puts a NaN beside a channel over 1 (as 0 * inf is NaN): the
+    # pixel must still count as clamped, as (out > 1).any() counts it
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5, 2.0])
+    values = np.stack(np.meshgrid(specials, specials, specials, indexing="ij"), axis=-1).reshape(-1, 3)
+    bundle = simple_bundle(n=np.eye(3), offset=(0.0, 0.25, 0.0))
+    cases = [lay_out(values, layout) for layout in ("rows", "image", "stack", "transposed", "strided",
+                                                    "channel_strided")]
+    cases += [lay_out(value[None], "vector") for value in values]
+    with np.errstate(invalid="ignore"):  # numpy warns on the 0 * inf products
+        for pixels in cases:
+            for mode in ("out_of_frustum", "in_frustum", "post"):
+                counter, ref_counter = GamutCounter(), GamutCounter()
+                out = transform_content(pixels, mode, bundle, counter)
+                assert out.tobytes() == reference_transform(pixels, mode, bundle, ref_counter).tobytes()
+                assert (counter.total, counter.out_of_gamut) == (ref_counter.total, ref_counter.out_of_gamut)
+        in_frustum = GamutCounter()
+        transform_content(values, "in_frustum", bundle, in_frustum)
+    # clamped: the 4**3 - 3**3 finite pixels with a 2.0, and the 3 * 4**2
+    # with one +inf beside two finite channels, which N turns into NaNs
+    assert (in_frustum.total, in_frustum.out_of_gamut) == (7**3, 37 + 48)
 
 
 class TestChartError:

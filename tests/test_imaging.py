@@ -732,6 +732,15 @@ def test_order_sensitive_kept_values_match_the_sorted_widening():
     assert trimmed_mean(values).tobytes() == three_channel_trimmed_mean(values).tobytes()
 
 
+def test_constant_channel_passes_through_where_the_pairwise_mean_rounds():
+    value = 0.3215556345506657
+    values = np.full((12345, 3), value)
+    n = len(values)
+    k = int(n * TRIM_FRACTION)
+    assert np.full(n - 2 * k, value).mean() != value  # the pairwise mean reads ...658
+    assert trimmed_mean(values).tobytes() == np.full(3, value).tobytes()
+
+
 class TestChartSamples:
     def test_charts_carry_values_only(self):
         assert [f.name for f in dataclasses.fields(ChartSamples)] == ["patches"]
